@@ -177,6 +177,8 @@ def cmd_solve(cfg, verbose=False):
         "residual_inf": float(np.max(np.abs(state.residual))),
         "conservation_gap": state.conservation_gap,
         "heights": state.heights.tolist(),
+        "oracle_calls": state.oracle_calls,
+        "oracle_builds": state.oracle_builds,
     })
     if verbose:
         print(f"solved: residual {np.max(np.abs(state.residual)):.3e} "

@@ -5,8 +5,15 @@ every grid cell and reduces (max/argmax or a masked mass sum).  For the
 built-in generating functions these are small closed-form arithmetic loops,
 compiled with numba when available.  A pure-numpy implementation of every
 kernel ships alongside; set the environment variable ``GJEKIT_NO_NUMBA=1``
-(or run without numba installed) to select it.  ``benchmarks/bench_kernels.py``
-compares the two paths.
+(or run without numba installed) to select it.
+
+The numpy closed forms run in two steps.  ``np_piece_basis`` computes the
+grid basis of a piece, the only O(m d) part, which depends on the focus
+alone: ``xs @ xbar``, or ``|xs - xbar|^2`` for ``pb_zero``.
+``np_basis_values`` turns the basis and the height into values, and
+``np_piece_values`` is the composition.  A caller with fixed foci (the
+solver) computes each basis once and passes it as ``basis=`` to
+``piece_values`` and ``piece_mass``; the values are the same bit for bit.
 
 Inadmissible points are encoded as -inf piece values, which the reductions
 treat as "piece not competing".
@@ -40,41 +47,59 @@ if not NUMBA_ENABLED:
 # ---------------------------------------------------------------------------
 
 
-def np_piece_values(tag, params, xs, xbar, z):
-    """Piece values over grid points xs (m, d); -inf where inadmissible."""
-    m = xs.shape[0]
+def np_piece_basis(tag, xs, xbar):
+    """Grid basis of one piece: the only part of its value that costs O(m d).
+
+    ``|xs - xbar|^2`` for ``pb_zero``, the dot products ``xs @ xbar`` for
+    every other tag.  It depends on the focus only, so a caller whose foci
+    are fixed computes it once and passes it to the value kernels.
+    """
+    if tag == "pb_zero":
+        return np.sum((xs - xbar) ** 2, axis=1)
+    return xs @ xbar
+
+
+def np_basis_values(tag, params, b, xbar, z):
+    """Piece values from the grid basis ``b`` of :func:`np_piece_basis`."""
+    m = b.shape[0]
     if tag == "ql_bilinear":
-        return xs @ xbar - z
+        return b - z
     if tag == "ql_neglog":
-        b = xs @ xbar
         out = np.full(m, -np.inf)
         ok = b < 1.0 - 1e-12
         out[ok] = np.log(1.0 - b[ok]) - z
         return out
     if tag == "ql_cubic":
-        b = xs @ xbar
         return b + params[0] * b ** 3 - z
     if tag == "point_source":
         t2 = float(xbar @ xbar)
         if not (z > 0.0 and 0.25 * z * z * t2 < 1.0):
             return np.full(m, -np.inf)
-        b = xs @ xbar
-        return (z - 0.5 * z * z * b) / (1.0 - 0.25 * z * z * t2)
+        # (z - 0.5 z^2 b) / (1 - 0.25 z^2 t2), evaluated in one buffer
+        out = b * (0.5 * z * z)
+        np.subtract(z, out, out=out)
+        out /= 1.0 - 0.25 * z * z * t2
+        return out
     if tag == "pb_zero":
         if not z > 0.0:
             return np.full(m, -np.inf)
-        D = np.sum((xs - xbar) ** 2, axis=1)
-        v = 0.5 * (1.0 / z - z * D)
+        v = 0.5 * (1.0 / z - z * b)
         v[v < 0.0] = -np.inf
         return v
     if tag == "minkowski":
         if not z > 0.0:
             return np.full(m, -np.inf)
-        b = xs @ xbar
         v = z * b
         v[b <= 0.0] = -np.inf
         return v
     raise KeyError(f"unknown kernel tag {tag!r}")
+
+
+def np_piece_values(tag, params, xs, xbar, z, basis=None):
+    """Piece values over grid points xs (m, d); -inf where inadmissible."""
+    if basis is None:
+        basis = np_piece_basis(tag, xs, xbar)
+    return np_basis_values(tag, params, basis, xbar, z)
 
 
 def np_envelope_scan(tag, params, xs, xbars, zs, tie):
@@ -90,16 +115,32 @@ def np_envelope_scan(tag, params, xs, xbars, zs, tie):
     return best, idx
 
 
-def np_piece_mass(tag, params, xs, weights, other_val, other_idx, i, xbar, z, tie):
+def np_piece_mass(tag, params, xs, weights, other_val, other_idx, i, xbar, z, tie,
+                  basis=None, other_tie=None, lower=None):
     """Mass of cells won by piece i against the cached best of the others.
 
     A cell belongs to i when its value beats the other pieces' best, or ties
-    it within ``tie`` while i has the lower index.
+    it within ``tie`` while i has the lower index.  ``basis`` (the piece's
+    :func:`np_piece_basis`), ``other_tie`` (``other_val + tie``) and
+    ``lower`` (``i < other_idx``) may be passed precomputed; the mass is the
+    same bit for bit.
     """
-    v = np_piece_values(tag, params, xs, xbar, z)
+    v = np_piece_values(tag, params, xs, xbar, z, basis)
+    return _win_mass(v, weights, other_val, other_idx, i, tie, other_tie, lower)
+
+
+def _win_mass(v, weights, other_val, other_idx, i, tie, other_tie=None, lower=None):
+    if other_tie is None:
+        other_tie = other_val + tie
+    if lower is None:
+        lower = i < other_idx
+    wins = v > other_tie
     with np.errstate(invalid="ignore"):
-        wins = ((v > other_val + tie)
-                | ((np.abs(v - other_val) <= tie) & (i < other_idx)))
+        gap = v - other_val
+    np.abs(gap, out=gap)
+    tied = gap <= tie
+    tied &= lower
+    wins |= tied
     wins &= np.isfinite(v)
     return float(np.sum(weights[wins]))
 
@@ -247,7 +288,20 @@ def _grid_points_for(gf, xs_emb):
     return np.ascontiguousarray(xs_emb, dtype=float)
 
 
-def piece_values(gf, xs_emb, xbar, z, use_numba=None):
+def piece_basis(gf, xs_emb, xbar):
+    """Grid basis of the piece with focus xbar, or None without a kernel tag.
+
+    Pass it back as ``basis=`` to :func:`piece_values` and :func:`piece_mass`
+    to skip the O(m d) part of every evaluation at that focus.
+    """
+    tag, _ = kernel_tag(gf)
+    if tag is None:
+        return None
+    return np_piece_basis(tag, _grid_points_for(gf, xs_emb),
+                          np.ascontiguousarray(xbar, dtype=float))
+
+
+def piece_values(gf, xs_emb, xbar, z, use_numba=None, basis=None):
     """Values of the piece (xbar, z) at embedded grid points; -inf = inadmissible."""
     tag, params = kernel_tag(gf)
     if tag is None:
@@ -258,7 +312,7 @@ def piece_values(gf, xs_emb, xbar, z, use_numba=None):
     on = NUMBA_ENABLED if use_numba is None else use_numba
     if on:
         return _nb_piece_values(_TAG_IDS[tag], eps, xs, xbar, float(z))
-    return np_piece_values(tag, params, xs, xbar, float(z))
+    return np_piece_values(tag, params, xs, xbar, float(z), basis)
 
 
 def envelope_scan(gf, xs_emb, xbars, zs, tie, use_numba=None):
@@ -285,14 +339,16 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie, use_numba=None):
 
 
 def piece_mass(gf, xs_emb, weights, other_val, other_idx, i, xbar, z, tie,
-               use_numba=None):
-    """f-mass of the cells piece i wins at height z, given the others' best."""
+               use_numba=None, basis=None, other_tie=None, lower=None):
+    """f-mass of the cells piece i wins at height z, given the others' best.
+
+    ``basis``, ``other_tie`` and ``lower`` are optional precomputed inputs,
+    as in :func:`np_piece_mass`.
+    """
     tag, params = kernel_tag(gf)
     if tag is None:
         v = _generic_piece_values(gf, xs_emb, xbar, z)
-        wins = (v > other_val + tie) | ((np.abs(v - other_val) <= tie) & (i < other_idx))
-        wins &= np.isfinite(v)
-        return float(np.sum(weights[wins]))
+        return _win_mass(v, weights, other_val, other_idx, i, tie, other_tie, lower)
     xs = _grid_points_for(gf, xs_emb)
     eps = params[0] if params else 0.0
     on = NUMBA_ENABLED if use_numba is None else use_numba
@@ -301,7 +357,7 @@ def piece_mass(gf, xs_emb, weights, other_val, other_idx, i, xbar, z, tie,
                               other_val, other_idx, int(i),
                               np.ascontiguousarray(xbar, dtype=float), float(z), tie)
     return np_piece_mass(tag, params, xs, weights, other_val, other_idx,
-                         int(i), xbar, float(z), tie)
+                         int(i), xbar, float(z), tie, basis, other_tie, lower)
 
 
 def _generic_piece_values(gf, xs_emb, xbar, z):

@@ -16,6 +16,7 @@ the sweep/normalize cycle repeats until both criteria hold.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,8 @@ class SolverState:
     converged: bool
     history: list = field(default_factory=list)  # rows: (sweep, res_inf, wall_time)
     conservation_gap: float = 0.0
+    oracle_calls: int = 0     # cell-mass evaluations (kernels.piece_mass calls)
+    oracle_builds: int = 0    # frozen-envelope constructions (_MassOracle)
 
 
 def _piece_z_limits(gf, xbar):
@@ -98,24 +101,75 @@ def _piece_z_limits(gf, xbar):
     return -np.inf, np.inf
 
 
-class _MassOracle:
-    """Cell mass of one piece against the frozen rest of the envelope."""
+def _target_bases(problem):
+    """Grid basis of every target's piece (None entries without a kernel tag).
 
-    def __init__(self, problem, values, index):
+    The targets never move, so one basis per target serves the whole solve.
+    """
+    return [kernels.piece_basis(problem.gf, problem.grid.points, t)
+            for t in problem.targets]
+
+
+def _piece_row(problem, bases, i, z):
+    return kernels.piece_values(problem.gf, problem.grid.points,
+                                problem.targets[i], z, basis=bases[i])
+
+
+def _piece_rows(problem, bases, heights):
+    V = np.empty((problem.n_targets, problem.grid.n_cells))
+    for i in range(problem.n_targets):
+        V[i] = _piece_row(problem, bases, i, heights[i])
+    return V
+
+
+def _others_best(values, index):
+    """Max over the rows j != index of ``values`` and its first argmax.
+
+    Row values never hold NaN (inadmissible cells are -inf).  A strict ``>``
+    in ascending row order keeps the first maximal row, as ``np.argmax``
+    does; columns whose best is not finite map to ``n``.
+    """
+    n, m = values.shape
+    best = np.full(m, -np.inf)
+    idx = np.full(m, n, dtype=np.int64)
+    for j in range(n):
+        if j == index:
+            continue
+        take = values[j] > best
+        np.copyto(best, values[j], where=take)
+        idx[take] = j
+    idx[~np.isfinite(best)] = n
+    return best, idx
+
+
+class _MassOracle:
+    """Cell mass of one piece against the frozen rest of the envelope.
+
+    Everything that does not depend on the piece's height is computed once
+    here: the others' best value and index, ``best + tie``, the index
+    comparison of the tie rule, and (from ``basis``) the piece's grid basis.
+    ``tally`` counts the constructions ("builds") and evaluations ("calls").
+    """
+
+    def __init__(self, problem, values, index, basis, tally=None):
         self.p = problem
         self.i = index
         self.tie = problem.gf.tols.tie
-        other = values.copy()
-        other[index] = -np.inf
-        self.other_val = np.max(other, axis=0)
-        self.other_idx = np.argmax(other, axis=0)
-        self.other_idx[~np.isfinite(self.other_val)] = problem.n_targets
+        self.basis = basis
+        self.other_val, self.other_idx = _others_best(values, index)
+        self.other_tie = self.other_val + self.tie
+        self.lower = index < self.other_idx
+        self.tally = Counter() if tally is None else tally
+        self.tally["builds"] += 1
 
     def __call__(self, z):
+        self.tally["calls"] += 1
         return kernels.piece_mass(self.p.gf, self.p.grid.points,
                                   self.p.cell_weights, self.other_val,
                                   self.other_idx, self.i,
-                                  self.p.targets[self.i], z, self.tie)
+                                  self.p.targets[self.i], z, self.tie,
+                                  basis=self.basis, other_tie=self.other_tie,
+                                  lower=self.lower)
 
 
 def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,
@@ -231,13 +285,8 @@ def solve(problem: SemiDiscreteProblem):
     last_improvement = 0
     converged = False
     step_hint = np.full(n, 1e-3)
-
-    def piece_values_all(zv):
-        V = np.empty((n, problem.grid.n_cells))
-        for i in range(n):
-            V[i] = kernels.piece_values(gf, problem.grid.points,
-                                        problem.targets[i], zv[i])
-        return V
+    bases = _target_bases(problem)
+    tally = Counter()
 
     # Early rounds only need mass balance at grid-cell resolution: deficits
     # below one cell mass cannot be repaired while the overall level is still
@@ -247,7 +296,7 @@ def solve(problem: SemiDiscreteProblem):
     park_tol = max(inner_tol, cell_quantum)
 
     for outer in range(100):
-        V = piece_values_all(z)
+        V = _piece_rows(problem, bases, z)
         while True:
             masses = _masses_from(V, problem)
             res = masses - problem.masses
@@ -264,7 +313,7 @@ def solve(problem: SemiDiscreteProblem):
                 break
             moved = False
             for i in range(n):  # ascending index, deterministic
-                oracle = _MassOracle(problem, V, i)
+                oracle = _MassOracle(problem, V, i, bases[i], tally)
                 m_i = oracle(z[i])
                 if m_i >= problem.masses[i] - park_tol:
                     continue
@@ -276,8 +325,7 @@ def solve(problem: SemiDiscreteProblem):
                 if z_new != z[i]:
                     moved = True
                 z[i] = z_new
-                V[i] = kernels.piece_values(gf, problem.grid.points,
-                                            problem.targets[i], z[i])
+                V[i] = _piece_row(problem, bases, i, z[i])
             sweeps += 1
             if not moved:
                 # every underfilled piece is parked at the staircase floor
@@ -295,7 +343,7 @@ def solve(problem: SemiDiscreteProblem):
             # walk.  Near the solution a bidirectional Gauss-Seidel pass over
             # the pieces converges quickly; each piece moves to its own
             # target in whichever direction its residual demands.
-            V = piece_values_all(z)
+            V = _piece_rows(problem, bases, z)
             repaired = False
             for _ in range(50):
                 masses = _masses_from(V, problem)
@@ -310,7 +358,7 @@ def solve(problem: SemiDiscreteProblem):
                 for i in order:
                     if abs(res[i]) <= inner_tol:
                         continue
-                    oracle = _MassOracle(problem, V, int(i))
+                    oracle = _MassOracle(problem, V, int(i), bases[i], tally)
                     z_new, _ = _move_piece_to_mass(problem, oracle, z[i],
                                                    problem.masses[i], raise_dir,
                                                    cell_quantum,
@@ -319,8 +367,7 @@ def solve(problem: SemiDiscreteProblem):
                     if z_new != z[i]:
                         changed = True
                     z[i] = z_new
-                    V[i] = kernels.piece_values(gf, problem.grid.points,
-                                                problem.targets[i], z[i])
+                    V[i] = _piece_row(problem, bases, i, z[i])
                 sweeps += 1
                 if not changed:
                     break
@@ -360,6 +407,8 @@ def solve(problem: SemiDiscreteProblem):
         converged=bool(converged),
         history=history,
         conservation_gap=float(abs(np.sum(masses) - problem.total_mass)),
+        oracle_calls=tally["calls"],
+        oracle_builds=tally["builds"],
     )
     return env, state
 
@@ -371,10 +420,10 @@ def _masses_from(V, problem):
     idx = np.full(m, n, dtype=np.int64)
     for i in range(n):
         take = V[i] > best + tie
-        best = np.where(take, V[i], best)
-        idx = np.where(take, i, idx)
-    return np.bincount(idx[idx < n], weights=problem.cell_weights[idx < n],
-                       minlength=n)
+        np.copyto(best, V[i], where=take)
+        idx[take] = i
+    won = idx < n
+    return np.bincount(idx[won], weights=problem.cell_weights[won], minlength=n)
 
 
 def mass_residual(env: Envelope, problem: SemiDiscreteProblem):
@@ -391,11 +440,9 @@ def monotonicity_probe(problem: SemiDiscreteProblem, heights, i, z_grid):
     Returns the (z, mass) table.
     """
     heights = np.asarray(heights, dtype=float)
-    V = np.empty((problem.n_targets, problem.grid.n_cells))
-    for j in range(problem.n_targets):
-        V[j] = kernels.piece_values(problem.gf, problem.grid.points,
-                                    problem.targets[j], heights[j])
-    oracle = _MassOracle(problem, V, i)
+    bases = _target_bases(problem)
+    oracle = _MassOracle(problem, _piece_rows(problem, bases, heights), i,
+                         bases[i])
     z_grid = np.asarray(z_grid, dtype=float)
     masses = np.array([oracle(zz) for zz in z_grid])
     raise_dir = -problem.gf.orientation

@@ -64,6 +64,20 @@ def test_solve_deterministic_byte_identical(tmp_path):
     assert e1 == e2
 
 
+def test_solve_report_counts_oracle_work(tmp_path):
+    reports = []
+    for out in (tmp_path / "o1", tmp_path / "o2"):
+        cfg = _write(tmp_path, {"demo": "classical-MA", "resolution": 96,
+                                "output_dir": str(out)}, f"{out.name}.json")
+        assert main(["solve", "--config", cfg]) == 0
+        rep = json.loads((out / "solve_report.json").read_text())
+        del rep["provenance"]  # the config hash covers the output directory
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert reports[0]["oracle_calls"] == 1206
+    assert reports[0]["oracle_builds"] == 117
+
+
 def test_raytrace_without_envelope_exit_2(tmp_path):
     cfg = _write(tmp_path, {"demo": "point-source-8", "resolution": 48,
                             "output_dir": str(tmp_path / "nothing")})

@@ -4,8 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gjekit import kernels
+from gjekit import kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
 from gjekit.demos import violator_genfun
@@ -54,6 +56,78 @@ def test_numba_and_numpy_paths_agree(gf):
         m2 = kernels.piece_mass(gf, grid.points, w, b2, i2, 0, xbars[0], zs[0],
                                 tie, use_numba=False)
         assert np.isclose(m1, m2, rtol=0, atol=1e-12)
+
+
+_CASES = {gf.name: gf for gf in _cases()}
+_GRIDS = {name: DomainGrid(gf.source_chart, 12) for name, gf in _CASES.items()}
+
+
+def _others(rng, v, n, tie):
+    """Others' best (value, index) for one piece with values ``v``.
+
+    Random values near ``v``, with planted exact ties, ties within ``tie``,
+    -inf cells and random owners (``n`` marks an empty column).
+    """
+    m = v.shape[0]
+    finite = np.isfinite(v)
+    centre = np.median(v[finite]) if np.any(finite) else 0.0
+    other_val = centre + rng.normal(size=m)
+    kind = rng.integers(0, 5, size=m)
+    other_val[(kind == 0) & finite] = v[(kind == 0) & finite]
+    near = (kind == 1) & finite
+    other_val[near] = v[near] + tie * rng.uniform(-1.5, 1.5, size=int(near.sum()))
+    other_val[kind == 2] = -np.inf
+    other_idx = rng.integers(0, n + 1, size=m)
+    other_idx[kind == 2] = n
+    return other_val, other_idx
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_CASES)), seed=st.integers(0, 2 ** 32 - 1),
+       z=st.floats(-1.0, 3.0), i=st.integers(0, 4),
+       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_cached_piece_mass_is_bit_identical(name, seed, z, i, tie):
+    gf, grid = _CASES[name], _GRIDS[name]
+    rng = np.random.default_rng(seed)
+    xbar = gf.target_chart.sample(1, rng)[0]
+    tag, params = kernels.kernel_tag(gf)
+    xs, w = grid.points, grid.weights
+    v = kernels.np_piece_values(tag, params, xs, xbar, z)
+    other_val, other_idx = _others(rng, v, 5, tie)
+    ref = kernels.np_piece_mass(tag, params, xs, w, other_val, other_idx,
+                                i, xbar, z, tie)
+    basis = kernels.piece_basis(gf, xs, xbar)
+    cached = kernels.piece_mass(gf, xs, w, other_val, other_idx, i, xbar, z, tie,
+                                use_numba=False, basis=basis,
+                                other_tie=other_val + tie, lower=i < other_idx)
+    assert cached == ref
+    again = kernels.piece_values(gf, xs, xbar, z, use_numba=False, basis=basis)
+    assert np.array_equal(again, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+       index=st.integers(0, 5))
+@example(seed=0, n=1, index=0)  # a single target: no others at all
+def test_others_best_matches_max_argmax(seed, n, index):
+    index %= n
+    rng = np.random.default_rng(seed)
+    m = 40
+    values = rng.normal(size=(n, m))
+    for j in range(n):  # planted exact ties between rows, -inf cells
+        src = rng.integers(0, n)
+        tied = rng.random(m) < 0.3
+        values[j, tied] = values[src, tied]
+        values[j, rng.random(m) < 0.2] = -np.inf
+    values[:, rng.random(m) < 0.15] = -np.inf  # whole -inf columns
+    other = values.copy()
+    other[index] = -np.inf
+    ref_val = np.max(other, axis=0)
+    ref_idx = np.argmax(other, axis=0)
+    ref_idx[~np.isfinite(ref_val)] = n
+    best, idx = solver._others_best(values, index)
+    assert np.array_equal(best, ref_val)
+    assert np.array_equal(idx, ref_idx)
 
 
 def test_kernel_matches_evaluator():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gjekit import kernels
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
-from gjekit.demos import point_source_8_problem
+from gjekit.demos import demo_problem, point_source_8_problem
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
 from gjekit.grids import DomainGrid
@@ -124,3 +125,26 @@ def test_grid_refinement_height_drift():
     drift = np.max(np.abs(st_c.heights - st_f.heights))
     # heights move by the order of the grid width between refinements
     assert drift <= 5 * coarse.grid.width()
+
+
+@pytest.mark.parametrize("name, resolution, sweeps, rounds, calls, builds", [
+    ("classical-MA", 96, 20, 11, 1206, 117),
+    ("parallel-beam-5", 128, 14, 10, 741, 70),
+])
+def test_demo_iterate_sequence_is_pinned(monkeypatch, name, resolution, sweeps,
+                                         rounds, calls, builds):
+    # any change to an oracle mass moves a bisection step and these counts
+    problem, _ = demo_problem(name, resolution)
+    seen = 0
+    piece_mass = kernels.piece_mass
+
+    def counting(*args, **kwargs):
+        nonlocal seen
+        seen += 1
+        return piece_mass(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "piece_mass", counting)
+    _, state = solve(problem)
+    assert state.converged
+    assert (state.sweeps, state.outer_rounds, seen) == (sweeps, rounds, calls)
+    assert (state.oracle_calls, state.oracle_builds) == (calls, builds)
