@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One JSON config file per run (schema shipped as ``gjekit/schema.json``);
-flags only select the command, config path, verbosity, and thread cap.
+flags only select the command, config path and verbosity.
 Commands write JSON reports and CSV ledgers into the config's output
 directory and exit 0 on success, 1 on a failed check, 2 on config errors.
 Reports carry the config hash, the seed, and the toolkit version; outputs
@@ -28,7 +28,7 @@ from .errors import ConfigError, GjekitError
 from .gconvex import Envelope, GAffine
 from .grids import DomainGrid
 from .solver import SemiDiscreteProblem, solve
-from .structure import (check_domconv, check_nondeg, check_qqconv,
+from .structure import (_jsonable, check_domconv, check_nondeg, check_qqconv,
                         check_twist, check_unif_lip,
                         crosscheck_g3w_implies_qqconv, g3w_sweep)
 
@@ -117,7 +117,7 @@ def cmd_check(cfg, verbose=False):
     payload = {"provenance": _provenance(cfg), "genfun": gf.name,
                "interval": list(interval),
                "reports": {k: r.to_dict() for k, r in reports.items()},
-               "crosscheck": _plain(cross)}
+               "crosscheck": _jsonable(cross)}
     _write_json(os.path.join(out, "check_report.json"), payload)
     all_pass = all(r.passed for r in reports.values()) and cross["implication_holds"]
     if verbose:
@@ -125,20 +125,6 @@ def cmd_check(cfg, verbose=False):
             print(f"{k}: {'pass' if r.passed else 'FAIL'} {r.constants}")
         print(f"crosscheck: g3w_min={cross['g3w_min']:.3e} M={cross['fitted_M']}")
     return EXIT_OK if all_pass else EXIT_FAIL
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
-    return obj
 
 
 def _problem_from_config(cfg):
@@ -250,7 +236,7 @@ def cmd_estimate(cfg, verbose=False):
     payload = {"provenance": _provenance(cfg),
                "sections_evaluated": n_ok,
                "sections_skipped": len(rows) - n_ok,
-               "engulfing": _plain(eng)}
+               "engulfing": _jsonable(eng)}
     _write_json(os.path.join(out, "estimate_summary.json"), payload)
     if verbose:
         print(f"estimates: {n_ok}/{len(rows)} sections, "
@@ -280,8 +266,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="gjekit",
         description="Numerical toolkit for generated Jacobian equations")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (default: GJEKIT_THREADS or all)")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("check", "solve", "raytrace", "estimate"):
@@ -292,14 +276,6 @@ def main(argv=None):
     pd.add_argument("--resolution", type=int, default=None)
     pd.add_argument("--output-dir", default=None)
     args = parser.parse_args(argv)
-
-    threads = args.threads or os.environ.get("GJEKIT_THREADS")
-    if threads:
-        try:
-            import numba
-            numba.set_num_threads(int(threads))
-        except (ImportError, ValueError):
-            pass
 
     try:
         if args.command == "demo":

@@ -99,20 +99,13 @@ class Envelope:
 
     def piece_values_at(self, x):
         """All piece values at a single point x; -inf where inadmissible."""
-        x = np.asarray(x, dtype=float)
-        m = self.n_pieces
-        xs = np.broadcast_to(x, (m, x.shape[0])).copy()
-        ok = self.gf._in_domain(xs, self.xbars, self.zs)
-        vals = np.full(m, -np.inf)
-        if np.any(ok):
-            vals[ok] = self.gf._value(xs[ok], self.xbars[ok], self.zs[ok])
-        return vals
+        return kernels.evaluator_values(self.gf, x, self.xbars, self.zs)
 
     def eval(self, x):
         """Envelope value and active piece set at x.
 
         Returns (u, active) where active lists the indices within the tie
-        tolerance of the max, lowest first.
+        tolerance of the max, lowest first: the subdifferential's window.
         """
         vals = self.piece_values_at(x)
         u = np.max(vals)
@@ -122,9 +115,13 @@ class Envelope:
         return float(u), active
 
     def representative(self, x):
-        """Envelope value and the single representative (lowest active index)."""
-        u, active = self.eval(x)
-        return u, int(active[0])
+        """Value and index of the piece that wins x under the envelope's tie
+        rule, the same piece ``cell_indices`` gives a grid cell at x."""
+        vals = self.piece_values_at(x)
+        best, idx = kernels.scan_rows(vals[:, None], 1, self.tols.tie)
+        if idx[0] < 0:
+            raise EmptyEnvelopeError("no admissible piece at evaluation point")
+        return float(best[0]), int(idx[0])
 
     def subdiff(self, x):
         """Supporting foci at x; near the domain boundary the active set of
@@ -454,22 +451,11 @@ def g_cone_subdiff(env: Envelope, section: Section, x0, n_candidates=10_000,
     for j, y in enumerate(ys):
         if not np.any(keep):
             break
-        vals = kernels_piece_values_many(gf, y, cands[keep], zc[keep])
+        vals = kernels.evaluator_values(gf, y, cands[keep], zc[keep])
         ok_j = vals <= mv[j] + env.tols.tie
         kidx = np.flatnonzero(keep)
         keep[kidx[~ok_j]] = False
     return cands[keep]
-
-
-def kernels_piece_values_many(gf, y, xbars, zs):
-    """G(y, xbar_i, z_i) over pieces; -inf where inadmissible."""
-    m = xbars.shape[0]
-    ys = np.broadcast_to(np.asarray(y, float), (m, len(y))).copy()
-    ok = gf._in_domain(ys, xbars, zs)
-    out = np.full(m, -np.inf)
-    if np.any(ok):
-        out[ok] = gf._value(ys[ok], xbars[ok], zs[ok])
-    return out
 
 
 def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0,
@@ -507,7 +493,7 @@ def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0,
     for j, y in enumerate(set_points):
         if not np.any(keep):
             break
-        vals = kernels_piece_values_many(gf, y, cands[keep], zc[keep])
+        vals = kernels.evaluator_values(gf, y, cands[keep], zc[keep])
         ok_j = vals <= mv[j] + lam + tols.tie
         kidx = np.flatnonzero(keep)
         keep[kidx[~ok_j]] = False

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .expmaps import exp_target
 from .gconvex import Envelope
+from . import kernels
 
 __all__ = ["Ray", "ReflectorSurface", "TraceReport", "trace_ray",
            "trace_ensemble", "consistency_with_exp_target"]
@@ -185,14 +186,8 @@ def _sample_source(env, n_rays, f, rng):
 
 def _active_pieces(env, pts_emb):
     """Winning piece per ray location with the envelope's tie rule."""
-    from . import kernels
-    best = np.full(pts_emb.shape[0], -np.inf)
-    idx = np.full(pts_emb.shape[0], -1, dtype=np.int64)
-    for i in range(env.n_pieces):
-        v = kernels.piece_values(env.gf, pts_emb, env.xbars[i], env.zs[i])
-        take = v > best + env.tols.tie
-        best = np.where(take, v, best)
-        idx = np.where(take, i, idx)
+    _, idx = kernels.envelope_scan(env.gf, pts_emb, env.xbars, env.zs,
+                                   env.tols.tie)
     if np.any(idx < 0):
         raise ConfigError("rays left the region covered by the envelope")
     return idx
@@ -284,12 +279,12 @@ def consistency_with_exp_target(surface_or_env, x_samples, tol_chart=1e-4):
     env = surface_or_env.env if isinstance(surface_or_env, ReflectorSurface) else surface_or_env
     gf = env.gf
     grads = env.grid_gradients()
-    u, _ = env._scan()
+    u, cells = env._scan()
     devs = []
     for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
         k = int(np.argmin(np.sum((env.grid.points - x) ** 2, axis=1)))
         xg = env.grid.points[k]
-        _, i = env.representative(xg)
+        i = int(cells[k])  # the grid cell's winner, as representative(xg) gives
         focus_chart = gf.target_chart.coords(env.xbars[i])
         try:
             xb, _ = exp_target(gf, xg, u[k], grads[k], xbar_guess=env.xbars[i])

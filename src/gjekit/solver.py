@@ -414,16 +414,10 @@ def solve(problem: SemiDiscreteProblem):
 
 
 def _masses_from(V, problem):
-    tie = problem.gf.tols.tie
-    n, m = V.shape
-    best = np.full(m, -np.inf)
-    idx = np.full(m, n, dtype=np.int64)
-    for i in range(n):
-        take = V[i] > best + tie
-        np.copyto(best, V[i], where=take)
-        idx[take] = i
-    won = idx < n
-    return np.bincount(idx[won], weights=problem.cell_weights[won], minlength=n)
+    _, idx = kernels.scan_rows(V, V.shape[1], problem.gf.tols.tie)
+    won = idx >= 0
+    return np.bincount(idx[won], weights=problem.cell_weights[won],
+                       minlength=V.shape[0])
 
 
 def mass_residual(env: Envelope, problem: SemiDiscreteProblem):

@@ -1,8 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gjekit import kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
+from gjekit.config import DEFAULT_TOLS
 from gjekit.demos import ball_measure_envelope, paraboloid_envelope
 from gjekit.errors import EmptyEnvelopeError, NicenessError
 from gjekit.gconvex import Envelope, GAffine, g_cone_subdiff, g_dual, polar_dual
@@ -244,12 +250,12 @@ def test_g_dual_monotone_and_polar_match():
     net = big  # includes лarger region; filter by polar dual with small lam
     members = net[pd.contains(net, tol=-1e-9) if np.ndim(pd.contains(net)) else pd.contains(net)]
     # every net point inside the polar dual must satisfy the g_dual constraint
-    from gjekit.gconvex import kernels_piece_values_many
+    from gjekit.kernels import evaluator_values
     if members.shape[0]:
         zc = gf.inverse(np.broadcast_to(x, (members.shape[0], 2)).copy(),
                         members, np.full(members.shape[0], m.value(x)))
         for y, mv in zip(pts, m.values_on(pts)):
-            vals = kernels_piece_values_many(gf, y, members, zc)
+            vals = evaluator_values(gf, y, members, zc)
             assert np.all(vals <= mv + 0.05 + 1e-9)
 
 
@@ -290,3 +296,38 @@ def test_rle_mask_roundtrip():
         mask = rng.random(rng.integers(1, 200)) < 0.3
         assert np.array_equal(rle_to_mask(mask_to_rle(mask)), mask)
     assert np.array_equal(rle_to_mask(mask_to_rle(np.zeros(0, bool))), np.zeros(0, bool))
+
+
+_TIE_GF = make_builtin("quasilinear", tols=DEFAULT_TOLS.with_overrides(tie=1e-3))
+_TIE_GRID = DomainGrid(_TIE_GF.source_chart, 8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(0, 63),
+       n_other=st.integers(0, 5), data=st.data())
+def test_one_tie_rule_for_points_cells_and_masses(seed, k, n_other, data):
+    # a near-tie chain planted at grid point k: values U, U + 0.6 tie and
+    # U + 1.2 tie in index order.  Chained, the third piece wins; "lowest
+    # index within tie of the max" would pick the second.
+    gf, grid = _TIE_GF, _TIE_GRID
+    tie = gf.tols.tie
+    rng = np.random.default_rng(seed)
+    n = n_other + 3
+    planted = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=3,
+                                        max_size=3, unique=True)))
+    xbars = gf.target_chart.sample(n, rng)
+    zs = rng.normal(size=n)
+    x = grid.points[k]
+    others = [j for j in range(n) if j not in planted]
+    top = max((x @ xbars[j] - zs[j] for j in others), default=0.0) + 3 * tie
+    for j, offset in zip(planted, (0.0, 0.6 * tie, 1.2 * tie)):
+        zs[j] = x @ xbars[j] - (top + offset)
+    env = Envelope(gf, (xbars, zs), grid)
+    cells = env.cell_indices()
+    assert cells[k] == planted[2]
+    for c in range(grid.n_cells):
+        assert env.representative(grid.points[c])[1] == cells[c]
+    V = np.array([kernels.piece_values(gf, grid.points, xbars[j], zs[j])
+                  for j in range(n)])
+    problem = SimpleNamespace(gf=gf, cell_weights=grid.weights)
+    assert np.array_equal(solver._masses_from(V, problem), env.cell_masses())

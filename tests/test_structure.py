@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,12 +8,22 @@ from gjekit.builtins import make_builtin
 from gjekit.demos import far_field_genfun, folded_twist_genfun, violator_genfun
 from gjekit.errors import DomainError
 from gjekit.expmaps import exp_target
-from gjekit.structure import (a_matrix, check_domconv, check_nondeg,
-                              check_qqconv, check_twist, check_unif_lip,
-                              crosscheck_g3w_implies_qqconv, g3w_dual_form,
-                              g3w_form, g3w_sweep)
+from gjekit.structure import (_jsonable, a_matrix, check_domconv,
+                              check_nondeg, check_qqconv, check_twist,
+                              check_unif_lip, crosscheck_g3w_implies_qqconv,
+                              g3w_dual_form, g3w_form, g3w_sweep)
 
 IV = (-0.5, 0.5)
+
+
+def test_jsonable_converts_numpy_scalars_and_arrays():
+    obj = {"flag": np.bool_(True), "x": np.float64(0.5), "n": np.int64(3),
+           "arr": np.array([1.0, 2.0]), "pair": (np.inf, [np.bool_(False)])}
+    plain = _jsonable(obj)
+    assert plain == {"flag": True, "x": 0.5, "n": 3, "arr": [1.0, 2.0],
+                     "pair": ["inf", [False]]}
+    assert type(plain["flag"]) is bool
+    json.dumps(plain)
 
 
 # -- pointwise checks -------------------------------------------------------------
