@@ -53,7 +53,9 @@ def _load_config(path):
 
 
 def _config_hash(cfg):
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    """Hash of the run a config describes; where its outputs go is not part of it."""
+    run = {k: v for k, v in cfg.items() if k != "output_dir"}
+    blob = json.dumps(run, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

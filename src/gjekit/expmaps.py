@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RowStatus, raise_for_status
 from .genfun import GenFun
 
 __all__ = [
@@ -86,56 +86,76 @@ def pbar_map(gf: GenFun, x, u, xbar):
 # ---------------------------------------------------------------------------
 
 
-def _newton(residual_and_jac, y0, project, tols, label):
-    """Damped Newton on a batch of independent small systems.
+def _newton(residual_and_jac, y0, project, tols):
+    """Damped Newton on a batch of independent small systems, status per row.
 
-    residual_and_jac(y) -> (r, J) with r (m, k) and J (m, k, k), evaluated
-    at full batch width every call; ``project`` clips iterates back into
-    chart validity (may be None).  Converges each sample to
-    ||r||_inf <= tols.exp_residual; raises ConvergenceError otherwise.
+    residual_and_jac(y, rows) -> (r, J) with r (k, d) and J (k, d, d) is
+    evaluated for the batch rows ``rows`` only, at their iterates y (k, d);
+    ``project`` clips iterates back into chart validity (may be None).
+    Each row converges to ||r||_inf <= tols.exp_residual or leaves the
+    iteration with a RowStatus (singular jacobian, non-finite step, damping
+    exhausted, iteration limit) and its last iterate.  A row follows exactly
+    the iterates it follows when solved alone.  Returns (y, status).
     """
     y = y0.copy()
-    m = y.shape[0]
-    r, J = _residual_safe(residual_and_jac, y)
+    status = np.zeros(y.shape[0], dtype=np.int8)
+    rows = np.arange(y.shape[0])
+    r, J = _residual_safe(residual_and_jac, y, rows)
     best = np.max(np.abs(r), axis=1)
     for _ in range(tols.newton_max_iter):
-        active = best > tols.exp_residual
-        if not np.any(active):
-            return y
-        step = np.zeros_like(y)
-        try:
-            step[active] = np.linalg.solve(J[active], r[active][:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as e:
-            raise ConvergenceError(f"{label}: singular jacobian in Newton solve") from e
-        if not np.all(np.isfinite(step)):
-            raise ConvergenceError(f"{label}: non-finite Newton step")
-        scale = np.where(active, 1.0, 0.0)
-        accepted = ~active
-        trial = y.copy()
+        go = best > tols.exp_residual
+        rows, r, J, best = rows[go], r[go], J[go], best[go]
+        if rows.size == 0:
+            return y, status
+        step, singular = _solve_rows(J, r)
+        bad = ~np.all(np.isfinite(step), axis=1) & ~singular
+        status[rows[singular]] = RowStatus.SINGULAR_JACOBIAN
+        status[rows[bad]] = RowStatus.NONFINITE_STEP
+        go = ~(singular | bad)
+        rows, step, best = rows[go], step[go], best[go]
+        y_now = y[rows]
+        scale = np.ones(rows.size)
+        pending = np.ones(rows.size, dtype=bool)
         for _ in range(tols.newton_max_halvings):
-            cand = y - scale[:, None] * step
+            k = np.flatnonzero(pending)
+            cand = y_now[k] - scale[k, None] * step[k]
             if project is not None:
                 cand = project(cand)
-            rc, _ = _residual_safe(residual_and_jac, cand)
-            better = (np.max(np.abs(rc), axis=1) < best) & ~accepted
-            trial[better] = cand[better]
-            accepted |= better
-            if np.all(accepted):
+            rc, _ = _residual_safe(residual_and_jac, cand, rows[k])
+            better = np.max(np.abs(rc), axis=1) < best[k]
+            y[rows[k[better]]] = cand[better]
+            pending[k[better]] = False
+            if not np.any(pending):
                 break
-            scale = np.where(accepted, scale, scale * 0.5)
-        if not np.all(accepted):
-            # a residual that refuses to decrease even at tiny steps
-            raise ConvergenceError(f"{label}: Newton stalled (damping exhausted)")
-        y = trial
-        r, J = _residual_safe(residual_and_jac, y)
+            scale[pending] *= 0.5
+        # a residual that refuses to decrease even at tiny steps
+        status[rows[pending]] = RowStatus.DAMPING_EXHAUSTED
+        rows = rows[~pending]
+        r, J = _residual_safe(residual_and_jac, y[rows], rows)
         best = np.max(np.abs(r), axis=1)
-    raise ConvergenceError(
-        f"{label}: Newton exceeded {tols.newton_max_iter} iterations "
-        f"(worst residual {best.max():.3e})")
+    status[rows] = RowStatus.ITERATION_LIMIT
+    return y, status
 
 
-def _residual_safe(fn, y):
-    r, J = fn(y)
+def _solve_rows(J, r):
+    """Newton steps J^-1 r per row, with the rows whose J is singular."""
+    singular = np.zeros(r.shape[0], dtype=bool)
+    try:
+        return np.linalg.solve(J, r[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    # LAPACK rejects the whole stack for one singular matrix: solve each
+    step = np.full(r.shape, np.nan)
+    for i in range(r.shape[0]):
+        try:
+            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
+
+
+def _residual_safe(fn, y, rows):
+    r, J = fn(y, rows)
     bad = ~np.all(np.isfinite(r), axis=1)
     if np.any(bad):
         r = r.copy()
@@ -148,7 +168,8 @@ def _feasible_source_start(gf, xbar, z, m):
 
     The chart center is not always admissible for a given (xbar, z) (e.g.
     parallel-beam pieces are only admissible near their focus), so fall
-    back through a short list of candidate starts.
+    back through a short list of candidate starts.  Returns the starts and
+    the mask of rows that found one.
     """
     chart = gf.source_chart
     cands = [np.broadcast_to(chart.center, (m, chart.dim)).copy()]
@@ -167,17 +188,18 @@ def _feasible_source_start(gf, xbar, z, m):
         ok = gf._in_domain(chart.embed(cand), xbar, z) & ~settled
         c0[ok] = cand[ok]
         settled |= ok
-    if not np.all(settled):
-        raise DomainError(f"{gf.name}: exp_source found no admissible starting point")
-    return c0
+    return c0, settled
 
 
-def exp_source(gf: GenFun, xbar, z, p, x_guess=None, tols=None):
+def exp_source(gf: GenFun, xbar, z, p, x_guess=None, tols=None, return_status=False):
     """Invert the source coordinate map: find x with p(x; xbar, z) = p.
 
     Newton iterates run in source chart coordinates with jacobian
     -E^T / G_z; iterates are clipped to the chart and a warm start may be
-    supplied.  Returns embedded source points.
+    supplied.  Returns embedded source points.  Raises DomainError or
+    ConvergenceError when some row fails; with ``return_status=True`` no
+    row raises and the result is (x, status), batched, with a RowStatus per
+    row (failed rows carry their last iterate).
     """
     tols = tols or gf.tols
     single = np.asarray(p).ndim == 1
@@ -187,39 +209,50 @@ def exp_source(gf: GenFun, xbar, z, p, x_guess=None, tols=None):
                            (m, gf.target_chart.embdim)).copy()
     z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (m,)).copy()
     chart = gf.source_chart
+    status = np.zeros(m, dtype=np.int8)
     if x_guess is None:
-        c0 = _feasible_source_start(gf, xbar, z, m)
+        c0, started = _feasible_source_start(gf, xbar, z, m)
+        status[~started] = RowStatus.NO_START
     else:
         c0 = np.atleast_2d(chart.coords(np.asarray(x_guess, dtype=float)))
         c0 = np.broadcast_to(c0, (m, chart.dim)).copy()
+    live = np.flatnonzero(status == 0)
+    xbar_l, z_l, p_l = xbar[live], z[live], p[live]
 
-    def rj(c):
-        x = chart.embed(c)
-        ok = gf._in_domain(x, xbar, z)
+    def rj(c, rows):
+        x, xb, zr = chart.embed(c), xbar_l[rows], z_l[rows]
+        ok = gf._in_domain(x, xb, zr)
         r = np.full((c.shape[0], gf.dim), np.inf)
         J = np.broadcast_to(np.eye(gf.dim), (c.shape[0], gf.dim, gf.dim)).copy()
         if np.any(ok):
-            xo, xbo, zo = x[ok], xbar[ok], z[ok]
+            xo, xbo, zo = x[ok], xb[ok], zr[ok]
             Gz = gf.g_z(xo, xbo, zo)
-            r[ok] = -gf.d_xbar(xo, xbo, zo) / Gz[:, None] - p[ok]
+            r[ok] = -gf.d_xbar(xo, xbo, zo) / Gz[:, None] - p_l[rows][ok]
             E = e_matrix(gf, xo, xbo, zo, check=False)
             J[ok] = -np.swapaxes(E, 1, 2) / Gz[:, None, None]
         return r, J
 
-    c = _newton(rj, c0, getattr(chart, "clip", None) and chart.clip, tols,
-                f"{gf.name}: exp_source")
+    c = c0.copy()
+    clip = getattr(chart, "clip", None)
+    c[live], status[live] = _newton(rj, c0[live], clip, tols)
     x = chart.embed(c)
-    if not np.all(gf._in_domain(x, xbar, z)):
-        raise DomainError(f"{gf.name}: exp_source converged outside the admissible set")
+    status[(status == 0) & ~gf._in_domain(x, xbar, z)] = RowStatus.INADMISSIBLE
+    if return_status:
+        return x, status
+    raise_for_status(status, f"{gf.name}: exp_source")
     return x[0] if single else x
 
 
-def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None):
+def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None,
+               return_status=False):
     """Invert the target map: find (xbar, z) with (dG/dx, G)(x, xbar, z) = (pbar, u).
 
     Joint (n+1)-dimensional damped Newton.  Returns (xbar, z) with the
     residual below tolerance; z additionally satisfies z = H(x, xbar, u) to
-    the same tolerance.
+    the same tolerance.  Raises RangeError, DomainError or ConvergenceError
+    when some row fails; with ``return_status=True`` no row raises and the
+    result is (xbar, z, status), batched, with a RowStatus per row (failed
+    rows carry their last iterate).
     """
     tols = tols or gf.tols
     single = np.asarray(pbar).ndim == 1
@@ -236,10 +269,13 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None)
         cb0 = np.atleast_2d(chart.coords(np.asarray(xbar_guess, dtype=float)))
         cb0 = np.broadcast_to(cb0, (m, n)).copy()
     if z_guess is None:
-        z0 = gf.inverse(x, chart.embed(cb0), u)
+        z0, status = gf.inverse_rows(x, chart.embed(cb0), u)
     else:
         z0 = np.broadcast_to(np.atleast_1d(np.asarray(z_guess, dtype=float)), (m,)).copy()
-    y0 = np.concatenate([cb0, np.atleast_1d(z0)[:, None]], axis=1)
+        status = np.zeros(m, dtype=np.int8)
+    y0 = np.concatenate([cb0, z0[:, None]], axis=1)
+    live = np.flatnonzero(status == 0)
+    x_l, u_l, pbar_l = x[live], u[live], pbar[live]
 
     def project(y):
         y = y.copy()
@@ -247,23 +283,22 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None)
             y[:, :n] = chart.clip(y[:, :n])
         return y
 
-    def rj(y):
+    def rj(y, rows):
         cb, z = y[:, :n], y[:, n]
         xb = chart.embed(cb)
-        ok = gf._in_domain(x, xb, z)
+        xr = x_l[rows]
+        ok = gf._in_domain(xr, xb, z)
         r = np.full((y.shape[0], n + 1), np.inf)
         J = np.broadcast_to(np.eye(n + 1), (y.shape[0], n + 1, n + 1)).copy()
         if np.any(ok):
-            xo, xbo, zo = x[ok], xb[ok], z[ok]
+            xo, xbo, zo = xr[ok], xb[ok], z[ok]
             r_ok = np.empty((xo.shape[0], n + 1))
-            r_ok[:, :n] = gf.d_x(xo, xbo, zo) - pbar[ok]
-            r_ok[:, n] = gf.value(xo, xbo, zo, check=False) - u[ok]
-            Jb = chart.jacobian(cb[ok])
+            r_ok[:, :n] = gf.d_x(xo, xbo, zo) - pbar_l[rows][ok]
+            r_ok[:, n] = gf.value(xo, xbo, zo, check=False) - u_l[rows][ok]
             J_ok = np.empty((xo.shape[0], n + 1, n + 1))
             # rows 0..n-1: d(dG/dx)/d(cbar, z); row n: d(G)/d(cbar, z)
             M = gf._batch(xo, xbo, zo)[:3]
-            DxDb = gf.d_x_xbar(*M)
-            J_ok[:, :n, :n] = DxDb
+            J_ok[:, :n, :n] = gf.d_x_xbar(*M)
             J_ok[:, :n, n] = gf.d_x_z(*M)
             J_ok[:, n, :n] = gf.d_xbar(*M)
             J_ok[:, n, n] = gf.g_z(*M)
@@ -271,11 +306,14 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None)
             J[ok] = J_ok
         return r, J
 
-    y = _newton(rj, y0, project, tols, f"{gf.name}: exp_target")
+    y = y0.copy()
+    y[live], status[live] = _newton(rj, y0[live], project, tols)
     xb = chart.embed(y[:, :n])
     z = y[:, n]
-    if not np.all(gf._in_domain(x, xb, z)):
-        raise DomainError(f"{gf.name}: exp_target converged outside the admissible set")
+    status[(status == 0) & ~gf._in_domain(x, xb, z)] = RowStatus.INADMISSIBLE
+    if return_status:
+        return xb, z, status
+    raise_for_status(status, f"{gf.name}: exp_target")
     if single:
         return xb[0], float(z[0])
     return xb, z

@@ -21,7 +21,7 @@ threads.
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError, RowStatus, raise_for_status
 
 _EPS = np.finfo(float).eps
 _H1 = _EPS ** (1.0 / 3.0)   # first-derivative step scale
@@ -133,26 +133,49 @@ class GenFun:
         return float(v[0]) if single else v
 
     def inverse(self, x, xbar, u, z_guess=None):
-        """Scalar inverse H(x, xbar, u): the z with G(x, xbar, z) = u."""
-        x, xbar, u, single = self._batch(x, xbar, u)
+        """Scalar inverse H(x, xbar, u): the z with G(x, xbar, z) = u.
+
+        Raises RangeError when some row has no admissible z and
+        ConvergenceError when some residual exceeds ``tols.h_inverse``.
+        """
+        z, status = self.inverse_rows(x, xbar, u, z_guess)
+        raise_for_status(status, f"{self.name}: inverse")
+        single = np.ndim(x) == 1 and np.ndim(xbar) == 1 and np.ndim(u) == 0
+        return float(z[0]) if single else z
+
+    def inverse_rows(self, x, xbar, u, z_guess=None):
+        """Scalar inverse with a RowStatus per row instead of raising.
+
+        Returns (z, status): status is OK, NO_ADMISSIBLE_Z (the triple is
+        outside the admissible set) or INVERSE_RESIDUAL (|G - u| above
+        ``tols.h_inverse * max(1, |u|)``); failed rows carry z = nan.
+        """
+        x, xbar, u, _ = self._batch(x, xbar, u)
+        status = np.zeros(x.shape[0], dtype=np.int8)
         if self._h_closed is not None:
             z = self._h_closed(x, xbar, u)
         else:
-            z = np.array([self._invert_scalar(x[i], xbar[i], float(u[i]), z_guess)
-                          for i in range(x.shape[0])])
+            z = np.full(x.shape[0], np.nan)
+            for i in range(x.shape[0]):
+                try:
+                    z[i] = self._invert_scalar(x[i], xbar[i], float(u[i]), z_guess)
+                except ConvergenceError:
+                    status[i] = RowStatus.INVERSE_RESIDUAL
+                except (RangeError, DomainError):
+                    status[i] = RowStatus.NO_ADMISSIBLE_Z
         ok = self._in_domain(x, xbar, z)
-        if not np.all(ok):
-            i = int(np.argmin(ok))
-            raise RangeError(
-                f"{self.name}: no admissible z with G = u "
-                f"(x={x[i]}, xbar={xbar[i]}, u={u[i]})")
-        resid = np.abs(self._value(x, xbar, z) - u)
-        tol = self.tols.h_inverse * np.maximum(1.0, np.abs(u))
-        if np.any(resid > tol):
-            raise ConvergenceError(
-                f"{self.name}: scalar inversion residual {resid.max():.3e} "
-                f"exceeds tolerance")
-        return float(z[0]) if single else z
+        rows = slice(None)
+        if not ok.all():
+            status[~ok & (status == 0)] = RowStatus.NO_ADMISSIBLE_Z
+            ok &= status == 0
+            rows = ok  # G is only evaluated at admissible triples
+        resid = np.abs(self._value(x[rows], xbar[rows], z[rows]) - u[rows])
+        bad = resid > self.tols.h_inverse * np.maximum(1.0, np.abs(u[rows]))
+        if bad.any():
+            status[np.flatnonzero(ok)[bad]] = RowStatus.INVERSE_RESIDUAL
+        if status.any():
+            z = np.where(status == 0, z, np.nan)
+        return z, status
 
     def _invert_scalar(self, x, xbar, u, z_guess):
         """Safeguarded bracketing + Brent solve on the monotone fiber."""

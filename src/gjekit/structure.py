@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RangeError
+from .errors import ConvergenceError, DomainError, RangeError, RowStatus
 from .expmaps import e_matrix, exp_source, exp_target, g_segment, p_map, pbar_map
 from .genfun import GenFun
 
 __all__ = [
-    "ConditionReport", "a_matrix", "g3w_form", "g3w_dual_form",
+    "ConditionReport", "a_matrix", "g3w_form", "g3w_dual_form", "g3w_batch",
+    "g3w_dual_batch",
     "check_nondeg", "check_twist", "check_unif_lip", "check_domconv",
     "check_qqconv", "g3w_sweep", "crosscheck_g3w_implies_qqconv",
 ]
@@ -93,20 +94,9 @@ def _admissible_samples(gf: GenFun, interval, n, seed):
     xs = gf.source_chart.sample(2 * n, rng)
     xbs = gf.target_chart.sample(2 * n, rng)
     us = rng.uniform(interval[0], interval[1], 2 * n)
-    keep = np.zeros(2 * n, dtype=bool)
-    zs = np.zeros(2 * n)
-    try:
-        zs = gf.inverse(xs, xbs, us)
-        keep = gf._in_domain(xs, xbs, zs)
-    except (RangeError, ConvergenceError):
-        for i in range(2 * n):
-            try:
-                zs[i] = gf.inverse(xs[i], xbs[i], us[i])
-                keep[i] = gf.in_domain(xs[i], xbs[i], zs[i])
-            except Exception:
-                keep[i] = False
-    xs, xbs, us, zs = xs[keep][:n], xbs[keep][:n], us[keep][:n], zs[keep][:n]
-    return xs, xbs, us, zs
+    zs, status = gf.inverse_rows(xs, xbs, us)
+    keep = status == 0
+    return xs[keep][:n], xbs[keep][:n], us[keep][:n], zs[keep][:n]
 
 
 # ---------------------------------------------------------------------------
@@ -330,46 +320,118 @@ def a_matrix(gf: GenFun, x, pbar, u, xbar_guess=None):
     return gf.d2_x(x, xbar, z)
 
 
+# stencil points of the fourth-order form, in units of the step h
+_STENCIL = (0.0, 1.0, -1.0, 0.5, -0.5)
+
+
+def _row_dots(a, b):
+    """Row-wise <a, b> through the same BLAS dot as the one-row ``a @ b``,
+    so a batch reproduces its one-row results bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a):
+    """Row-wise ``np.linalg.norm``, bit for bit (it is sqrt(a @ a))."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _tensor_rows(gf, base, V, eta, hessian_at, names):
+    """Second difference in s of <A(base + s eta) V, V> at s = 0, per row.
+
+    ``hessian_at(cov, rows, tols)`` returns (A, status) for the batch rows
+    ``rows`` at the covectors ``cov``.  The step comes from the central
+    tolerance record (quarter-root of machine epsilon, scaled by |base|)
+    with one Richardson level; the five stencil points are five batched
+    solves, each over the rows that have not failed yet.  The form is
+    evaluated with snapped unit directions and rescaled, using its
+    quadratic homogeneity in both directions.  Returns (values, status);
+    failed rows carry nan.
+    """
+    base, V, eta = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (base, V, eta))
+    nrm, nrm_v = _row_norms(eta), _row_norms(V)
+    if np.any(np.abs(_row_dots(eta, V)) > gf.tols.ortho * np.maximum(1e-300, nrm * nrm_v)):
+        raise ValueError(f"directions must satisfy <{names}> = 0")
+    vals = np.zeros(base.shape[0])
+    status = np.zeros(base.shape[0], dtype=np.int8)
+    rows = np.flatnonzero((nrm != 0) & (nrm_v != 0))
+    # snapped unit directions with exact quadratic rescaling keep the form
+    # exactly homogeneous in both arguments regardless of input scaling
+    e = _snap_dir(eta[rows] / nrm[rows, None])
+    vu = _snap_dir(V[rows] / nrm_v[rows, None])
+    h = _EPS4 * np.maximum(1.0, _row_norms(base[rows]))
+    tols2 = gf.tols.with_overrides(exp_residual=min(gf.tols.exp_residual, 1e-12))
+    f = np.full((len(_STENCIL), rows.size), np.nan)
+    st = status[rows]
+    for j, s in enumerate(_STENCIL):
+        live = np.flatnonzero(st == 0)
+        A, st[live] = hessian_at(base[rows[live]] + (s * h[live])[:, None] * e[live],
+                                 rows[live], tols2)
+        ok = st[live] == 0
+        w = np.matmul(vu[live[ok], None, :], A[ok])
+        f[j, live[ok]] = np.matmul(w, vu[live[ok], :, None])[:, 0, 0]
+    f0, f_h, f_mh, f_h2, f_mh2 = f
+    d_h = (f_h - 2 * f0 + f_mh) / (h * h)
+    d_h2 = (f_h2 - 2 * f0 + f_mh2) / (h * h / 4)
+    vals[rows] = (4 * d_h2 - d_h) / 3 * nrm[rows] * nrm[rows] * nrm_v[rows] * nrm_v[rows]
+    status[rows] = st
+    vals[status != 0] = np.nan
+    return vals, status
+
+
+def _hessian_rows(gf, fn, x, xbar, z, status):
+    """fn(x, xbar, z), a batch of n x n matrices, on the rows whose status is OK.
+
+    A finite-difference derivative raises DomainError for the whole batch
+    when one row's stencil leaves the admissible set; that row then fails
+    with DERIVATIVE_STENCIL.  Returns (A, status), A nan on failed rows.
+    """
+    ok = np.flatnonzero(status == 0)
+    A = np.full((status.size, gf.dim, gf.dim), np.nan)
+    try:
+        A[ok] = fn(x[ok], xbar[ok], z[ok])
+    except DomainError:
+        for i in ok:
+            try:
+                A[i] = fn(x[i:i + 1], xbar[i:i + 1], z[i:i + 1])[0]
+            except DomainError:
+                status[i] = RowStatus.DERIVATIVE_STENCIL
+    return A, status
+
+
+def g3w_batch(gf: GenFun, x, pbar, u, V, eta, xbar_guess=None):
+    """Batched fourth-order form: per row, the second difference of
+    s -> <A(x, pbar + s eta, u) V, V> at s = 0.
+
+    Rows are (x, pbar, u, V, eta) with V and eta orthogonal within
+    tolerance (ValueError otherwise).  Every stencil point starts each row
+    from the same guess (``xbar_guess``, or the chart center), so the value
+    is a symmetric function of the stencil set (eta -> -eta is then exact).
+    Returns (values, status) with a RowStatus per row: a row fails when the
+    target exponential map fails at any of its stencil points.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    guess = None if xbar_guess is None else np.atleast_2d(np.asarray(xbar_guess, dtype=float))
+
+    def hessian_at(cov, rows, tols):
+        xb, z, status = exp_target(gf, x[rows], u[rows], cov, tols=tols, return_status=True,
+                                   xbar_guess=None if guess is None else guess[rows])
+        return _hessian_rows(gf, gf.d2_x, x[rows], xb, z, status)
+
+    return _tensor_rows(gf, pbar, V, eta, hessian_at, "eta, V")
+
+
 def g3w_form(gf: GenFun, x, pbar, u, V, eta, xbar_guess=None):
     """Second difference of s -> <A(x, pbar + s eta, u) V, V> at s = 0.
 
-    V and eta must be orthogonal within tolerance.  The step comes from the
-    central tolerance record (quarter-root of machine epsilon) with one
-    Richardson level, and the form is evaluated with the unit direction and
-    rescaled, using its quadratic homogeneity in eta.
+    One-row call of ``g3w_batch``.  Raises DomainError when the stencil
+    leaves the image set.
     """
-    x = np.asarray(x, dtype=float)
-    pbar = np.asarray(pbar, dtype=float)
-    V = np.asarray(V, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if abs(eta @ V) > gf.tols.ortho * max(1e-300, np.linalg.norm(eta) * np.linalg.norm(V)):
-        raise ValueError("directions must satisfy <eta, V> = 0")
-    nrm = np.linalg.norm(eta)
-    nrm_v = np.linalg.norm(V)
-    if nrm == 0 or nrm_v == 0:
-        return 0.0
-    # snapped unit directions with exact quadratic rescaling keep the form
-    # exactly homogeneous in both arguments regardless of input scaling
-    e = _snap_dir(eta / nrm)
-    vu = _snap_dir(V / nrm_v)
-    h = _EPS4 * max(1.0, float(np.linalg.norm(pbar)))
-    tols2 = gf.tols.with_overrides(exp_residual=min(gf.tols.exp_residual, 1e-12))
-
-    # every stencil point starts from the same guess so the evaluation is a
-    # symmetric function of the stencil set (eta -> -eta is then exact)
-    def phi(s):
-        xb, z = exp_target(gf, x, u, pbar + s * e, xbar_guess=xbar_guess,
-                           tols=tols2)
-        A = gf.d2_x(x, xb, z)
-        return float(vu @ A @ vu)
-
-    try:
-        f0 = phi(0.0)
-        d_h = (phi(h) - 2 * f0 + phi(-h)) / (h * h)
-        d_h2 = (phi(h / 2) - 2 * f0 + phi(-h / 2)) / (h * h / 4)
-    except (ConvergenceError, RangeError) as e_:
-        raise DomainError(f"tensor stencil leaves the image set: {e_}") from e_
-    return float((4 * d_h2 - d_h) / 3) * nrm * nrm * nrm_v * nrm_v
+    vals, status = g3w_batch(gf, x, pbar, [u], V, eta, xbar_guess=xbar_guess)
+    if status[0]:
+        raise DomainError("tensor stencil leaves the image set: "
+                          f"{RowStatus(status[0]).error(gf.name)}")
+    return float(vals[0])
 
 
 def _h_xbar_xbar(gf: GenFun, x, xbar, z):
@@ -377,48 +439,50 @@ def _h_xbar_xbar(gf: GenFun, x, xbar, z):
 
     From differentiating G(x, xbar, H(x, xbar, u)) = u twice:
     H_bb = -(G_bb + G_bz h_b^T + h_b G_bz^T + G_zz h_b h_b^T) / G_z with
-    h_b = -G_b / G_z, all evaluated at z.
+    h_b = -G_b / G_z, all evaluated at z.  Batched over rows.
     """
     Gb = gf.d_xbar(x, xbar, z)
-    Gz = gf.g_z(x, xbar, z)
+    Gz = gf.g_z(x, xbar, z)[:, None, None]
     Gbb = gf.d2_xbar(x, xbar, z)
     Gbz = gf.d_xbar_z(x, xbar, z)
-    Gzz = gf.g_zz(x, xbar, z)
-    hb = -Gb / Gz
-    num = (Gbb + np.outer(Gbz, hb) + np.outer(hb, Gbz) + Gzz * np.outer(hb, hb))
+    Gzz = gf.g_zz(x, xbar, z)[:, None, None]
+    hb = -Gb / Gz[:, :, 0]
+    num = (Gbb + Gbz[:, :, None] * hb[:, None, :] + hb[:, :, None] * Gbz[:, None, :]
+           + Gzz * (hb[:, :, None] * hb[:, None, :]))
     return -num / Gz
 
 
+def g3w_dual_batch(gf: GenFun, p, xbar, z, Vbar, etabar, x_guess=None):
+    """Batched mirror of ``g3w_batch`` with source/target roles swapped:
+    per row, the second difference of s -> <H_bb(x(p + s etabar), xbar) Vbar,
+    Vbar> at s = 0, x from the source exponential map at (xbar, z).
+
+    Returns (values, status) with a RowStatus per row.
+    """
+    xbar = np.atleast_2d(np.asarray(xbar, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    guess = None if x_guess is None else np.atleast_2d(np.asarray(x_guess, dtype=float))
+
+    def hessian_at(cov, rows, tols):
+        x, status = exp_source(gf, xbar[rows], z[rows], cov, tols=tols, return_status=True,
+                               x_guess=None if guess is None else guess[rows])
+        return _hessian_rows(gf, lambda *a: _h_xbar_xbar(gf, *a), x, xbar[rows],
+                             z[rows], status)
+
+    return _tensor_rows(gf, p, Vbar, etabar, hessian_at, "etabar, Vbar")
+
+
 def g3w_dual_form(gf: GenFun, p, xbar, z, Vbar, etabar, x_guess=None):
-    """Mirror of the primal form with source/target roles swapped."""
-    p = np.asarray(p, dtype=float)
-    Vbar = np.asarray(Vbar, dtype=float)
-    etabar = np.asarray(etabar, dtype=float)
-    if abs(etabar @ Vbar) > gf.tols.ortho * max(1e-300,
-                                                np.linalg.norm(etabar) * np.linalg.norm(Vbar)):
-        raise ValueError("directions must satisfy <etabar, Vbar> = 0")
-    nrm = np.linalg.norm(etabar)
-    if nrm == 0 or np.linalg.norm(Vbar) == 0:
-        return 0.0
-    nrm_v = np.linalg.norm(Vbar)
-    e = _snap_dir(etabar / nrm)
-    vu = _snap_dir(Vbar / nrm_v)
-    h = _EPS4 * max(1.0, float(np.linalg.norm(p)))
-    tols2 = gf.tols.with_overrides(exp_residual=min(gf.tols.exp_residual, 1e-12))
+    """Mirror of the primal form with source/target roles swapped.
 
-    def phi(s):
-        x = exp_source(gf, xbar, z, (p + s * e)[None, :], x_guess=x_guess,
-                       tols=tols2)[0]
-        Astar = _h_xbar_xbar(gf, x, np.asarray(xbar, dtype=float), float(z))
-        return float(vu @ Astar @ vu)
-
-    try:
-        f0 = phi(0.0)
-        d_h = (phi(h) - 2 * f0 + phi(-h)) / (h * h)
-        d_h2 = (phi(h / 2) - 2 * f0 + phi(-h / 2)) / (h * h / 4)
-    except (ConvergenceError, RangeError) as e_:
-        raise DomainError(f"dual tensor stencil leaves the image set: {e_}") from e_
-    return float((4 * d_h2 - d_h) / 3) * nrm * nrm * nrm_v * nrm_v
+    One-row call of ``g3w_dual_batch``.  Raises DomainError when the
+    stencil leaves the image set.
+    """
+    vals, status = g3w_dual_batch(gf, p, xbar, [z], Vbar, etabar, x_guess=x_guess)
+    if status[0]:
+        raise DomainError("dual tensor stencil leaves the image set: "
+                          f"{RowStatus(status[0]).error(gf.name)}")
+    return float(vals[0])
 
 
 def _orthogonal_pairs(n, n_random, rng):
@@ -444,51 +508,54 @@ def _orthogonal_pairs(n, n_random, rng):
     return pairs
 
 
+def _sweep_rows(gf: GenFun, interval, n_base, n_pairs, seed, dual):
+    """Every (base point, direction pair) row of a sweep, as the keyword
+    arguments of the batched form, with its value and RowStatus."""
+    rng = np.random.default_rng(seed)
+    xs, xbs, us, zs = _admissible_samples(gf, interval, n_base, seed)
+    pairs = [_orthogonal_pairs(gf.dim, n_pairs, rng) for _ in range(len(xs))]
+    base = np.repeat(np.arange(len(xs)), [len(pr) for pr in pairs])
+    V = np.array([v for pr in pairs for v, _ in pr]).reshape(-1, gf.dim)
+    eta = np.array([e for pr in pairs for _, e in pr]).reshape(-1, gf.dim)
+    if dual:
+        rows = {"p": p_map(gf, xbs, zs, xs)[base], "xbar": xbs[base], "z": zs[base],
+                "Vbar": V, "etabar": eta, "x_guess": xs[base]}
+        vals, status = g3w_dual_batch(gf, **rows)
+    else:
+        rows = {"x": xs[base], "pbar": gf.d_x(xs, xbs, zs)[base], "u": us[base],
+                "V": V, "eta": eta, "xbar_guess": xbs[base]}
+        vals, status = g3w_batch(gf, **rows)
+    return rows, vals, status
+
+
 def g3w_sweep(gf: GenFun, interval, n_base=64, n_pairs=32, seed=0,
               dual=False) -> ConditionReport:
     """Minimum of the (primal or dual) fourth-order form over sampled
-    base points and orthogonal direction pairs."""
-    rng = np.random.default_rng(seed)
-    xs, xbs, us, zs = _admissible_samples(gf, interval, n_base, seed)
+    base points and orthogonal direction pairs.
+
+    All rows go through one batched form; rows whose stencil fails are
+    skipped and counted.
+    """
+    rows, vals, status = _sweep_rows(gf, interval, n_base, n_pairs, seed, dual)
+    ok = status == 0
+    # the first strict minimum in row order; nan never witnesses
+    cand = np.where(ok & (vals < np.inf), vals, np.inf)
     worst = np.inf
     witness = {}
-    count = 0
-    skipped = 0
-    for k in range(len(xs)):
-        pairs = _orthogonal_pairs(gf.dim, n_pairs, rng)
+    if np.any(cand < np.inf):
+        k = int(np.argmin(cand))
+        worst = float(vals[k])
         if dual:
-            base_p = p_map(gf, xbs[k], zs[k], xs[k])
-            for V, eta in pairs:
-                try:
-                    val = g3w_dual_form(gf, base_p, xbs[k], float(zs[k]), V, eta,
-                                        x_guess=xs[k])
-                except (DomainError, ConvergenceError):
-                    skipped += 1
-                    continue
-                count += 1
-                if val < worst:
-                    worst = val
-                    witness = {"p": base_p, "xbar": xbs[k], "z": float(zs[k]),
-                               "V": V, "eta": eta, "value": val}
+            witness = {"p": rows["p"][k], "xbar": rows["xbar"][k], "z": float(rows["z"][k]),
+                       "V": rows["Vbar"][k], "eta": rows["etabar"][k], "value": worst}
         else:
-            base_pb = gf.d_x(xs[k], xbs[k], zs[k])
-            for V, eta in pairs:
-                try:
-                    val = g3w_form(gf, xs[k], base_pb, float(us[k]), V, eta,
-                                   xbar_guess=xbs[k])
-                except (DomainError, ConvergenceError):
-                    skipped += 1
-                    continue
-                count += 1
-                if val < worst:
-                    worst = val
-                    witness = {"x": xs[k], "pbar": base_pb, "u": float(us[k]),
-                               "V": V, "eta": eta, "value": val}
+            witness = {"x": rows["x"][k], "pbar": rows["pbar"][k], "u": float(rows["u"][k]),
+                       "V": rows["V"][k], "eta": rows["eta"][k], "value": worst}
     tol = gf.tols.tensor_floor
     name = "g3w_dual" if dual else "g3w"
     return ConditionReport.build(
-        name, count, worst, witness, tol,
-        constants={"min_value": float(worst)}, skipped=skipped)
+        name, int(np.sum(ok)), worst, witness, tol,
+        constants={"min_value": float(worst)}, skipped=int(np.sum(~ok)))
 
 
 # ---------------------------------------------------------------------------

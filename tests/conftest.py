@@ -3,6 +3,7 @@ import pytest
 
 from gjekit.builtins import make_builtin
 from gjekit.demos import TEST_INTERVALS
+from gjekit.errors import GjekitError
 
 
 def sample_admissible(gf, interval, n, seed=0):
@@ -17,7 +18,7 @@ def sample_admissible(gf, interval, n, seed=0):
         try:
             zs[i] = gf.inverse(xs[i], xbs[i], us[i])
             keep[i] = gf.in_domain(xs[i], xbs[i], zs[i])
-        except Exception:
+        except GjekitError:
             keep[i] = False
     xs, xbs, us, zs = xs[keep][:n], xbs[keep][:n], us[keep][:n], zs[keep][:n]
     assert len(xs) >= min(n, 4), "sampler failed to find admissible tuples"

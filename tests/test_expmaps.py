@@ -3,7 +3,7 @@ import pytest
 
 from conftest import sample_admissible
 from gjekit.builtins import make_builtin
-from gjekit.errors import ConvergenceError, DomainError
+from gjekit.errors import ConvergenceError, DomainError, RangeError, RowStatus
 from gjekit.expmaps import (comparability_report, e_matrix, exp_source,
                             exp_target, g_segment, p_map, pbar_map,
                             segment_velocity)
@@ -112,6 +112,84 @@ def test_exp_source_domain_error_when_no_start():
     # a piece admissible nowhere on the source box
     with pytest.raises((DomainError, ConvergenceError)):
         exp_source(gf, np.array([5.0, 5.0]), 2.0, np.array([0.1, 0.1]))
+
+
+class _CubicDotCost:
+    """c = -<x, xbar>^3 / 3.  Its mixed derivative vanishes at x = 0, where
+    the jacobian of the target exponential map is exactly singular."""
+
+    name = "cubic_dot"
+
+    def _b(self, x, xb):
+        return np.sum(x * xb, axis=1)
+
+    def value(self, x, xb):
+        return -self._b(x, xb) ** 3 / 3
+
+    def d_x(self, x, xb):
+        return -(self._b(x, xb) ** 2)[:, None] * xb
+
+    def d_xbar(self, x, xb):
+        return -(self._b(x, xb) ** 2)[:, None] * x
+
+    def d_x_xbar(self, x, xb):
+        b = self._b(x, xb)
+        return (-(b * b)[:, None, None] * np.eye(x.shape[1])
+                - 2 * b[:, None, None] * xb[:, :, None] * x[:, None, :])
+
+    def d2_x(self, x, xb):
+        return -2 * self._b(x, xb)[:, None, None] * xb[:, :, None] * xb[:, None, :]
+
+    def d2_xbar(self, x, xb):
+        return -2 * self._b(x, xb)[:, None, None] * x[:, :, None] * x[:, None, :]
+
+    def domain_ok(self, x, xb):
+        return np.ones(x.shape[0], dtype=bool)
+
+    def descriptor(self):
+        return {"cost": self.name}
+
+
+def test_exp_target_status_per_row():
+    gf = make_builtin("quasilinear", cost=_CubicDotCost())
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.3, 0.8, (8, 2))
+    xb = rng.uniform(0.3, 0.8, (8, 2))
+    z = rng.uniform(-0.2, 0.2, 8)
+    pbar, u = gf.d_x(x, xb, z), gf.value(x, xb, z)
+    guess = xb + 1e-3
+    # four iterations converge from 1e-3 away, not from 0.2 away
+    tols = gf.tols.with_overrides(newton_max_iter=4)
+    guess[5] = xb[5] + 0.2
+    x[6], pbar[6] = 0.0, [0.3, 0.2]   # singular jacobian at x = 0
+    guess[7] = [4.0, 4.0]             # start outside the target chart
+    xb_r, z_r, status = exp_target(gf, x, u, pbar, xbar_guess=guess, tols=tols,
+                                   return_status=True)
+    assert list(status[5:]) == [RowStatus.ITERATION_LIMIT, RowStatus.SINGULAR_JACOBIAN,
+                                RowStatus.NO_ADMISSIBLE_Z]
+    for k in range(5):
+        assert status[k] == RowStatus.OK
+        xb_k, z_k = exp_target(gf, x[k], u[k], pbar[k], xbar_guess=guess[k], tols=tols)
+        assert np.array_equal(xb_r[k], xb_k) and z_r[k] == z_k
+    with pytest.raises(RangeError):
+        exp_target(gf, x, u, pbar, xbar_guess=guess, tols=tols)
+    with pytest.raises(ConvergenceError):
+        exp_target(gf, x[:7], u[:7], pbar[:7], xbar_guess=guess[:7], tols=tols)
+
+
+def test_exp_source_status_per_row(builtins_all, intervals):
+    gf = builtins_all["parallel_beam"]
+    xs, xbs, us, zs = sample_admissible(gf, intervals["parallel_beam"], 6, seed=4)
+    p = p_map(gf, xbs, zs, xs, check=False)
+    # the last piece is admissible nowhere on the source box
+    xbs[-1], zs[-1] = [5.0, 5.0], 2.0
+    x_r, status = exp_source(gf, xbs, zs, p, return_status=True)
+    assert status[-1] == RowStatus.NO_START
+    for k in range(len(xs) - 1):
+        assert status[k] == RowStatus.OK
+        assert np.array_equal(x_r[k], exp_source(gf, xbs[k], zs[k], p[k]))
+    with pytest.raises(DomainError):
+        exp_source(gf, xbs, zs, p)
 
 
 # -- segments ---------------------------------------------------------------------

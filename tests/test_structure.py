@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import sample_admissible
 from gjekit.builtins import make_builtin
-from gjekit.demos import far_field_genfun, folded_twist_genfun, violator_genfun
+from gjekit import expmaps
+from gjekit.demos import (TEST_INTERVALS, far_field_genfun, folded_twist_genfun,
+                          violator_genfun)
 from gjekit.errors import DomainError
 from gjekit.expmaps import exp_target
-from gjekit.structure import (_jsonable, a_matrix, check_domconv,
+from gjekit.structure import (_jsonable, _sweep_rows, a_matrix, check_domconv,
                               check_nondeg, check_qqconv, check_twist,
                               check_unif_lip, crosscheck_g3w_implies_qqconv,
                               g3w_dual_form, g3w_form, g3w_sweep)
@@ -177,6 +180,53 @@ def test_g3w_dual_quasilinear_zero():
     xb = np.array([0.3, 0.2])
     v = g3w_dual_form(gf, p, xb, 0.4, np.array([1.0, 0]), np.array([0, 1.0]))
     assert abs(v) <= 1e-8
+
+
+_SWEEP_CASES = {
+    "quasilinear": lambda: make_builtin("quasilinear"),
+    "point_source": lambda: make_builtin("point_source"),
+    "parallel_beam": lambda: make_builtin("parallel_beam"),
+    "far_field": far_field_genfun,
+    "violator": violator_genfun,
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(sorted(_SWEEP_CASES)), seed=st.integers(0, 10_000),
+       n_base=st.integers(1, 4), n_pairs=st.integers(0, 3), dual=st.booleans())
+def test_g3w_sweep_rows_equal_one_row_forms(case, seed, n_base, n_pairs, dual):
+    gf = _SWEEP_CASES[case]()
+    rows, vals, status = _sweep_rows(gf, TEST_INTERVALS[case], n_base, n_pairs, seed, dual)
+    form = g3w_dual_form if dual else g3w_form
+    for k in range(vals.size):
+        row = {key: col[k] for key, col in rows.items()}
+        if status[k]:
+            with pytest.raises(DomainError):
+                form(gf, **row)
+        else:
+            assert float(vals[k]).hex() == form(gf, **row).hex()
+    rep = g3w_sweep(gf, TEST_INTERVALS[case], n_base=n_base, n_pairs=n_pairs, seed=seed,
+                    dual=dual)
+    ok = status == 0
+    assert (rep.n_samples, rep.skipped) == (int(ok.sum()), int((~ok).sum()))
+    assert rep.constants["min_value"] == (vals[ok].min() if ok.any() else np.inf)
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_g3w_sweep_is_five_batched_solves(monkeypatch, dual):
+    calls = []
+    newton = expmaps._newton
+
+    def counting(*args):
+        calls.append(args[1].shape[0])
+        return newton(*args)
+
+    monkeypatch.setattr(expmaps, "_newton", counting)
+    for n_base in (2, 12):
+        calls.clear()
+        g3w_sweep(far_field_genfun(), IV, n_base=n_base, n_pairs=4, seed=1, dual=dual)
+        assert len(calls) == 5
+        assert calls[0] == n_base * 6  # two axis pairs and four random ones per base
 
 
 def test_mtw_cross_validation_far_field(intervals):
