@@ -28,7 +28,7 @@ import numpy as np
 
 from .charts import BoxChart, PlaneChart, SphereChart
 from .config import DEFAULT_TOLS
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 from .genfun import GenFun, ScalarRange
 
 __all__ = [
@@ -430,9 +430,10 @@ class PointSourceGF(GenFun):
         t2 = np.sum(xb * xb, axis=1)
         alpha = 0.25 * u * t2 - 0.5 * b
         disc = 1.0 + 4.0 * alpha * u
-        if np.any(u <= 0.0) or np.any(disc < 0.0):
-            raise RangeError("point_source: u outside the range of G(x, xbar, .)")
-        return 2.0 * u / (1.0 + np.sqrt(disc))
+        with np.errstate(invalid="ignore"):
+            z = 2.0 * u / (1.0 + np.sqrt(disc))
+        z[(u <= 0.0) | (disc < 0.0)] = np.nan  # u outside the range of G
+        return z
 
     # embedded analytic derivatives via the quotient rule
     def _ed_x(self, x, xb, z):
@@ -535,9 +536,10 @@ class ParallelBeamGF(GenFun):
         v = u - self.surface.value(xb)
         D = np.sum((x - xb) ** 2, axis=1)
         denom = v + np.sqrt(v * v + D)
-        if np.any(denom <= 0.0):
-            raise RangeError("parallel_beam: u outside the range of G(x, xbar, .)")
-        return 1.0 / denom
+        with np.errstate(divide="ignore"):
+            z = 1.0 / denom
+        z[denom <= 0.0] = np.nan  # u outside the range of G
+        return z
 
     def _ed_x(self, x, xb, z):
         return -z[:, None] * (x - xb)
@@ -596,9 +598,10 @@ class MinkowskiGF(GenFun):
 
     def _h_closed(self, x, xb, u):
         b = np.sum(x * xb, axis=1)
-        if np.any(u <= 0.0):
-            raise RangeError("minkowski: u outside the range of G(x, xbar, .)")
-        return u / b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = u / b
+        z[u <= 0.0] = np.nan  # u outside the range of G
+        return z
 
     def _ed_x(self, x, xb, z):
         return z[:, None] * xb

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, HypothesisError, NicenessError
+from .errors import DegenerateError, GjekitError, HypothesisError, NicenessError
 from .expmaps import p_map
 from .gconvex import Envelope, GAffine, Section
 
@@ -431,7 +431,7 @@ def engulfing_check(env: Envelope, h_grid, n_pairs=24, seed=0):
             xbar1 = env.xbars[a1[0]]
             try:
                 z_star = gf.inverse(x0, xbar1, u0)
-            except Exception:
+            except GjekitError:
                 continue
             lam = (gf.value(x1, xbar1, z_star, check=False) - u1) / h
             used += 1

@@ -429,33 +429,9 @@ def g_cone_subdiff(env: Envelope, section: Section, x0, n_candidates=10_000,
     if not section.contains(x0):
         raise ValueError("vertex must lie inside the section")
     u0, _ = env.eval(x0)
-    cands = _target_net(gf, n_candidates, seed)
-    m = cands.shape[0]
-    x0s = np.broadcast_to(x0, (m, x0.shape[0])).copy()
-    try:
-        zc = gf.inverse(x0s, cands, np.full(m, u0))
-        ok = np.ones(m, dtype=bool)
-    except Exception:
-        ok = np.zeros(m, dtype=bool)
-        zc = np.empty(m)
-        for i in range(m):
-            try:
-                zc[i] = gf.inverse(x0, cands[i], u0)
-                ok[i] = True
-            except Exception:
-                pass
-    cands, zc = cands[ok], zc[ok]
     ys = section.boundary_points()
-    mv = section.m.values_on(ys)
-    keep = np.ones(cands.shape[0], dtype=bool)
-    for j, y in enumerate(ys):
-        if not np.any(keep):
-            break
-        vals = kernels.evaluator_values(gf, y, cands[keep], zc[keep])
-        ok_j = vals <= mv[j] + env.tols.tie
-        kidx = np.flatnonzero(keep)
-        keep[kidx[~ok_j]] = False
-    return cands[keep]
+    return _net_below(gf, _target_net(gf, n_candidates, seed), x0, u0, ys,
+                      section.m.values_on(ys), env.tols.tie)
 
 
 def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0,
@@ -473,30 +449,28 @@ def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0,
     mv = m.values_on(set_points)
     if np.max(mv) + lam >= gf.srange.upper or mx <= gf.srange.lower:
         raise NicenessError("dual height pushes values outside the scalar range")
-    cands = _target_net(gf, n_candidates, seed)
+    return _net_below(gf, _target_net(gf, n_candidates, seed), x, mx, set_points,
+                      mv + lam, tols.tie)
+
+
+def _net_below(gf, cands, x, u, ys, bounds, tie):
+    """The candidates whose piece through (x, u) stays <= bound + tie on ys.
+
+    Each candidate's height is its scalar inverse at (x, u); candidates
+    without an admissible one are dropped.
+    """
     k = cands.shape[0]
-    xs = np.broadcast_to(x, (k, x.shape[0])).copy()
-    try:
-        zc = gf.inverse(xs, cands, np.full(k, mx))
-        ok = np.ones(k, dtype=bool)
-    except Exception:
-        ok = np.zeros(k, dtype=bool)
-        zc = np.empty(k)
-        for i in range(k):
-            try:
-                zc[i] = gf.inverse(x, cands[i], mx)
-                ok[i] = True
-            except Exception:
-                pass
+    zc, status = gf.inverse_rows(np.broadcast_to(x, (k, x.shape[0])).copy(),
+                                 cands, np.full(k, u))
+    ok = status == 0
     cands, zc = cands[ok], zc[ok]
     keep = np.ones(cands.shape[0], dtype=bool)
-    for j, y in enumerate(set_points):
+    for y, bound in zip(ys, bounds):
         if not np.any(keep):
             break
         vals = kernels.evaluator_values(gf, y, cands[keep], zc[keep])
-        ok_j = vals <= mv[j] + lam + tols.tie
         kidx = np.flatnonzero(keep)
-        keep[kidx[~ok_j]] = False
+        keep[kidx[~(vals <= bound + tie)]] = False
     return cands[keep]
 
 

@@ -18,6 +18,10 @@ Inadmissible points are encoded as -inf piece values, which the reductions
 treat as "piece not competing".  :func:`scan_rows` is the one place the
 envelope's tie rule lives: a piece takes a cell only when it beats the
 current best by more than the tie tolerance, so ties go to the lowest index.
+The solver's mass oracle applies the same chained rule to one piece against
+frozen others (:func:`piece_mass`): piece i ends up with a cell exactly when
+it beats the chained best of the rows before it by more than ``tie`` and no
+row after it exceeds its value by more than ``tie``.
 """
 
 import numpy as np
@@ -83,33 +87,25 @@ def np_piece_values(tag, params, xs, xbar, z, basis=None):
     return np_basis_values(tag, params, basis, xbar, z)
 
 
-def np_piece_mass(tag, params, xs, weights, other_val, other_idx, i, xbar, z, tie,
-                  basis=None, other_tie=None, lower=None):
-    """Mass of cells won by piece i against the cached best of the others.
+def np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar, z, tie,
+                  basis=None):
+    """Mass of the cells piece i wins under the chained rule of :func:`scan_rows`.
 
-    A cell belongs to i when its value beats the other pieces' best, or ties
-    it within ``tie`` while i has the lower index.  ``basis`` (the piece's
-    :func:`np_piece_basis`), ``other_tie`` (``other_val + tie``) and
-    ``lower`` (``i < other_idx``) may be passed precomputed; the mass is the
-    same bit for bit.
+    ``lo_tie`` is the chained best of the rows before i plus ``tie`` and
+    ``hi_best`` the plain max of the rows after i (see :func:`_win_mass`).
+    ``basis`` (the piece's :func:`np_piece_basis`) may be passed
+    precomputed; the mass is the same bit for bit.
     """
     v = np_piece_values(tag, params, xs, xbar, z, basis)
-    return _win_mass(v, weights, other_val, other_idx, i, tie, other_tie, lower)
+    return _win_mass(v, weights, lo_tie, hi_best, tie)
 
 
-def _win_mass(v, weights, other_val, other_idx, i, tie, other_tie=None, lower=None):
-    if other_tie is None:
-        other_tie = other_val + tie
-    if lower is None:
-        lower = i < other_idx
-    wins = v > other_tie
-    with np.errstate(invalid="ignore"):
-        gap = v - other_val
-    np.abs(gap, out=gap)
-    tied = gap <= tie
-    tied &= lower
-    wins |= tied
-    wins &= np.isfinite(v)
+def _win_mass(v, weights, lo_tie, hi_best, tie):
+    # the scan gives piece i a cell exactly when it takes the cell from the
+    # rows before it (v > lo + tie) and no row after it takes the cell back
+    # (each of them <= v + tie); -inf never wins
+    wins = v > lo_tie
+    wins &= hi_best <= v + tie
     return float(np.sum(weights[wins]))
 
 
@@ -235,17 +231,16 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
     return scan_rows(rows, xs_emb.shape[0], tie)
 
 
-def piece_mass(gf, xs_emb, weights, other_val, other_idx, i, xbar, z, tie,
-               basis=None, other_tie=None, lower=None):
-    """f-mass of the cells piece i wins at height z, given the others' best.
+def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None):
+    """f-mass of the cells piece (xbar, z) wins against the frozen other rows.
 
-    ``basis``, ``other_tie`` and ``lower`` are optional precomputed inputs,
-    as in :func:`np_piece_mass`.
+    ``lo_tie`` and ``hi_best`` are as in :func:`np_piece_mass`; ``basis`` is
+    an optional precomputed :func:`piece_basis`.
     """
     tag, params = kernel_tag(gf)
     if tag is None:
         v = evaluator_values(gf, xs_emb, xbar, z)
-        return _win_mass(v, weights, other_val, other_idx, i, tie, other_tie, lower)
+        return _win_mass(v, weights, lo_tie, hi_best, tie)
     xs = _grid_points_for(gf, xs_emb)
-    return np_piece_mass(tag, params, xs, weights, other_val, other_idx,
-                         int(i), xbar, float(z), tie, basis, other_tie, lower)
+    return np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar,
+                         float(z), tie, basis)

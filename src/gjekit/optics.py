@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError
 from .expmaps import exp_target
 from .gconvex import Envelope
+from .structure import _row_norms
 from . import kernels
 
 __all__ = ["Ray", "ReflectorSurface", "TraceReport", "trace_ray",
@@ -280,19 +281,13 @@ def consistency_with_exp_target(surface_or_env, x_samples, tol_chart=1e-4):
     gf = env.gf
     grads = env.grid_gradients()
     u, cells = env._scan()
-    devs = []
-    for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
-        k = int(np.argmin(np.sum((env.grid.points - x) ** 2, axis=1)))
-        xg = env.grid.points[k]
-        i = int(cells[k])  # the grid cell's winner, as representative(xg) gives
-        focus_chart = gf.target_chart.coords(env.xbars[i])
-        try:
-            xb, _ = exp_target(gf, xg, u[k], grads[k], xbar_guess=env.xbars[i])
-            mapped = gf.target_chart.coords(xb)
-            devs.append(float(np.linalg.norm(mapped - focus_chart)))
-        except Exception:
-            devs.append(np.inf)
-    devs = np.asarray(devs)
+    ks = np.array([int(np.argmin(np.sum((env.grid.points - x) ** 2, axis=1)))
+                   for x in np.atleast_2d(np.asarray(x_samples, dtype=float))])
+    foci = env.xbars[cells[ks]]  # each grid cell's winner, as representative gives
+    xb, _, status = exp_target(gf, env.grid.points[ks], u[ks], grads[ks],
+                               xbar_guess=foci, return_status=True)
+    devs = _row_norms(gf.target_chart.coords(xb) - gf.target_chart.coords(foci))
+    devs[status != 0] = np.inf
     return {"max_deviation": float(np.max(devs)),
             "n_samples": int(devs.size),
             "n_within_tol": int(np.sum(devs <= tol_chart)),

@@ -122,33 +122,16 @@ def _piece_rows(problem, bases, heights):
     return V
 
 
-def _others_best(values, index):
-    """Max over the rows j != index of ``values`` and its first argmax.
-
-    Row values never hold NaN (inadmissible cells are -inf).  A strict ``>``
-    in ascending row order keeps the first maximal row, as ``np.argmax``
-    does; columns whose best is not finite map to ``n``.
-    """
-    n, m = values.shape
-    best = np.full(m, -np.inf)
-    idx = np.full(m, n, dtype=np.int64)
-    for j in range(n):
-        if j == index:
-            continue
-        take = values[j] > best
-        np.copyto(best, values[j], where=take)
-        idx[take] = j
-    idx[~np.isfinite(best)] = n
-    return best, idx
-
-
 class _MassOracle:
     """Cell mass of one piece against the frozen rest of the envelope.
 
-    Everything that does not depend on the piece's height is computed once
-    here: the others' best value and index, ``best + tie``, the index
-    comparison of the tie rule, and (from ``basis``) the piece's grid basis.
-    ``tally`` counts the constructions ("builds") and evaluations ("calls").
+    The cells are those the envelope scan (:func:`kernels.scan_rows`) would
+    give the piece, so the solver moves heights against the partition that
+    ``_masses_from`` and ``Envelope.cell_masses`` report.  Everything that
+    does not depend on the piece's height is computed once here: the chained
+    best of the rows before the piece plus ``tie``, the plain max of the rows
+    after it, and (from ``basis``) the piece's grid basis.  ``tally`` counts
+    the constructions ("builds") and evaluations ("calls").
     """
 
     def __init__(self, problem, values, index, basis, tally=None):
@@ -156,20 +139,18 @@ class _MassOracle:
         self.i = index
         self.tie = problem.gf.tols.tie
         self.basis = basis
-        self.other_val, self.other_idx = _others_best(values, index)
-        self.other_tie = self.other_val + self.tie
-        self.lower = index < self.other_idx
+        lo, _ = kernels.scan_rows(values[:index], values.shape[1], self.tie)
+        self.lo_tie = lo + self.tie
+        self.hi_best = values[index + 1:].max(axis=0, initial=-np.inf)
         self.tally = Counter() if tally is None else tally
         self.tally["builds"] += 1
 
     def __call__(self, z):
         self.tally["calls"] += 1
         return kernels.piece_mass(self.p.gf, self.p.grid.points,
-                                  self.p.cell_weights, self.other_val,
-                                  self.other_idx, self.i,
+                                  self.p.cell_weights, self.lo_tie, self.hi_best,
                                   self.p.targets[self.i], z, self.tie,
-                                  basis=self.basis, other_tie=self.other_tie,
-                                  lower=self.lower)
+                                  basis=self.basis)
 
 
 def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,

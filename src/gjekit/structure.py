@@ -205,19 +205,13 @@ def check_unif_lip(gf: GenFun, interval, n_samples=2000, seed=0) -> ConditionRep
     xs = gf.source_chart.sample(n_samples, rng)
     xbs = gf.target_chart.sample(n_samples, rng)
     us = rng.uniform(interval[0], interval[1], n_samples)
+    zs, status = gf.inverse_rows(xs, xbs, us)
+    ok = status == 0
     bad = None
-    zs = np.empty(n_samples)
-    ok = np.ones(n_samples, dtype=bool)
-    for i in range(n_samples):
-        try:
-            zs[i] = gf.inverse(xs[i], xbs[i], us[i])
-            if not gf.in_domain(xs[i], xbs[i], zs[i]):
-                ok[i] = False
-                bad = bad or {"x": xs[i], "xbar": xbs[i], "u": float(us[i])}
-        except (RangeError, ConvergenceError):
-            ok[i] = False
-            bad = bad or {"x": xs[i], "xbar": xbs[i], "u": float(us[i]),
-                          "reason": "no admissible z"}
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = {"x": xs[i], "xbar": xbs[i], "u": float(us[i]),
+               "reason": "no admissible z"}
     k0 = 0.0
     if np.any(ok):
         d = gf.d_x(xs[ok], xbs[ok], zs[ok])

@@ -329,5 +329,11 @@ def test_one_tie_rule_for_points_cells_and_masses(seed, k, n_other, data):
         assert env.representative(grid.points[c])[1] == cells[c]
     V = np.array([kernels.piece_values(gf, grid.points, xbars[j], zs[j])
                   for j in range(n)])
-    problem = SimpleNamespace(gf=gf, cell_weights=grid.weights)
-    assert np.array_equal(solver._masses_from(V, problem), env.cell_masses())
+    problem = SimpleNamespace(gf=gf, grid=grid, cell_weights=grid.weights,
+                              targets=xbars)
+    masses = env.cell_masses()
+    assert np.array_equal(solver._masses_from(V, problem), masses)
+    # the solver's oracle: each piece against the others frozen (the cell
+    # weights are dyadic, so every summation order gives the same mass)
+    for i in range(n):
+        assert solver._MassOracle(problem, V, i, None)(zs[i]) == masses[i]

@@ -5,7 +5,8 @@ from scipy.optimize import bisect
 from conftest import sample_admissible
 from gjekit.builtins import GridCost, GridSurface, make_builtin
 from gjekit.charts import BoxChart, PlaneChart, SphereChart
-from gjekit.errors import ConfigError, DomainError, RangeError
+from gjekit.errors import ConfigError, DomainError, RangeError, RowStatus
+from gjekit.expmaps import exp_target
 from gjekit.genfun import GenFun, ScalarRange, eval_G, eval_H, finite_diff_derivatives
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -87,6 +88,29 @@ def test_inverse_range_errors():
     with pytest.raises(RangeError):
         # coincident points: the value stays above zero on the fiber
         eval_H(pb, np.array([0.1, 0.1]), np.array([0.1, 0.1]), -1.0)
+
+
+@pytest.mark.parametrize("name", ["point_source", "parallel_beam", "minkowski"])
+def test_closed_form_inverse_rows_fail_one_row(name):
+    # row 1 has no admissible z (u <= 0; for parallel_beam also x = xbar):
+    # only that row fails, and the others equal their one-row inverses
+    gf = make_builtin(name)
+    rng = np.random.default_rng(3)
+    xs = gf.source_chart.sample(3, rng)
+    xbs = gf.target_chart.sample(3, rng)
+    if name == "parallel_beam":
+        xs[1] = xbs[1]
+    us = np.array([0.5, -0.2, 0.6])
+    zs, status = gf.inverse_rows(xs, xbs, us)
+    assert status.tolist() == [0, RowStatus.NO_ADMISSIBLE_Z, 0]
+    assert np.isnan(zs[1])
+    for i in (0, 2):
+        assert zs[i] == gf.inverse(xs[i], xbs[i], us[i])
+    with pytest.raises(RangeError):
+        gf.inverse(xs, xbs, us)
+    pbar = gf.d_x(xs[[0, 0, 2]], xbs[[0, 0, 2]], zs[[0, 0, 2]])
+    _, _, status = exp_target(gf, xs, us, pbar, return_status=True)
+    assert status[1] == RowStatus.NO_ADMISSIBLE_Z
 
 
 class WigglyGF(GenFun):
@@ -208,14 +232,8 @@ def _halton_tuples(gf, interval, n, seed=0):
 def test_dual_roundtrip_and_sign(name, builtins_all, intervals):
     gf = builtins_all[name]
     xs, xbs, us = _halton_tuples(gf, intervals[name], 800, seed=5)
-    ok = np.zeros(len(xs), dtype=bool)
-    zs = np.zeros(len(xs))
-    for i in range(len(xs)):
-        try:
-            zs[i] = gf.inverse(xs[i], xbs[i], us[i])
-            ok[i] = gf.in_domain(xs[i], xbs[i], zs[i])
-        except (RangeError, Exception):
-            ok[i] = False
+    zs, status = gf.inverse_rows(xs, xbs, us)
+    ok = status == 0
     xs, xbs, us, zs = xs[ok], xbs[ok], us[ok], zs[ok]
     assert len(xs) > 200
     u_back = gf.value(xs, xbs, zs, check=False)

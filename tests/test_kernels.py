@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -43,72 +45,80 @@ _CASES = {gf.name: gf for gf in _cases()}
 _GRIDS = {name: DomainGrid(gf.source_chart, 12) for name, gf in _CASES.items()}
 
 
-def _others(rng, v, n, tie):
-    """Others' best (value, index) for one piece with values ``v``.
-
-    Random values near ``v``, with planted exact ties, ties within ``tie``,
-    -inf cells and random owners (``n`` marks an empty column).
-    """
+def _near(rng, v, tie):
+    """Values near ``v``: random, with planted exact ties, ties within
+    ``tie`` and -inf cells."""
     m = v.shape[0]
     finite = np.isfinite(v)
     centre = np.median(v[finite]) if np.any(finite) else 0.0
-    other_val = centre + rng.normal(size=m)
+    out = centre + rng.normal(size=m)
     kind = rng.integers(0, 5, size=m)
-    other_val[(kind == 0) & finite] = v[(kind == 0) & finite]
+    out[(kind == 0) & finite] = v[(kind == 0) & finite]
     near = (kind == 1) & finite
-    other_val[near] = v[near] + tie * rng.uniform(-1.5, 1.5, size=int(near.sum()))
-    other_val[kind == 2] = -np.inf
-    other_idx = rng.integers(0, n + 1, size=m)
-    other_idx[kind == 2] = n
-    return other_val, other_idx
+    out[near] = v[near] + tie * rng.uniform(-1.5, 1.5, size=int(near.sum()))
+    out[kind == 2] = -np.inf
+    return out
 
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(_CASES)), seed=st.integers(0, 2 ** 32 - 1),
-       z=st.floats(-1.0, 3.0), i=st.integers(0, 4),
-       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
-def test_cached_piece_mass_is_bit_identical(name, seed, z, i, tie):
+       z=st.floats(-1.0, 3.0), tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_cached_piece_mass_is_bit_identical(name, seed, z, tie):
     gf, grid = _CASES[name], _GRIDS[name]
     rng = np.random.default_rng(seed)
     xbar = gf.target_chart.sample(1, rng)[0]
     tag, params = kernels.kernel_tag(gf)
     xs, w = grid.points, grid.weights
     v = kernels.np_piece_values(tag, params, xs, xbar, z)
-    other_val, other_idx = _others(rng, v, 5, tie)
-    ref = kernels.np_piece_mass(tag, params, xs, w, other_val, other_idx,
-                                i, xbar, z, tie)
+    lo_tie, hi_best = _near(rng, v, tie) + tie, _near(rng, v, tie)
+    ref = kernels.np_piece_mass(tag, params, xs, w, lo_tie, hi_best, xbar, z, tie)
     basis = kernels.piece_basis(gf, xs, xbar)
-    cached = kernels.piece_mass(gf, xs, w, other_val, other_idx, i, xbar, z, tie,
-                                basis=basis, other_tie=other_val + tie,
-                                lower=i < other_idx)
+    cached = kernels.piece_mass(gf, xs, w, lo_tie, hi_best, xbar, z, tie,
+                                basis=basis)
     assert cached == ref
     again = kernels.piece_values(gf, xs, xbar, z, basis=basis)
     assert np.array_equal(again, v)
 
 
-@settings(max_examples=60, deadline=None)
+def _oracle_masses(V, tie, weights):
+    """The solver oracle's mass of every row of V, the others frozen."""
+    problem = SimpleNamespace(gf=SimpleNamespace(tols=SimpleNamespace(tie=tie)))
+    out = []
+    for i, v in enumerate(V):
+        oracle = solver._MassOracle(problem, V, i, None)
+        out.append(kernels._win_mass(v, weights, oracle.lo_tie, oracle.hi_best, tie))
+    return np.array(out)
+
+
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
-       index=st.integers(0, 5))
-@example(seed=0, n=1, index=0)  # a single target: no others at all
-def test_others_best_matches_max_argmax(seed, n, index):
-    index %= n
+       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+@example(seed=0, n=1, tie=1e-3)  # a single piece: no others at all
+def test_oracle_wins_the_cells_the_scan_gives(seed, n, tie):
     rng = np.random.default_rng(seed)
     m = 40
-    values = rng.normal(size=(n, m))
-    for j in range(n):  # planted exact ties between rows, -inf cells
+    V = rng.normal(size=(n, m))
+    for j in range(n):  # planted exact ties, near-tie chains, -inf cells
         src = rng.integers(0, n)
         tied = rng.random(m) < 0.3
-        values[j, tied] = values[src, tied]
-        values[j, rng.random(m) < 0.2] = -np.inf
-    values[:, rng.random(m) < 0.15] = -np.inf  # whole -inf columns
-    other = values.copy()
-    other[index] = -np.inf
-    ref_val = np.max(other, axis=0)
-    ref_idx = np.argmax(other, axis=0)
-    ref_idx[~np.isfinite(ref_val)] = n
-    best, idx = solver._others_best(values, index)
-    assert np.array_equal(best, ref_val)
-    assert np.array_equal(idx, ref_idx)
+        V[j, tied] = V[src, tied]
+        near = rng.random(m) < 0.3
+        V[j, near] = V[src, near] + tie * rng.uniform(-1.5, 1.5, size=int(near.sum()))
+        V[j, rng.random(m) < 0.2] = -np.inf
+    V[:, rng.random(m) < 0.15] = -np.inf  # whole -inf columns
+    # distinct powers of two: a mass is an exact sum and names its cells
+    w = 2.0 ** -np.arange(m)
+    _, idx = kernels.scan_rows(V, m, tie)
+    want = np.array([np.sum(w[idx == i]) for i in range(n)])
+    assert np.array_equal(_oracle_masses(V, tie, w), want)
+
+
+def test_oracle_follows_a_near_tie_chain():
+    # values 0, 0.6 tie and 1.2 tie in index order: the third row beats the
+    # first by more than tie and the second never takes over
+    tie = 1e-3
+    V = np.repeat(np.array([[0.0], [0.6 * tie], [1.2 * tie]]), 4, axis=1)
+    assert _oracle_masses(V, tie, np.ones(4)).tolist() == [0.0, 0.0, 4.0]
 
 
 @pytest.mark.parametrize("name", sorted(_CASES))
@@ -133,12 +143,10 @@ def test_kernel_matches_evaluator(name):
     _, ref_idx = kernels.scan_rows(rows, grid.n_cells, tie)
     assert np.array_equal(idx, ref_idx)
     assert np.any(idx >= 0)
-    for i in range(5):  # each piece against the others' best, as the solver asks
-        other_val, other_idx = solver._others_best(np.array(rows), i)
-        mass = kernels.piece_mass(gf, xs, w, other_val, other_idx, i, xbars[i],
-                                  zs[i], tie)
-        ref = kernels._win_mass(rows[i], w, other_val, other_idx, i, tie)
-        assert abs(mass - ref) <= 1e-12
+    problem = SimpleNamespace(gf=gf, grid=grid, cell_weights=w, targets=xbars)
+    for i in range(5):  # each piece against the others frozen, as the solver asks
+        mass = solver._MassOracle(problem, np.array(rows), i, None)(zs[i])
+        assert abs(mass - np.sum(w[ref_idx == i])) <= 1e-12
 
 
 def test_generic_fallback_path():
