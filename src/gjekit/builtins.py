@@ -137,7 +137,7 @@ class CubicPerturbedCost:
 
     def value(self, x, xb):
         b = self._b(x, xb)
-        return -(b + self.eps * b ** 3)
+        return -(b + self.eps * (b * b * b))
 
     def d_x(self, x, xb):
         g = 1.0 + 3.0 * self.eps * self._b(x, xb) ** 2

@@ -82,7 +82,7 @@ def max_segment_length(cloud, omega, snap=1e-12):
     components of x - y vanishing.
     """
     from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
     cloud = np.atleast_2d(np.asarray(cloud, dtype=float))
     if cloud.shape[0] == 0:
@@ -93,7 +93,7 @@ def max_segment_length(cloud, omega, snap=1e-12):
     if pts.shape[0] > pts.shape[1] + 1:
         try:
             pts = pts[ConvexHull(pts).vertices]
-        except Exception:
+        except QhullError:
             pass
     k, d = pts.shape
     if k == 1:
@@ -220,7 +220,7 @@ def _subdiff_volume(env: Envelope, mask):
     unbiased.  Otherwise the hull of the active foci approximates the
     continuum image (convex under the standing conditions).
     """
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
     idx = np.unique(env.cell_indices()[mask])
     cellvol = getattr(env, "focus_cell_volume", None)
     if cellvol is not None:
@@ -230,7 +230,7 @@ def _subdiff_volume(env: Envelope, mask):
         return 0.0, idx
     try:
         return float(ConvexHull(foci).volume), idx
-    except Exception:
+    except QhullError:
         return 0.0, idx
 
 
@@ -290,10 +290,10 @@ def aleksandrov_check(env: Envelope, m: GAffine, x0, omega,
 
 
 def _dist_to_cloud_boundary(cloud, center):
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(cloud)
-    except Exception:
+    except QhullError:
         return 0.0
     # distance from center to each hull facet
     A = hull.equations[:, :-1]
@@ -324,10 +324,10 @@ def sharp_growth_check(env: Envelope, m: GAffine, set_mask, K=2.0) -> EstimateRe
     cloud_s = section.coord_image()
     cm = cloud_a.mean(axis=0)
     dilated = cm + K * M_const * (cloud_a - cm)
-    from scipy.spatial import Delaunay
+    from scipy.spatial import Delaunay, QhullError
     try:
         tri = Delaunay(np.round(cloud_s / gf.tols.hull_snap) * gf.tols.hull_snap)
-    except Exception as e:
+    except QhullError as e:
         raise HypothesisError("section_image_degenerate", str(e)) from e
     if not np.all(tri.find_simplex(dilated) >= 0):
         raise HypothesisError("dilation_containment",

@@ -55,9 +55,10 @@ class Envelope:
         self.gf = gf
         self.tols = tols or gf.tols
         if isinstance(pieces, tuple) and len(pieces) == 2:
+            # own copies: callers (the solver) go on mutating their arrays
             xbars, zs = pieces
-            self.xbars = np.atleast_2d(np.asarray(xbars, dtype=float))
-            self.zs = np.asarray(zs, dtype=float)
+            self.xbars = np.atleast_2d(np.array(xbars, dtype=float))
+            self.zs = np.array(zs, dtype=float)
         else:
             self.xbars = np.array([p.xbar for p in pieces], dtype=float)
             self.zs = np.array([p.z for p in pieces], dtype=float)
@@ -66,6 +67,7 @@ class Envelope:
         self.grid = grid
         self._values = None
         self._argmax = None
+        self._point_values = None
 
     # -- cached grid scan ---------------------------------------------------------
 
@@ -89,17 +91,22 @@ class Envelope:
     def grid_values(self):
         return self._scan()[0]
 
-    def grid_argmax(self):
-        return self._scan()[1]
-
     def piece(self, i):
         return GAffine(self.gf, self.xbars[i], float(self.zs[i]))
 
     # -- pointwise evaluation -----------------------------------------------------
 
     def piece_values_at(self, x):
-        """All piece values at a single point x; -inf where inadmissible."""
-        return kernels.evaluator_values(self.gf, x, self.xbars, self.zs)
+        """All piece values at a single point x; -inf where inadmissible.
+
+        Tagged generating functions go through the pointwise closed forms of
+        :class:`kernels.PointValues`, whose per-focus part is built on the
+        first query; they equal ``kernels.evaluator_values`` bit for bit.
+        Untagged ones use the evaluator.
+        """
+        if self._point_values is None:
+            self._point_values = kernels.point_kernel(self.gf, self.xbars, self.zs)
+        return self._point_values(x)
 
     def eval(self, x):
         """Envelope value and active piece set at x.
@@ -117,11 +124,10 @@ class Envelope:
     def representative(self, x):
         """Value and index of the piece that wins x under the envelope's tie
         rule, the same piece ``cell_indices`` gives a grid cell at x."""
-        vals = self.piece_values_at(x)
-        best, idx = kernels.scan_rows(vals[:, None], 1, self.tols.tie)
-        if idx[0] < 0:
+        best, i = kernels.scan_point(self.piece_values_at(x), self.tols.tie)
+        if i < 0:
             raise EmptyEnvelopeError("no admissible piece at evaluation point")
-        return float(best[0]), int(idx[0])
+        return best, i
 
     def subdiff(self, x):
         """Supporting foci at x; near the domain boundary the active set of
@@ -344,7 +350,7 @@ class Section:
         the cloud's own spacing (max nearest-neighbor gap), so values near 1
         mean "convex at grid resolution" and large values flag holes.
         """
-        from scipy.spatial import ConvexHull, Delaunay, cKDTree
+        from scipy.spatial import ConvexHull, Delaunay, QhullError, cKDTree
         cloud = self.coord_image()
         if cloud.shape[0] <= self.env.gf.dim + 1:
             return {"score": 0.0, "cloud_spacing": 0.0, "ratio": 0.0,
@@ -354,7 +360,7 @@ class Section:
         try:
             hull = ConvexHull(snapped)
             tri = Delaunay(snapped[hull.vertices])
-        except Exception:
+        except QhullError:
             return {"score": np.inf, "cloud_spacing": 0.0, "ratio": np.inf,
                     "n_cloud": int(cloud.shape[0])}
         tree = cKDTree(cloud)
@@ -380,22 +386,22 @@ class Section:
 
 
 def _hull_volume(cloud):
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
     if cloud.shape[0] <= cloud.shape[1]:
         return 0.0
     try:
         return float(ConvexHull(cloud).volume)
-    except Exception:
+    except QhullError:
         return 0.0
 
 
 def _hull_perimeter(cloud):
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
     if cloud.shape[0] <= cloud.shape[1]:
         return 0.0
     try:
         return float(ConvexHull(cloud).area)  # boundary measure in any dim
-    except Exception:
+    except QhullError:
         return 0.0
 
 
@@ -508,7 +514,7 @@ class PolarDual:
 
 def polar_dual(set_points, p0, q0, lam) -> PolarDual:
     """Exact polar dual polytope of a point cloud at scale lam."""
-    from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
     set_points = np.atleast_2d(np.asarray(set_points, dtype=float))
     p0 = np.asarray(p0, dtype=float)
     q0 = np.asarray(q0, dtype=float)
@@ -518,7 +524,7 @@ def polar_dual(set_points, p0, q0, lam) -> PolarDual:
         try:
             hull = ConvexHull(set_points)
             verts = set_points[hull.vertices]
-        except Exception:
+        except QhullError:
             verts = set_points
     else:
         verts = set_points

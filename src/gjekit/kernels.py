@@ -14,6 +14,10 @@ composition.  A caller with fixed foci (the solver) computes each basis once
 and passes it as ``basis=`` to ``piece_values`` and ``piece_mass``; the
 values are the same bit for bit.
 
+:class:`PointValues` is the transposed kernel: every piece at one point,
+for the envelope's pointwise queries.  It caches what depends on the foci
+alone and reproduces the evaluator bit for bit.
+
 Inadmissible points are encoded as -inf piece values, which the reductions
 treat as "piece not competing".  :func:`scan_rows` is the one place the
 envelope's tie rule lives: a piece takes a cell only when it beats the
@@ -55,7 +59,7 @@ def np_basis_values(tag, params, b, xbar, z):
         out[ok] = np.log(1.0 - b[ok]) - z
         return out
     if tag == "ql_cubic":
-        return b + params[0] * b ** 3 - z
+        return b + params[0] * (b * b * b) - z
     if tag == "point_source":
         t2 = float(xbar @ xbar)
         if not (z > 0.0 and 0.25 * z * z * t2 < 1.0):
@@ -157,6 +161,139 @@ def evaluator_values(gf, xs, xbars, zs):
 
 
 # ---------------------------------------------------------------------------
+# pointwise queries: every piece at one point
+# ---------------------------------------------------------------------------
+
+
+def scan_point(vals, tie):
+    """``scan_rows(vals[:, None], 1, tie)`` over the rows that decide the cell.
+
+    Only strict prefix records (``vals[i] > max(vals[:i])``) can take the
+    cell: the chained best never exceeds the prefix max, so a row at or
+    below an earlier row that did not take the cell cannot take it either.
+    A record that beats the record before it by more than ``tie`` takes the
+    cell whatever came before, so the scan starts at the last such record.
+    Returns (best value, winning row), row -1 when every value is -inf.
+    """
+    prefix = np.maximum.accumulate(vals)
+    rec = np.flatnonzero(vals > np.concatenate(([-np.inf], prefix[:-1])))
+    w = vals[rec]
+    resets = np.flatnonzero(w[1:] > w[:-1] + tie)
+    start = int(resets[-1]) + 1 if resets.size else 0
+    best, idx = scan_rows(w[start:, None], 1, tie)
+    i = int(idx[0])
+    return float(best[0]), int(rec[start + i]) if i >= 0 else -1
+
+
+def point_kernel(gf, xbars, zs):
+    """Callable x -> every piece's value at the single point x.
+
+    :class:`PointValues` for a tagged generating function, the evaluator
+    (:func:`evaluator_values`) otherwise.
+    """
+    if kernel_tag(gf)[0] is None:
+        return lambda x: evaluator_values(gf, x, xbars, zs)
+    return PointValues(gf, xbars, zs)
+
+
+class PointValues:
+    """All piece values at one point through the closed forms.
+
+    The result equals ``evaluator_values(gf, x, xbars, zs)`` bit for bit:
+    each tag repeats its generating function's ``_in_domain`` and ``_value``
+    in the same order of operations.  Everything that depends on the foci
+    alone is computed once here: the foci transposed to (d, n), the focus
+    part of the domain mask (target chart, admissible height) and per-focus
+    constants.  A query then checks the source chart once for x, builds the
+    basis column by column (``b = xt[0] * x[0]; b += xt[1] * x[1]; ...``,
+    which is numpy's row sum in its order) and applies the closed form and
+    the conditions joint in x and the focus.
+
+    One case can differ: the evaluator checks a sphere source chart on n
+    copies of x, and BLAS can round that batch's ``x @ pole`` differently
+    from the one-row product used here.  Only an x within about one ulp of
+    the cap boundary can see it.
+    """
+
+    def __init__(self, gf, xbars, zs):
+        self.tag, params = kernel_tag(gf)
+        self.chart = gf.source_chart
+        self.lower = gf.srange.lower
+        tag = self.tag
+        ok = gf.target_chart.contains(xbars)
+        if tag.startswith("ql_"):
+            ok &= np.isfinite(zs)
+        elif tag == "point_source":
+            t = np.linalg.norm(xbars, axis=1)
+            ok &= (zs > 0.0) & (0.5 * zs * t < 1.0)
+        else:
+            ok &= zs > 0.0
+        # inadmissible foci get harmless placeholders, so the closed forms
+        # run warning-free over every column; the mask restores -inf
+        self.ok, self.off = ok, ~ok
+        xbars = np.where(ok[:, None], xbars, 0.0)
+        z = np.where(ok, zs, 1.0)
+        self.xt = np.ascontiguousarray(xbars.T)
+        self.z = z
+        if tag == "ql_cubic":
+            self.eps = params[0]
+        elif tag == "point_source":
+            t2 = np.sum(xbars * xbars, axis=1)
+            self.c = 0.5 * z * z  # N = z - c b
+            self.q = 1.0 - 0.25 * z * z * t2
+        elif tag == "pb_zero":
+            self.inv_z = 1.0 / z
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float).reshape(-1)
+        if not self.chart.contains(x[None, :])[0]:
+            return np.full(self.z.shape[0], -np.inf)
+        tag, xt = self.tag, self.xt
+        if tag == "pb_zero":
+            b = (x[0] - xt[0]) ** 2
+            for k in range(1, x.shape[0]):
+                b += (x[k] - xt[k]) ** 2
+        else:
+            b = xt[0] * x[0]
+            for k in range(1, x.shape[0]):
+                b += xt[k] * x[k]
+            b += 0.0  # numpy's row sum starts at +0.0: no -0.0 result
+        off = self.off
+        if tag == "ql_bilinear":
+            v = b
+            v -= self.z
+        elif tag == "ql_cubic":
+            v = b * b
+            v *= b
+            v *= self.eps
+            v += b
+            v -= self.z
+        elif tag == "ql_neglog":
+            ok = b < 1.0 - 1e-12
+            ok &= self.ok
+            v = np.full(b.shape[0], -np.inf)
+            v[ok] = np.log(1.0 - b[ok]) - self.z[ok]
+            return v
+        elif tag == "point_source":
+            v = b
+            v *= self.c
+            np.subtract(self.z, v, out=v)
+            v /= self.q
+        elif tag == "pb_zero":
+            v = b
+            v *= self.z
+            np.subtract(self.inv_z, v, out=v)
+            v *= 0.5
+            off = off | ~(v >= self.lower)
+        else:  # minkowski
+            off = off | ~(b > 0.0)
+            v = b
+            v *= self.z
+        np.copyto(v, -np.inf, where=off)
+        return v
+
+
+# ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
@@ -181,15 +318,6 @@ def kernel_tag(gf):
     return None, ()
 
 
-def _grid_points_for(gf, xs_emb):
-    """Grid points in the coordinate shape the closed-form kernels expect.
-
-    Kernels work with the embedded inner products, so embedded coordinates
-    are the right representation everywhere.
-    """
-    return np.ascontiguousarray(xs_emb, dtype=float)
-
-
 def piece_basis(gf, xs_emb, xbar):
     """Grid basis of the piece with focus xbar, or None without a kernel tag.
 
@@ -199,7 +327,7 @@ def piece_basis(gf, xs_emb, xbar):
     tag, _ = kernel_tag(gf)
     if tag is None:
         return None
-    return np_piece_basis(tag, _grid_points_for(gf, xs_emb),
+    return np_piece_basis(tag, np.ascontiguousarray(xs_emb, dtype=float),
                           np.ascontiguousarray(xbar, dtype=float))
 
 
@@ -208,7 +336,7 @@ def piece_values(gf, xs_emb, xbar, z, basis=None):
     tag, params = kernel_tag(gf)
     if tag is None:
         return evaluator_values(gf, xs_emb, xbar, z)
-    xs = _grid_points_for(gf, xs_emb)
+    xs = np.ascontiguousarray(xs_emb, dtype=float)
     xbar = np.ascontiguousarray(xbar, dtype=float)
     return np_piece_values(tag, params, xs, xbar, float(z), basis)
 
@@ -223,7 +351,7 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
     if tag is None:
         rows = (evaluator_values(gf, xs_emb, xbar, z) for xbar, z in zip(xbars, zs))
     else:
-        xs = _grid_points_for(gf, xs_emb)
+        xs = np.ascontiguousarray(xs_emb, dtype=float)
         xbars = np.ascontiguousarray(xbars, dtype=float)
         zs = np.ascontiguousarray(zs, dtype=float)
         rows = (np_piece_values(tag, params, xs, xbar, z)
@@ -241,6 +369,6 @@ def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None):
     if tag is None:
         v = evaluator_values(gf, xs_emb, xbar, z)
         return _win_mass(v, weights, lo_tie, hi_best, tie)
-    xs = _grid_points_for(gf, xs_emb)
+    xs = np.ascontiguousarray(xs_emb, dtype=float)
     return np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar,
                          float(z), tie, basis)

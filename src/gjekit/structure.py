@@ -14,7 +14,6 @@ on orthogonal direction pairs, quantitative quasiconvexity along segments
 that a nonnegative tensor comes with a finite M.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +68,6 @@ class ConditionReport:
             "constants": _jsonable(self.constants),
             "skipped": self.skipped,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
 def _jsonable(obj):

@@ -57,6 +57,23 @@ def test_point_source_three_piece_matches_direct(builtins_all):
         assert np.isclose(env.eval(x)[0], max(vals), atol=1e-12)
 
 
+def test_envelope_owns_its_pieces():
+    # the solver goes on mutating the heights it built an envelope from
+    gf, grid = _ql(res=16)
+    rng = np.random.default_rng(3)
+    xbars = gf.target_chart.sample(12, rng)
+    zs = rng.normal(size=12)
+    x = grid.points[37]
+    ref = Envelope(gf, (xbars.copy(), zs.copy()), grid)
+    env = Envelope(gf, (xbars, zs), grid)
+    u, active = env.eval(x)  # builds the pointwise cache
+    zs[:] = -10.0
+    xbars[:] = 0.0
+    assert env.cell_indices().tolist() == ref.cell_indices().tolist()
+    assert env.eval(x)[0] == ref.eval(x)[0] == u
+    assert env.eval(x)[1].tolist() == active.tolist()
+
+
 def test_empty_envelope_error():
     gf, grid = _ql()
     env = Envelope(gf, (np.array([[0.1, 0.1]]), np.array([0.0])), grid)

@@ -9,6 +9,7 @@ from gjekit import kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
 from gjekit.demos import violator_genfun
+from gjekit.gconvex import Envelope
 from gjekit.grids import DomainGrid
 
 
@@ -157,3 +158,60 @@ def test_generic_fallback_path():
     grid = DomainGrid(gf.source_chart, 12)
     v = kernels.piece_values(gf, grid.points, np.array([0.1, 0.2]), 0.3)
     assert np.all(np.isfinite(v))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+_ODD_HEIGHTS = np.array([0.0, -0.0, -1.0, 1e-300, 40.0, 1e300, np.inf, -np.inf,
+                         np.nan])
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(_CASES)), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 60), scale=st.sampled_from([1.0, 0.0, 1.2, 2.0]))
+def test_point_values_equal_the_evaluator_bit_for_bit(name, seed, n, scale):
+    # foci on and off the target chart, with zero coordinates and heights
+    # that are <= 0, tiny, huge or not finite; points on and off the source
+    # chart (scaled by ``scale``, 0 gives the origin)
+    gf, grid = _CASES[name], _GRIDS[name]
+    rng = np.random.default_rng(seed)
+    xbars = gf.target_chart.sample(n, rng)
+    off = rng.random(n) < 0.2
+    xbars[off] *= rng.uniform(0.5, 2.0, size=(int(off.sum()), 1))
+    xbars[rng.random(n) < 0.1, 0] = 0.0
+    zs = rng.uniform(-0.5, 3.0, n)
+    odd = rng.random(n) < 0.2
+    zs[odd] = rng.choice(_ODD_HEIGHTS, size=int(odd.sum()))
+    env = Envelope(gf, (xbars, zs), grid)
+    for x in gf.source_chart.sample(4, rng):
+        for y in (x, scale * x, np.where(rng.random(x.shape[0]) < 0.5, 0.0, x)):
+            with np.errstate(all="ignore"):
+                ref = kernels.evaluator_values(gf, y, xbars, zs)
+            got = env.piece_values_at(y)
+            assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+            assert np.array_equal(_bits(got), _bits(ref))
+
+
+def test_point_values_keep_the_sign_of_zero():
+    # column products -0.5 * 0.0 and 0.3 * -0.0 are both -0.0; numpy's row
+    # sum starts at +0.0, so the evaluator's value at height 0 is +0.0
+    gf = _CASES["quasilinear[bilinear]"]
+    x, xbars, zs = np.array([-0.5, 0.3]), np.array([[0.0, -0.0]]), np.array([0.0])
+    ref = kernels.evaluator_values(gf, x, xbars, zs)
+    got = kernels.PointValues(gf, xbars, zs)(x)
+    assert _bits(got).tolist() == _bits(ref).tolist() == _bits([0.0]).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_scan_point_equals_the_one_cell_scan(seed, n, tie):
+    # near-tie chains, exact ties and -inf entries in random order
+    rng = np.random.default_rng(seed)
+    vals = rng.choice([0.0, 1.0], size=n) + tie * rng.uniform(-1.5, 1.5, size=n)
+    vals[rng.random(n) < 0.2] = vals[rng.integers(0, n)]
+    vals[rng.random(n) < 0.2] = -np.inf
+    best, idx = kernels.scan_rows(vals[:, None], 1, tie)
+    assert kernels.scan_point(vals, tie) == (float(best[0]), int(idx[0]))
