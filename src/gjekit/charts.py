@@ -137,6 +137,15 @@ class PlaneChart(BoxChart):
                 "height": self.height}
 
 
+def _dot3(x, v):
+    """<x, v> over the last axis by column accumulation.
+
+    A BLAS ``x @ v`` rounds a row differently depending on the batch it
+    sits in; this sum rounds every row the same way whatever the batch.
+    """
+    return (x[..., 0] * v[0] + x[..., 1] * v[1]) + x[..., 2] * v[2]
+
+
 def _orthonormal_frame(pole):
     """Deterministic tangent frame (e1, e2) completing pole to a basis."""
     pole = pole / np.linalg.norm(pole)
@@ -181,7 +190,7 @@ class SphereChart:
 
     def coords(self, x):
         x = np.asarray(x, dtype=float)
-        return np.stack([x @ self.e1, x @ self.e2], axis=-1)
+        return np.stack([_dot3(x, self.e1), _dot3(x, self.e2)], axis=-1)
 
     def jacobian(self, c):
         # columns d(embed)/dc_i = e_i - (c_i / w) * pole
@@ -210,7 +219,7 @@ class SphereChart:
         x, single = _as_batch(x, 3)
         unit = np.abs(np.linalg.norm(x, axis=1) - 1.0) <= max(slack, 1e-9)
         # epsilon floor keeps boundary-clipped iterates admissible
-        incap = x @ self.pole >= self.cos_cap - max(slack, 1e-11)
+        incap = _dot3(x, self.pole) >= self.cos_cap - max(slack, 1e-11)
         ok = unit & incap
         return bool(ok[0]) if single else ok
 

@@ -24,20 +24,23 @@ forms
     zdot(t)    = < p(x0; xbar(t), z(t)), xbardot(t) >.
 
 Everything is batched over a leading sample axis; Newton solves run all
-samples simultaneously with per-sample damping.
+samples simultaneously with per-sample damping, and a row follows exactly
+the iterates it follows when solved alone.  ``g_segment_batch`` samples
+many segments at once: the continuation along s stays sequential, and each
+step is one batched solve over every segment of the batch.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
-from .errors import ConvergenceError, DomainError, RowStatus, raise_for_status
-from .genfun import GenFun
+from .errors import DomainError, RowStatus, raise_for_status
+from .genfun import GenFun, stencil_rows
 
 __all__ = [
-    "e_matrix", "p_map", "pbar_map", "exp_source", "exp_target",
-    "g_segment", "segment_velocity", "GSegment", "comparability_report",
+    "e_matrix", "p_map", "pbar_map", "pbar_rows", "exp_source", "exp_target",
+    "g_segment", "g_segment_batch", "segment_velocity", "GSegment", "SegmentBatch",
+    "comparability_report",
 ]
 
 
@@ -73,12 +76,33 @@ def p_map(gf: GenFun, xbar, z, x, check=True):
 
 
 def pbar_map(gf: GenFun, x, u, xbar):
-    """Target coordinate map pbar = dG/dx at z = H(x, xbar, u)."""
+    """Target coordinate map pbar = dG/dx at z = H(x, xbar, u).
+
+    Raising call of ``pbar_rows``.
+    """
     single = np.asarray(x).ndim == 1
-    x, xbar, u, _ = gf._batch(x, xbar, u)
-    z = gf.inverse(x, xbar, u)
-    pb = gf.d_x(x, xbar, np.atleast_1d(z))
+    pb, _, status = pbar_rows(gf, x, u, xbar)
+    raise_for_status(status, f"{gf.name}: pbar_map")
     return pb[0] if single else pb
+
+
+def pbar_rows(gf: GenFun, x, u, xbar):
+    """Target coordinate map with a RowStatus per row instead of raising.
+
+    Returns (pbar, z, status), batched: z = H(x, xbar, u) with the status
+    of ``GenFun.inverse_rows``, or DERIVATIVE_STENCIL where a
+    finite-difference dG/dx leaves the admissible set.  Failed rows carry
+    nan in pbar.
+    """
+    x, xbar, u, _ = gf._batch(x, xbar, u)
+    z, status = gf.inverse_rows(x, xbar, u)
+    pb = np.full((x.shape[0], gf.dim), np.nan)
+
+    def fill(rows):
+        pb[rows] = gf.d_x(x[rows], xbar[rows], z[rows])
+
+    status[stencil_rows(fill, np.flatnonzero(status == 0))] = RowStatus.DERIVATIVE_STENCIL
+    return pb, z, status
 
 
 # ---------------------------------------------------------------------------
@@ -375,75 +399,129 @@ class GSegment:
                    header=",".join(header), comments="")
 
 
-def g_segment(gf: GenFun, kind, endpoints, anchor, s_grid=None, tols=None) -> GSegment:
-    """Build a segment between two admissible endpoints.
+@dataclass
+class SegmentBatch:
+    """Segments of one kind sampled on a shared grid, one row per segment.
 
-    For ``kind="source"`` the endpoints are source points and the anchor is
-    (xbar, z); for ``kind="target"`` the endpoints are target points and the
-    anchor is (x, u).  Endpoint inadmissibility raises DomainError; an
-    interior sample that fails to invert flags well_defined=False instead.
+    ``status`` is a RowStatus per row for its endpoints (INADMISSIBLE for a
+    source endpoint outside the domain, the scalar-inverse code for a target
+    endpoint, DERIVATIVE_STENCIL where a finite-difference coordinate map
+    leaves the domain); ``ok[i, j]`` says whether row i inverted at
+    ``s_grid[j]``.
+    Rows with bad endpoints carry nan in ``p0``, ``p1`` and every point.
+    """
+
+    s_grid: np.ndarray
+    p0: np.ndarray              # (k, n)
+    p1: np.ndarray              # (k, n)
+    points: np.ndarray          # (k, m, embdim)
+    z_values: np.ndarray | None  # (k, m) for target kind
+    status: np.ndarray          # (k,) int8
+    ok: np.ndarray              # (k, m) bool
+
+
+def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> SegmentBatch:
+    """Segments between the endpoint rows ``a`` and ``b``, batched over rows.
+
+    For ``kind="source"`` the endpoints are (k, embdim) source points and
+    the anchor is (xbar, z) with one row each; for ``kind="target"`` they
+    are target points and the anchor is (x, u).  The continuation runs
+    along s in order, one batched exponential-map solve per grid point over
+    the rows with admissible endpoints; each row starts from its own last
+    successful point (its first endpoint at the start).  A row follows
+    exactly the iterates of its one-row segment; when a finite-difference
+    stencil leaves the domain, the step is solved row by row and only the
+    rows whose own stencil leaves fail at that point.
     """
     tols = tols or gf.tols
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 33)
     s_grid = np.asarray(s_grid, dtype=float)
-    a, b = (np.asarray(e, dtype=float) for e in endpoints)
+    a, b = (np.atleast_2d(np.asarray(e, dtype=float)) for e in (a, b))
+    k, m, n = a.shape[0], s_grid.shape[0], gf.dim
+    # the anchor: (xbar, z) or (x, u), one row per segment
+    fixed, scalar = (np.atleast_1d(np.asarray(e, dtype=float)) for e in anchor)
+    fixed = np.broadcast_to(np.atleast_2d(fixed), (k, fixed.shape[-1]))
+    scalar = np.broadcast_to(scalar, (k,))
+    p0 = np.full((k, n), np.nan)
+    p1 = np.full((k, n), np.nan)
+    ok = np.zeros((k, m), dtype=bool)
+    # both endpoints of every row in one batch: rows i and k + i
+    both = np.concatenate([a, b])
+    fixed2, scalar2 = np.concatenate([fixed, fixed]), np.concatenate([scalar, scalar])
 
     if kind == "source":
-        xbar, z = anchor
-        xbar = np.asarray(xbar, dtype=float)
-        for e in (a, b):
-            if not gf.in_domain(e, xbar, z):
-                raise DomainError(f"{gf.name}: segment endpoint not admissible")
-        p0 = p_map(gf, xbar, z, a)
-        p1 = p_map(gf, xbar, z, b)
-        pts = np.empty((s_grid.shape[0], gf.source_chart.embdim))
-        ok = True
-        failures = []
-        prev = a
-        for i, s in enumerate(s_grid):
-            p = (1.0 - s) * p0 + s * p1
-            try:
-                prev = exp_source(gf, xbar, z, p[None, :], x_guess=prev, tols=tols)[0]
-                pts[i] = prev
-            except (ConvergenceError, DomainError):
-                pts[i] = np.nan
-                ok = False
-                failures.append(float(s))
-        seg = GSegment(gf, "source", (xbar, float(z)), s_grid, p0, p1, pts, None,
-                       ok, failures)
+        good = gf._in_domain(both, fixed2, scalar2)
+        status = np.where(good[:k] & good[k:], 0, RowStatus.INADMISSIBLE).astype(np.int8)
+
+        def ends(rows):
+            two = np.concatenate([rows, rows + k])
+            p = p_map(gf, fixed2[two], scalar2[two], both[two], check=False)
+            p0[rows], p1[rows] = p[:rows.size], p[rows.size:]
+
+        status[stencil_rows(ends, np.flatnonzero(status == 0))] = RowStatus.DERIVATIVE_STENCIL
+        pts = np.full((k, m, gf.source_chart.embdim), np.nan)
+        zs = None
     elif kind == "target":
-        x, u = anchor
-        x = np.asarray(x, dtype=float)
-        z_ends = [gf.inverse(x, e, u) for e in (a, b)]
-        for e, ze in zip((a, b), z_ends):
-            if not gf.in_domain(x, e, ze):
-                raise DomainError(f"{gf.name}: segment endpoint not admissible")
-        p0 = pbar_map(gf, x, u, a)
-        p1 = pbar_map(gf, x, u, b)
-        pts = np.empty((s_grid.shape[0], gf.target_chart.embdim))
-        zs = np.empty(s_grid.shape[0])
-        ok = True
-        failures = []
-        prev_xb, prev_z = a, z_ends[0]
-        for i, t in enumerate(s_grid):
-            pb = (1.0 - t) * p0 + t * p1
-            try:
-                xb, zz = exp_target(gf, x, u, pb[None, :], xbar_guess=prev_xb,
-                                    z_guess=prev_z, tols=tols)
-                prev_xb, prev_z = xb[0], float(zz[0])
-                pts[i] = prev_xb
-                zs[i] = prev_z
-            except (ConvergenceError, DomainError):
-                pts[i] = np.nan
-                zs[i] = np.nan
-                ok = False
-                failures.append(float(t))
-        seg = GSegment(gf, "target", (x, float(u)), s_grid, p0, p1, pts, zs,
-                       ok, failures)
+        pb, z_ends, st = pbar_rows(gf, fixed2, scalar2, both)
+        status = np.where(st[:k] != 0, st[:k], st[k:])
+        good = status == 0
+        p0[good], p1[good] = pb[:k][good], pb[k:][good]
+        pts = np.full((k, m, gf.target_chart.embdim), np.nan)
+        zs = np.full((k, m), np.nan)
+        prev_z = z_ends[:k].copy()
     else:
         raise ValueError("kind must be 'source' or 'target'")
-    return seg
+    batch = SegmentBatch(s_grid, p0, p1, pts, zs, status, ok)
+    live = np.flatnonzero(status == 0)
+    if live.size == 0:
+        return batch
+    prev = a.copy()
+
+    def step(rows, j, s):
+        p = (1.0 - s) * p0[rows] + s * p1[rows]
+        if kind == "source":
+            x, st = exp_source(gf, fixed[rows], scalar[rows], p, x_guess=prev[rows],
+                               tols=tols, return_status=True)
+        else:
+            x, zz, st = exp_target(gf, fixed[rows], scalar[rows], p, xbar_guess=prev[rows],
+                                   z_guess=prev_z[rows], tols=tols, return_status=True)
+        done = st == 0
+        rows = rows[done]
+        prev[rows] = pts[rows, j] = x[done]
+        if zs is not None:
+            prev_z[rows] = zs[rows, j] = zz[done]
+        ok[rows, j] = True
+
+    # a row whose own derivative stencil leaves the domain fails at that s
+    for j, s in enumerate(s_grid):
+        stencil_rows(step, live, j, s)
+    return batch
+
+
+def g_segment(gf: GenFun, kind, endpoints, anchor, s_grid=None, tols=None) -> GSegment:
+    """Build a segment between two admissible endpoints.
+
+    For ``kind="source"`` the endpoints are source points and the anchor is
+    (xbar, z); for ``kind="target"`` the endpoints are target points and the
+    anchor is (x, u).  An inadmissible source endpoint raises DomainError, a
+    target endpoint whose height does not invert the error of
+    ``GenFun.inverse``, and an endpoint whose finite-difference coordinate
+    map leaves the domain DomainError; an interior sample that fails to
+    invert flags well_defined=False instead.  One-row call of
+    ``g_segment_batch``.
+    """
+    fixed, scalar = anchor
+    batch = g_segment_batch(gf, kind, *endpoints, ([fixed], [scalar]), s_grid=s_grid,
+                            tols=tols)
+    if batch.status[0] == RowStatus.INADMISSIBLE:
+        raise DomainError(f"{gf.name}: segment endpoint not admissible")
+    raise_for_status(batch.status, f"{gf.name}: segment endpoint")
+    ok = batch.ok[0]
+    return GSegment(gf, kind, (np.asarray(fixed, dtype=float), float(scalar)), batch.s_grid,
+                    batch.p0[0], batch.p1[0], batch.points[0],
+                    None if batch.z_values is None else batch.z_values[0],
+                    bool(ok.all()), batch.s_grid[~ok].tolist())
 
 
 def segment_velocity(seg: GSegment, s):

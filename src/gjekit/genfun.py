@@ -328,6 +328,29 @@ class GenFun:
 # ---------------------------------------------------------------------------
 
 
+def stencil_rows(fill, rows, *args):
+    """Run ``fill(rows, *args)`` over a batch, row by row if the batch raises.
+
+    A finite-difference derivative raises DomainError for the whole batch
+    when the stencil of one row leaves the admissible set.  Each row then
+    runs alone, so only the rows whose own stencil leaves fail.  ``fill``
+    writes its results for the rows it is given, and nothing when it
+    raises.  Returns the rows that raise on their own.
+    """
+    try:
+        fill(rows, *args)
+        return rows[:0]
+    except DomainError:
+        pass
+    failed = []
+    for i in rows:
+        try:
+            fill(np.array([i]), *args)
+        except DomainError:
+            failed.append(i)
+    return np.array(failed, dtype=np.intp)
+
+
 def _chart_eval(gf, cx, cxbar, z, require_domain=True):
     x = gf.source_chart.embed(cx)
     xb = gf.target_chart.embed(cxbar)

@@ -208,11 +208,6 @@ class PointValues:
     basis column by column (``b = xt[0] * x[0]; b += xt[1] * x[1]; ...``,
     which is numpy's row sum in its order) and applies the closed form and
     the conditions joint in x and the focus.
-
-    One case can differ: the evaluator checks a sphere source chart on n
-    copies of x, and BLAS can round that batch's ``x @ pole`` differently
-    from the one-row product used here.  Only an x within about one ulp of
-    the cap boundary can see it.
     """
 
     def __init__(self, gf, xbars, zs):

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, RangeError, RowStatus
-from .expmaps import e_matrix, exp_source, exp_target, g_segment, p_map, pbar_map
-from .genfun import GenFun
+from .errors import DomainError, RowStatus
+from .expmaps import e_matrix, exp_source, exp_target, g_segment_batch, p_map, pbar_rows
+from .genfun import GenFun, stencil_rows
 
 __all__ = [
     "ConditionReport", "a_matrix", "g3w_form", "g3w_dual_form", "g3w_batch",
@@ -93,6 +93,18 @@ def _admissible_samples(gf: GenFun, interval, n, seed):
     zs, status = gf.inverse_rows(xs, xbs, us)
     keep = status == 0
     return xs[keep][:n], xbs[keep][:n], us[keep][:n], zs[keep][:n]
+
+
+def _sample_pairs(gf: GenFun, interval, seeds):
+    """The first two admissible samples for each seed, stacked over the
+    seeds that have two: (xs, xbs, us, zs) of shapes (k, 2, embdim) and
+    (k, 2), plus the number of seeds skipped for having fewer."""
+    pairs = [tuple(a[:2] for a in _admissible_samples(gf, interval, 4, sd)) for sd in seeds]
+    pairs = [pr for pr in pairs if len(pr[0]) == 2]
+    shapes = ((2, gf.source_chart.embdim), (2, gf.target_chart.embdim), (2,), (2,))
+    stacked = tuple(np.array([pr[i] for pr in pairs], dtype=float).reshape((-1,) + sh)
+                    for i, sh in enumerate(shapes))
+    return stacked, len(seeds) - len(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,63 +240,52 @@ def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
     image points must invert back into the target domain (within hull
     slack), which is the operational meaning of image convexity.
     """
-    rng = np.random.default_rng(seed)
     slack = gf.tols.hull_slack
-    fails = 0
-    skipped = 0
-    total = 0
     witness = {}
-    for t in range(n_samples):
-        xs, xbs, us, zs = _admissible_samples(gf, interval, 4, seed + 101 * t)
-        if len(xs) < 2:
-            skipped += 1
-            continue
-        x0, x1 = xs[0], xs[1]
-        xb, z = xbs[0], zs[0]
-        if not (gf.in_domain(x0, xb, z) and gf.in_domain(x1, xb, z)):
-            skipped += 1
-            continue
-        total += 1
-        try:
-            seg = g_segment(gf, "source", (x0, x1), (xb, float(z)),
-                            s_grid=np.linspace(0, 1, segment_points))
-        except (DomainError, ConvergenceError):
-            skipped += 1
-            total -= 1
-            continue
-        if not seg.well_defined:
+    # source direction: one batched segment call over every configuration;
+    # a configuration with an inadmissible endpoint is skipped
+    (xs, xbs, _, zs), skipped = _sample_pairs(
+        gf, interval, [seed + 101 * t for t in range(n_samples)])
+    seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
+                          s_grid=np.linspace(0, 1, segment_points))
+    used = np.flatnonzero(seg.status == 0)
+    skipped += xs.shape[0] - used.size
+    total = used.size
+    fails = 0
+    for i in used:
+        conf = {"x0": xs[i, 0], "x1": xs[i, 1], "xbar": xbs[i, 0], "z": float(zs[i, 0])}
+        if not seg.ok[i].all():
             fails += 1
-            witness = witness or {"kind": "segment_not_well_defined",
-                                  "x0": x0, "x1": x1, "xbar": xb, "z": float(z),
-                                  "failures": seg.failures}
-            continue
-        inside = gf.source_chart.contains(seg.points, slack=slack)
-        if not np.all(inside):
+            witness = witness or {"kind": "segment_not_well_defined", **conf,
+                                  "failures": seg.s_grid[~seg.ok[i]].tolist()}
+        elif not np.all(gf.source_chart.contains(seg.points[i], slack=slack)):
             fails += 1
-            witness = witness or {"kind": "segment_exits_domain",
-                                  "x0": x0, "x1": x1, "xbar": xb, "z": float(z)}
-    # dual direction: image midpoint inversion
+            witness = witness or {"kind": "segment_exits_domain", **conf}
+    # dual direction: image midpoint inversion, one batched solve; a
+    # configuration whose image points or midpoint fail is skipped
+    (xs, xbs, us, _), n_skip = _sample_pairs(
+        gf, interval, [seed + 7777 + 31 * t for t in range(n_samples)])
+    x, u = xs[:, 0], us[:, 0]
+    k = x.shape[0]
+    pb, _, st = pbar_rows(gf, np.concatenate([x, x]), np.concatenate([u, u]),
+                          np.concatenate([xbs[:, 0], xbs[:, 1]]))
+    xb_mid = np.full(xbs[:, 0].shape, np.nan)
+    mid_ok = np.zeros(k, dtype=bool)
+
+    def midpoints(rows):
+        xb, _, status = exp_target(gf, x[rows], u[rows], 0.5 * (pb[rows] + pb[rows + k]),
+                                   xbar_guess=xbs[rows, 0], return_status=True)
+        xb_mid[rows], mid_ok[rows] = xb, status == 0
+
+    stencil_rows(midpoints, np.flatnonzero((st[:k] == 0) & (st[k:] == 0)))
+    dual_total = int(np.sum(mid_ok))
+    skipped += n_skip + k - dual_total
     dual_fails = 0
-    dual_total = 0
-    for t in range(n_samples):
-        xs, xbs, us, zs = _admissible_samples(gf, interval, 4, seed + 7777 + 31 * t)
-        if len(xs) < 1 or len(xbs) < 2:
-            skipped += 1
-            continue
-        x, u = xs[0], float(us[0])
-        try:
-            pb0 = pbar_map(gf, x, u, xbs[0])
-            pb1 = pbar_map(gf, x, u, xbs[1])
-            mid = 0.5 * (pb0 + pb1)
-            xb_mid, _ = exp_target(gf, x, u, mid, xbar_guess=xbs[0])
-        except (DomainError, RangeError, ConvergenceError):
-            skipped += 1
-            continue
-        dual_total += 1
-        if not gf.target_chart.contains(xb_mid, slack=slack):
+    for i in np.flatnonzero(mid_ok):
+        if not gf.target_chart.contains(xb_mid[i], slack=slack):
             dual_fails += 1
             witness = witness or {"kind": "image_midpoint_outside",
-                                  "x": x, "u": u, "midpoint_target": xb_mid}
+                                  "x": x[i], "u": float(u[i]), "midpoint_target": xb_mid[i]}
     frac_ok = 1.0 - (fails + dual_fails) / max(1, total + dual_total)
     margin = 0.0 if (fails + dual_fails) == 0 else -(fails + dual_fails)
     return ConditionReport.build(
@@ -375,16 +376,12 @@ def _hessian_rows(gf, fn, x, xbar, z, status):
     when one row's stencil leaves the admissible set; that row then fails
     with DERIVATIVE_STENCIL.  Returns (A, status), A nan on failed rows.
     """
-    ok = np.flatnonzero(status == 0)
     A = np.full((status.size, gf.dim, gf.dim), np.nan)
-    try:
-        A[ok] = fn(x[ok], xbar[ok], z[ok])
-    except DomainError:
-        for i in ok:
-            try:
-                A[i] = fn(x[i:i + 1], xbar[i:i + 1], z[i:i + 1])[0]
-            except DomainError:
-                status[i] = RowStatus.DERIVATIVE_STENCIL
+
+    def fill(rows):
+        A[rows] = fn(x[rows], xbar[rows], z[rows])
+
+    status[stencil_rows(fill, np.flatnonzero(status == 0))] = RowStatus.DERIVATIVE_STENCIL
     return A, status
 
 
@@ -553,22 +550,12 @@ def g3w_sweep(gf: GenFun, interval, n_base=64, n_pairs=32, seed=0,
 # ---------------------------------------------------------------------------
 
 
-def _qq_single(gf, x0, x1, xb0, xb1, z0, s_grid, sp_grid, tols):
-    """Fit data for one sampled configuration of the primal inequality.
+def _qq_single(gf, x0, x1, xb0, xb1, z0, z1, pts, grid, idx_s, idx_sp, tols):
+    """Fit data for one configuration of the primal inequality, from the
+    points ``pts`` of its source segment on ``grid``.
 
     Returns (M_required, violation_witness_or_None, skipped_flag).
     """
-    u0 = gf.value(x0, xb0, z0)
-    try:
-        z1 = gf.inverse(x0, xb1, u0)
-        seg = g_segment(gf, "source", (x0, x1), (xb0, z0),
-                        s_grid=np.unique(np.concatenate([s_grid, sp_grid])))
-    except (RangeError, DomainError, ConvergenceError):
-        return None, None, True
-    if not seg.well_defined:
-        return None, None, True
-    grid_all = seg.s_grid
-    pts = seg.points
     m = pts.shape[0]
     xb0s = np.broadcast_to(xb0, (m, xb0.shape[0])).copy()
     xb1s = np.broadcast_to(xb1, (m, xb1.shape[0])).copy()
@@ -584,9 +571,8 @@ def _qq_single(gf, x0, x1, xb0, xb1, z0, s_grid, sp_grid, tols):
         return None, None, True
     lhs = gf._value(pts, xb1s, np.full(m, z1)) - u_s
     # R(s') = G(x1, xb1, H(x(s'), xb1, G(x(s'), xb0, z0))) - G(x1, xb0, z0)
-    try:
-        z_sp = gf.inverse(pts, xb1s, u_s)
-    except (RangeError, ConvergenceError):
+    z_sp, status = gf.inverse_rows(pts, xb1s, u_s)
+    if status.any():
         return None, None, True
     x1s = np.broadcast_to(x1, (m, x1.shape[0])).copy()
     okr = gf._in_domain(x1s, xb1s, z_sp)
@@ -594,15 +580,13 @@ def _qq_single(gf, x0, x1, xb0, xb1, z0, s_grid, sp_grid, tols):
         return None, None, True
     r_all = gf._value(x1s, xb1s, z_sp) - gf.value(x1, xb0, z0)
 
-    idx_s = np.searchsorted(grid_all, s_grid)
-    idx_sp = np.searchsorted(grid_all, sp_grid)
     M_req = 1.0
     for a in idx_s:
-        s = grid_all[a]
+        s = grid[a]
         if s <= 0 or lhs[a] <= tols.tie:
             continue
         for b in idx_sp:
-            sp = grid_all[b]
+            sp = grid[b]
             r = r_all[b]
             factor = s / (1.0 - sp)
             if r <= tols.tie:
@@ -624,26 +608,40 @@ def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
     (the inequality degenerates as s' -> 1).  Dual: target segments with the
     positive-part bracket.  Configurations whose segments are not
     well-defined are skipped and counted.  A positive left side facing a
-    nonpositive right side is a violation witness (M = infinity).
+    nonpositive right side is a violation witness (M = infinity).  Every
+    configuration is sampled first; their segments are one batched call.
     """
     tols = gf.tols
     s_grid = np.linspace(0.0, 1.0, n_grid)
     sp_grid = np.linspace(0.0, 0.9, n_grid)
+    grid = np.unique(np.concatenate([s_grid, sp_grid]))
+    idx = (np.searchsorted(grid, s_grid), np.searchsorted(grid, sp_grid))
+    (xs, xbs, us, zs), skipped = _sample_pairs(
+        gf, interval, [seed + 997 * t for t in range(n_samples)])
+    if dual:
+        seg = g_segment_batch(gf, "target", xbs[:, 0], xbs[:, 1], (xs[:, 0], us[:, 0]),
+                              s_grid=grid)
+        usable = (seg.status == 0) & seg.ok.all(axis=1)
+    else:
+        u0 = gf.value(xs[:, 0], xbs[:, 0], zs[:, 0])
+        z1, status = gf.inverse_rows(xs[:, 0], xbs[:, 1], u0)
+        seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
+                              s_grid=grid)
+        usable = (status == 0) & (seg.status == 0) & seg.ok.all(axis=1)
     fitted = 1.0
-    skipped = 0
     used = 0
     violation = None
-    for t in range(n_samples):
-        xs, xbs, us, zs = _admissible_samples(gf, interval, 4, seed + 997 * t)
-        if len(xs) < 2 or len(xbs) < 2:
+    for i in range(xs.shape[0]):
+        if not usable[i]:
             skipped += 1
             continue
+        conf = (xs[i, 0], xs[i, 1], xbs[i, 0], xbs[i, 1])
         if dual:
-            M_t, viol, skip = _qq_dual_single(gf, xs[0], xs[1], xbs[0], xbs[1],
-                                              float(us[0]), s_grid, sp_grid, tols)
+            M_t, viol, skip = _qq_dual_single(gf, *conf, float(us[i, 0]), seg.points[i],
+                                              seg.z_values[i], grid, *idx, tols)
         else:
-            M_t, viol, skip = _qq_single(gf, xs[0], xs[1], xbs[0], xbs[1],
-                                         float(zs[0]), s_grid, sp_grid, tols)
+            M_t, viol, skip = _qq_single(gf, *conf, float(zs[i, 0]), float(z1[i]),
+                                         seg.points[i], grid, *idx, tols)
         if skip:
             skipped += 1
             continue
@@ -662,33 +660,22 @@ def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
         skipped=skipped)
 
 
-def _qq_dual_single(gf, x0, x1, xb0, xb1, u0, t_grid, tp_grid, tols):
-    """One sampled configuration of the dual inequality along a target segment."""
-    try:
-        seg = g_segment(gf, "target", (xb0, xb1), (x0, u0),
-                        s_grid=np.unique(np.concatenate([t_grid, tp_grid])))
-    except (RangeError, DomainError, ConvergenceError):
-        return None, None, True
-    if not seg.well_defined:
-        return None, None, True
-    grid_all = seg.s_grid
-    xbt = seg.points
-    zt = seg.z_values
+def _qq_dual_single(gf, x0, x1, xb0, xb1, u0, xbt, zt, grid, idx_t, idx_tp, tols):
+    """One configuration of the dual inequality, from the points ``xbt`` and
+    heights ``zt`` of its target segment on ``grid``."""
     m = xbt.shape[0]
     x1s = np.broadcast_to(x1, (m, x1.shape[0])).copy()
     if not np.all(gf._in_domain(x1s, xbt, zt)):
         return None, None, True
     f_t = gf._value(x1s, xbt, zt)
     lhs_all = f_t - f_t[0]
-    idx_t = np.searchsorted(grid_all, t_grid)
-    idx_tp = np.searchsorted(grid_all, tp_grid)
     M_req = 1.0
     for a in idx_t:
-        t = grid_all[a]
+        t = grid[a]
         if t <= 0 or lhs_all[a] <= tols.tie:
             continue
         for b in idx_tp:
-            tp = grid_all[b]
+            tp = grid[b]
             bracket = f_t[-1] - f_t[b]
             factor = t / (1.0 - tp)
             if bracket <= tols.tie:

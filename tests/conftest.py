@@ -25,6 +25,14 @@ def sample_admissible(gf, interval, n, seed=0):
     return xs, xbs, us, zs
 
 
+def bent_cost(x, xb):
+    """c(x, xb) = -<xb, (x1 + 1.5 x2^2, x2)> as a plain callable, so the
+    quasilinear instance built from it takes finite-difference derivatives.
+    Its source segments bend out of the box: Newton iterates clip to the
+    edge, where a derivative stencil leaves the chart."""
+    return -(xb[0] * (x[0] + 1.5 * x[1] ** 2) + xb[1] * x[1])
+
+
 @pytest.fixture(scope="session")
 def builtins_all():
     return {

@@ -318,7 +318,7 @@ def test_criterion_8_classical_estimates(calibration_envelope):
         omega /= np.linalg.norm(omega)
         try:
             rec = aleksandrov_check(env, m, xb, omega, diam_cap=0.62)
-        except Exception:
+        except GjekitError:
             continue
         n_ok += 1
         if not np.isfinite(rec.implied_constant) or rec.implied_constant <= 0:
@@ -356,7 +356,7 @@ def test_criterion_8b_demo_envelope_sections(solved_point_source_small,
                 z_h = env.gf.inverse(x, xbar, u0 + h)
                 m = GAffine(env.gf, xbar, float(z_h))
                 rec = aleksandrov_check(env, m, x, omega)
-            except Exception:
+            except GjekitError:
                 skipped += 1
                 continue
             total_eval += 1
@@ -374,7 +374,7 @@ def test_criterion_8b_demo_envelope_sections(solved_point_source_small,
         omega /= np.linalg.norm(omega)
         try:
             rec = aleksandrov_check(env, m, xb, omega, diam_cap=0.5)
-        except Exception:
+        except GjekitError:
             skipped += 1
             continue
         total_eval += 1
@@ -430,7 +430,7 @@ def test_criterion_9_section_convexity(calibration_envelope,
                 if np.sum(sec.mask) < 24:
                     continue
                 score = sec.convexity_score(seed=2)
-            except Exception:
+            except GjekitError:
                 continue
             worst = max(worst, score["ratio"])
             results.append((name, score["ratio"]))

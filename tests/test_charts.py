@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gjekit.charts import (BoxChart, PlaneChart, SphereChart,
                            chart_from_descriptor)
@@ -91,3 +93,26 @@ def test_descriptor_roundtrip():
         ch2 = chart_from_descriptor(ch.descriptor())
         assert type(ch2) is type(ch)
         assert np.allclose(ch2.lo, ch.lo) and np.allclose(ch2.hi, ch.hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pole=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda p: np.linalg.norm(p) > 0.1),
+       cap=st.floats(5.0, 80.0), seed=st.integers(0, 2 ** 32 - 1),
+       copies=st.sampled_from([2, 17, 1001]))
+def test_sphere_contains_and_coords_do_not_depend_on_the_batch(pole, cap, seed, copies):
+    ch = SphereChart(pole=pole, cap_deg=cap)
+    rng = np.random.default_rng(seed)
+    # points within a few ulps of the cap test, where a rounding difference
+    # between two batch sizes flips the mask
+    d = ch.cos_cap - 1e-11 + rng.uniform(-4e-16, 4e-16, 64)
+    theta = rng.uniform(0.0, 2 * np.pi, 64)
+    pts = (d[:, None] * ch.pole + np.sqrt(1.0 - d * d)[:, None]
+           * (np.cos(theta)[:, None] * ch.e1 + np.sin(theta)[:, None] * ch.e2))
+    inside, coords = ch.contains(pts), ch.coords(pts)
+    for i, x in enumerate(pts):
+        assert ch.contains(x) == inside[i]
+        assert np.array_equal(ch.coords(x), coords[i])
+        many = np.repeat(x[None], copies, axis=0)
+        assert np.all(ch.contains(many) == inside[i])
+        assert np.array_equal(ch.coords(many), np.repeat(coords[i][None], copies, axis=0))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import sample_admissible
+from conftest import bent_cost, sample_admissible
 from gjekit.builtins import make_builtin
+from gjekit.demos import TEST_INTERVALS, far_field_genfun, violator_genfun
 from gjekit.errors import ConvergenceError, DomainError, RangeError, RowStatus
 from gjekit.expmaps import (comparability_report, e_matrix, exp_source,
-                            exp_target, g_segment, p_map, pbar_map,
-                            segment_velocity)
+                            exp_target, g_segment, g_segment_batch, p_map,
+                            pbar_map, segment_velocity)
 
 BUILTIN_NAMES = ["quasilinear", "point_source", "parallel_beam", "minkowski"]
 
@@ -265,6 +268,107 @@ def test_segment_reports_undefined_interior():
     if gf.in_domain(a, xb, z) and gf.in_domain(b, xb, z):
         seg = g_segment(gf, "source", (a, b), (xb, z))
         assert seg.well_defined or len(seg.failures) > 0
+
+
+_SEGMENT_GENFUNS = {
+    "quasilinear": make_builtin("quasilinear"),
+    "point_source": make_builtin("point_source"),
+    "parallel_beam": make_builtin("parallel_beam"),
+    "far_field": far_field_genfun(),
+    "violator": violator_genfun(),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_SEGMENT_GENFUNS)),
+       kind=st.sampled_from(["source", "target"]), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(2, 9), data=st.data())
+def test_segment_batch_rows_are_their_one_row_segments(name, kind, seed, m, data):
+    gf = _SEGMENT_GENFUNS[name]
+    lo, hi = TEST_INTERVALS[name]
+    rng = np.random.default_rng(seed)
+    xs = gf.source_chart.sample(24, rng)
+    xbs = gf.target_chart.sample(24, rng)
+    us = rng.uniform(lo, hi, 24)
+    zs, status = gf.inverse_rows(xs, xbs, us)
+    ok = np.flatnonzero(status == 0)
+    k = ok.size // 2
+    assume(k > 0)
+    first, second = ok[:k], ok[k:2 * k]
+    if kind == "source":
+        a, b, anchor, chart = xs[first], xs[second], (xbs[first], zs[first]), gf.source_chart
+    else:
+        a, b, anchor, chart = xbs[first], xbs[second], (xs[first], us[first]), gf.target_chart
+    # planted endpoints outside the chart
+    outside = chart.embed(chart.hi * 3)[0]
+    planted = data.draw(st.lists(st.sampled_from(["", "a", "b"]), min_size=k, max_size=k))
+    for i, where in enumerate(planted):
+        if where:
+            (a if where == "a" else b)[i] = outside
+    s_grid = np.linspace(0.0, 1.0, m)
+    batch = g_segment_batch(gf, kind, a, b, anchor, s_grid=s_grid)
+    assert all(batch.status[i] != 0 for i, where in enumerate(planted) if where)
+    for i in range(k):
+        try:
+            seg = g_segment(gf, kind, (a[i], b[i]), (anchor[0][i], anchor[1][i]),
+                            s_grid=s_grid)
+        except (DomainError, RangeError, ConvergenceError):
+            assert batch.status[i] != 0
+            assert np.all(np.isnan(batch.points[i])) and not batch.ok[i].any()
+            continue
+        assert batch.status[i] == 0
+        assert np.array_equal(batch.p0[i], seg.p0) and np.array_equal(batch.p1[i], seg.p1)
+        assert np.array_equal(batch.points[i], seg.points, equal_nan=True)
+        if kind == "target":
+            assert np.array_equal(batch.z_values[i], seg.z_values, equal_nan=True)
+        assert batch.ok[i].all() == seg.well_defined
+        assert s_grid[~batch.ok[i]].tolist() == seg.failures
+
+
+def test_segment_endpoint_errors():
+    gf = make_builtin("quasilinear")
+    a, far = np.array([0.1, 0.2]), np.array([3.0, 0.0])
+    with pytest.raises(DomainError):
+        g_segment(gf, "source", (a, far), (np.array([0.2, 0.0]), 0.1))
+    with pytest.raises(RangeError):
+        g_segment(gf, "target", (a, far), (np.array([0.2, 0.0]), 0.1))
+    batch = g_segment_batch(gf, "target", [a, a], [a + 0.1, far],
+                            (np.array([0.2, 0.0]), 0.1))
+    assert batch.status.tolist() == [0, RowStatus.NO_ADMISSIBLE_Z]
+    assert batch.ok[0].all() and not batch.ok[1].any()
+
+
+def test_segment_with_a_stencil_leaving_the_chart():
+    # a finite-difference derivative raises DomainError for the whole batch
+    # when one row's stencil leaves the chart; only that row may fail
+    gf = make_builtin("quasilinear", cost=bent_cost)
+    xb, z = np.array([0.3, -0.2]), 0.1
+    grid = np.linspace(0.0, 1.0, 9)
+    bent = (np.array([0.9, -0.9]), np.array([0.9, 0.9]))
+    inner = (np.array([0.2, -0.3]), np.array([0.3, 0.3]))
+    seg = g_segment(gf, "source", bent, (xb, z), s_grid=grid)
+    assert not seg.well_defined and seg.failures == grid[1:].tolist()
+    one = g_segment(gf, "source", inner, (xb, z), s_grid=grid)
+    assert one.well_defined
+    batch = g_segment_batch(gf, "source", [bent[0], inner[0]], [bent[1], inner[1]],
+                            ([xb, xb], [z, z]), s_grid=grid)
+    assert batch.status.tolist() == [0, 0]
+    assert batch.ok[1].all() and np.array_equal(batch.points[1], one.points)
+    assert np.array_equal(batch.points[0], seg.points, equal_nan=True)
+    assert grid[~batch.ok[0]].tolist() == seg.failures
+    # an anchor on the chart edge: the endpoint coordinate map's stencil leaves
+    edge = np.array([1.0, 0.0])
+    batch = g_segment_batch(gf, "source", [inner[0]] * 2, [inner[1]] * 2,
+                            ([edge, xb], [z, z]), s_grid=grid)
+    assert batch.status.tolist() == [RowStatus.DERIVATIVE_STENCIL, 0]
+    assert not batch.ok[0].any() and batch.ok[1].all()
+    with pytest.raises(DomainError):
+        g_segment(gf, "source", inner, (edge, z), s_grid=grid)
+    batch = g_segment_batch(gf, "target", [xb] * 2, [-xb] * 2,
+                            ([edge, inner[0]], [0.1, 0.1]), s_grid=grid)
+    assert batch.status.tolist() == [RowStatus.DERIVATIVE_STENCIL, 0]
+    with pytest.raises(DomainError):
+        g_segment(gf, "target", (xb, -xb), (edge, 0.1), s_grid=grid)
 
 
 def test_jacobian_identity(builtins_all, intervals):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import sample_admissible
+from conftest import bent_cost, sample_admissible
 from gjekit.builtins import make_builtin
 from gjekit import expmaps
 from gjekit.demos import (TEST_INTERVALS, far_field_genfun, folded_twist_genfun,
                           violator_genfun)
-from gjekit.errors import DomainError
-from gjekit.expmaps import exp_target
+from gjekit.errors import DomainError, GjekitError
+from gjekit.expmaps import exp_target, g_segment
 from gjekit.structure import (_jsonable, _sweep_rows, a_matrix, check_domconv,
                               check_nondeg, check_qqconv, check_twist,
                               check_unif_lip, crosscheck_g3w_implies_qqconv,
@@ -212,8 +212,9 @@ def test_g3w_sweep_rows_equal_one_row_forms(case, seed, n_base, n_pairs, dual):
     assert rep.constants["min_value"] == (vals[ok].min() if ok.any() else np.inf)
 
 
-@pytest.mark.parametrize("dual", [False, True])
-def test_g3w_sweep_is_five_batched_solves(monkeypatch, dual):
+@pytest.fixture
+def newton_rows(monkeypatch):
+    """The batch size of every Newton solve made while the test runs."""
     calls = []
     newton = expmaps._newton
 
@@ -222,11 +223,49 @@ def test_g3w_sweep_is_five_batched_solves(monkeypatch, dual):
         return newton(*args)
 
     monkeypatch.setattr(expmaps, "_newton", counting)
+    return calls
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_g3w_sweep_is_five_batched_solves(newton_rows, dual):
     for n_base in (2, 12):
-        calls.clear()
+        newton_rows.clear()
         g3w_sweep(far_field_genfun(), IV, n_base=n_base, n_pairs=4, seed=1, dual=dual)
-        assert len(calls) == 5
-        assert calls[0] == n_base * 6  # two axis pairs and four random ones per base
+        assert len(newton_rows) == 5
+        assert newton_rows[0] == n_base * 6  # two axis pairs and four random ones per base
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_qqconv_is_one_batched_solve_per_grid_point(newton_rows, dual):
+    grid = np.unique(np.concatenate([np.linspace(0, 1, 11), np.linspace(0, 0.9, 11)]))
+    for n_samples in (2, 12):
+        newton_rows.clear()
+        rep = check_qqconv(far_field_genfun(), IV, n_samples=n_samples, seed=1, dual=dual)
+        assert len(newton_rows) == grid.size
+        assert rep.n_samples + rep.skipped == n_samples
+        assert newton_rows[0] >= rep.n_samples
+
+
+def test_domconv_is_one_batched_solve_per_segment_point(newton_rows):
+    for n_samples in (2, 12):
+        newton_rows.clear()
+        check_domconv(far_field_genfun(), IV, n_samples=n_samples, seed=1, segment_points=9)
+        # nine segment points, then the image midpoints
+        assert len(newton_rows) == 10
+
+
+def test_checks_survive_stencils_leaving_the_chart():
+    # finite-difference derivatives raise DomainError for a whole batch when
+    # one row's stencil leaves the chart.  Such a configuration is a failed
+    # segment point or a skip, as when the checks ran one configuration at
+    # a time (these counts are that implementation's), not an abort.
+    gf = make_builtin("quasilinear", cost=bent_cost)
+    dom = check_domconv(gf, (-0.5, 0.5), n_samples=6, seed=1)
+    assert (dom.n_samples, dom.skipped, dom.constants["segment_failures"]) == (12, 0, 4)
+    assert dom.witness["kind"] == "segment_not_well_defined"
+    assert dom.witness["failures"] == [0.0625, 0.125, 0.875]
+    qq = check_qqconv(gf, (-0.5, 0.5), n_samples=4, seed=2)
+    assert (qq.n_samples, qq.skipped) == (0, 4)
 
 
 def test_mtw_cross_validation_far_field(intervals):
@@ -360,14 +399,24 @@ def test_qqconv_interval_monotonicity():
     gf = make_builtin("parallel_beam")
     s_grid = np.linspace(0.0, 1.0, 11)
     sp_grid = np.linspace(0.0, 0.9, 11)
+    grid = np.unique(np.concatenate([s_grid, sp_grid]))
+    idx = (np.searchsorted(grid, s_grid), np.searchsorted(grid, sp_grid))
     m_wide = 1.0
     m_narrow = 1.0
     for t in range(40):
         xs, xbs, us, zs = sample_admissible(gf, (0.6, 1.4), 4, seed=300 + t)
         if len(xs) < 2 or len(xbs) < 2:
             continue
-        fit, viol, skip = _qq_single(gf, xs[0], xs[1], xbs[0], xbs[1],
-                                     float(zs[0]), s_grid, sp_grid, gf.tols)
+        try:
+            z1 = gf.inverse(xs[0], xbs[1], gf.value(xs[0], xbs[0], zs[0]))
+            seg = g_segment(gf, "source", (xs[0], xs[1]), (xbs[0], float(zs[0])),
+                            s_grid=grid)
+        except GjekitError:
+            continue
+        if not seg.well_defined:
+            continue
+        fit, viol, skip = _qq_single(gf, xs[0], xs[1], xbs[0], xbs[1], float(zs[0]),
+                                     z1, seg.points, grid, *idx, gf.tols)
         if skip or viol is not None:
             continue
         m_wide = max(m_wide, fit)
