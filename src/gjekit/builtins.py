@@ -375,7 +375,9 @@ class QuasilinearGF(GenFun):
                 & np.isfinite(z) & self.cost.domain_ok(x, xb))
 
     def _h_closed(self, x, xb, u):
-        return -self.cost.value(x, xb) - u
+        # rows outside cost.domain_ok come out non-finite and fail admissibility
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -self.cost.value(x, xb) - u
 
     def descriptor(self):
         d = super().descriptor()

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RowStatus, raise_for_status
-from .genfun import GenFun, stencil_rows
+from .genfun import GenFun, raise_for_nan
 
 __all__ = [
     "e_matrix", "p_map", "pbar_map", "pbar_rows", "exp_source", "exp_target",
@@ -60,6 +60,8 @@ def e_matrix(gf: GenFun, x, xbar, z, adjoint=False, check=True):
     Gb = gf.d_xbar(x, xbar, z)
     Gz = gf.g_z(x, xbar, z)
     E = Gxb - Gxz[:, :, None] * Gb[:, None, :] / Gz[:, None, None]
+    if check:
+        raise_for_nan(E, f"{gf.name}: e_matrix")
     if adjoint:
         E = np.swapaxes(E, 1, 2)
     return E[0] if single else E
@@ -72,6 +74,8 @@ def p_map(gf: GenFun, xbar, z, x, check=True):
     if check and not np.all(gf._in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: p_map at inadmissible triple")
     p = -gf.d_xbar(x, xbar, z) / gf.g_z(x, xbar, z)[:, None]
+    if check:
+        raise_for_nan(p, f"{gf.name}: p_map")
     return p[0] if single else p
 
 
@@ -90,18 +94,16 @@ def pbar_rows(gf: GenFun, x, u, xbar):
     """Target coordinate map with a RowStatus per row instead of raising.
 
     Returns (pbar, z, status), batched: z = H(x, xbar, u) with the status
-    of ``GenFun.inverse_rows``, or DERIVATIVE_STENCIL where a
-    finite-difference dG/dx leaves the admissible set.  Failed rows carry
+    of ``GenFun.inverse_rows``, or DERIVATIVE_STENCIL where the stencil of
+    a finite-difference dG/dx leaves the admissible set.  Failed rows carry
     nan in pbar.
     """
     x, xbar, u, _ = gf._batch(x, xbar, u)
     z, status = gf.inverse_rows(x, xbar, u)
     pb = np.full((x.shape[0], gf.dim), np.nan)
-
-    def fill(rows):
-        pb[rows] = gf.d_x(x[rows], xbar[rows], z[rows])
-
-    status[stencil_rows(fill, np.flatnonzero(status == 0))] = RowStatus.DERIVATIVE_STENCIL
+    rows = status == 0
+    pb[rows] = gf.d_x(x[rows], xbar[rows], z[rows])
+    status[rows & np.isnan(pb).any(axis=1)] = RowStatus.DERIVATIVE_STENCIL
     return pb, z, status
 
 
@@ -405,9 +407,9 @@ class SegmentBatch:
 
     ``status`` is a RowStatus per row for its endpoints (INADMISSIBLE for a
     source endpoint outside the domain, the scalar-inverse code for a target
-    endpoint, DERIVATIVE_STENCIL where a finite-difference coordinate map
-    leaves the domain); ``ok[i, j]`` says whether row i inverted at
-    ``s_grid[j]``.
+    endpoint, DERIVATIVE_STENCIL where the stencil of a finite-difference
+    coordinate map leaves the domain); ``ok[i, j]`` says whether row i
+    inverted at ``s_grid[j]``.
     Rows with bad endpoints carry nan in ``p0``, ``p1`` and every point.
     """
 
@@ -429,9 +431,9 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
     along s in order, one batched exponential-map solve per grid point over
     the rows with admissible endpoints; each row starts from its own last
     successful point (its first endpoint at the start).  A row follows
-    exactly the iterates of its one-row segment; when a finite-difference
-    stencil leaves the domain, the step is solved row by row and only the
-    rows whose own stencil leaves fail at that point.
+    exactly the iterates of its one-row segment: a finite-difference
+    derivative is nan on the rows whose own stencil leaves the domain, so
+    only those rows see it.
     """
     tols = tols or gf.tols
     if s_grid is None:
@@ -453,13 +455,12 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
     if kind == "source":
         good = gf._in_domain(both, fixed2, scalar2)
         status = np.where(good[:k] & good[k:], 0, RowStatus.INADMISSIBLE).astype(np.int8)
-
-        def ends(rows):
-            two = np.concatenate([rows, rows + k])
-            p = p_map(gf, fixed2[two], scalar2[two], both[two], check=False)
-            p0[rows], p1[rows] = p[:rows.size], p[rows.size:]
-
-        status[stencil_rows(ends, np.flatnonzero(status == 0))] = RowStatus.DERIVATIVE_STENCIL
+        rows = np.flatnonzero(status == 0)
+        two = np.concatenate([rows, rows + k])
+        p = p_map(gf, fixed2[two], scalar2[two], both[two], check=False).reshape(2, rows.size, n)
+        left = np.isnan(p).any(axis=(0, 2))
+        status[rows[left]] = RowStatus.DERIVATIVE_STENCIL
+        p0[rows[~left]], p1[rows[~left]] = p[0, ~left], p[1, ~left]
         pts = np.full((k, m, gf.source_chart.embdim), np.nan)
         zs = None
     elif kind == "target":
@@ -477,25 +478,20 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
     if live.size == 0:
         return batch
     prev = a.copy()
-
-    def step(rows, j, s):
-        p = (1.0 - s) * p0[rows] + s * p1[rows]
+    for j, s in enumerate(s_grid):
+        p = (1.0 - s) * p0[live] + s * p1[live]
         if kind == "source":
-            x, st = exp_source(gf, fixed[rows], scalar[rows], p, x_guess=prev[rows],
+            x, st = exp_source(gf, fixed[live], scalar[live], p, x_guess=prev[live],
                                tols=tols, return_status=True)
         else:
-            x, zz, st = exp_target(gf, fixed[rows], scalar[rows], p, xbar_guess=prev[rows],
-                                   z_guess=prev_z[rows], tols=tols, return_status=True)
+            x, zz, st = exp_target(gf, fixed[live], scalar[live], p, xbar_guess=prev[live],
+                                   z_guess=prev_z[live], tols=tols, return_status=True)
         done = st == 0
-        rows = rows[done]
+        rows = live[done]
         prev[rows] = pts[rows, j] = x[done]
         if zs is not None:
             prev_z[rows] = zs[rows, j] = zz[done]
         ok[rows, j] = True
-
-    # a row whose own derivative stencil leaves the domain fails at that s
-    for j, s in enumerate(s_grid):
-        stencil_rows(step, live, j, s)
     return batch
 
 

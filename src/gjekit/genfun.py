@@ -11,7 +11,9 @@ Derivatives are taken with respect to *chart coordinates*.  A subclass may
 supply analytic derivatives in the embedding space (``_ed_*`` hooks); the
 base class chain-rules them through the chart jacobians.  Anything not
 supplied analytically falls back to central finite differences with one
-Richardson extrapolation level.
+Richardson extrapolation level.  A finite-difference derivative is
+row-wise: a row whose stencil leaves the admissible set comes back nan,
+and the other rows keep the bits of their one-row calls.
 
 All evaluators are vectorized over a leading batch axis and pure; GenFun
 instances are immutable after construction and safe to share across
@@ -80,7 +82,9 @@ class GenFun:
     points) and may provide analytic embedded derivatives ``_ed_x``,
     ``_ed_xbar``, ``_eg_z``, ``_eg_zz``, ``_ed_x_xbar``, ``_ed_x_z``,
     ``_ed_xbar_z``, ``_ed2_x``, ``_ed2_xbar`` plus a closed-form scalar
-    inverse ``_h_closed``.
+    inverse ``_h_closed``.  The derivatives ``d_x`` ... ``d2_xbar`` a
+    subclass leaves to finite differences never raise for a stencil that
+    leaves the admissible set: that row is nan.
     """
 
     name = "genfun"
@@ -240,7 +244,7 @@ class GenFun:
         if getattr(self, "_eg_z", None) is not None:
             v = self._eg_z(x, xbar, z)
         else:
-            v = _fd_z(self, x, xbar, z, order=1)
+            v = _fd(self, x, xbar, z, "g_z")
         return float(v[0]) if single else v
 
     def g_zz(self, x, xbar, z):
@@ -248,7 +252,7 @@ class GenFun:
         if getattr(self, "_eg_zz", None) is not None:
             v = self._eg_zz(x, xbar, z)
         else:
-            v = _fd_z(self, x, xbar, z, order=2)
+            v = _fd(self, x, xbar, z, "g_zz")
         return float(v[0]) if single else v
 
     def d_x_xbar(self, x, xbar, z):
@@ -259,7 +263,7 @@ class GenFun:
             M = self._ed_x_xbar(x, xbar, z)
             out = np.einsum("mai,mab,mbj->mij", Jx, M, Jb)
         else:
-            out = _fd_mixed_x_xbar(self, x, xbar, z)
+            out = _fd(self, x, xbar, z, "d_x_xbar")
         return out[0] if single else out
 
     def d_x_z(self, x, xbar, z):
@@ -268,7 +272,7 @@ class GenFun:
             Jx = self.source_chart.jacobian(self.source_chart.coords(x))
             out = np.einsum("mai,ma->mi", Jx, self._ed_x_z(x, xbar, z))
         else:
-            out = _fd_mixed_z(self, x, xbar, z, wrt="x")
+            out = _fd(self, x, xbar, z, "d_x_z")
         return out[0] if single else out
 
     def d_xbar_z(self, x, xbar, z):
@@ -277,7 +281,7 @@ class GenFun:
             Jb = self.target_chart.jacobian(self.target_chart.coords(xbar))
             out = np.einsum("mai,ma->mi", Jb, self._ed_xbar_z(x, xbar, z))
         else:
-            out = _fd_mixed_z(self, x, xbar, z, wrt="xbar")
+            out = _fd(self, x, xbar, z, "d_xbar_z")
         return out[0] if single else out
 
     def d2_x(self, x, xbar, z):
@@ -295,7 +299,7 @@ class GenFun:
             J = chart.jacobian(chart.coords(pt))
             out = np.einsum("mai,ma->mi", J, hook(x, xbar, z))
         else:
-            out = _fd_first(self, x, xbar, z, wrt)
+            out = _fd(self, x, xbar, z, "d_" + wrt)
         return out[0] if single else out
 
     def _chart_second(self, x, xbar, z, wrt):
@@ -313,7 +317,7 @@ class GenFun:
             out = (np.einsum("mai,mab,mbj->mij", J, M, J)
                    + np.einsum("ma,maij->mij", g, Hc))
         else:
-            out = _fd_second(self, x, xbar, z, wrt)
+            out = _fd(self, x, xbar, z, "d2_" + wrt)
         return out[0] if single else out
 
     def descriptor(self):
@@ -324,41 +328,35 @@ class GenFun:
 
 
 # ---------------------------------------------------------------------------
-# finite-difference engine (chart coordinates, one Richardson level)
+# finite-difference engine (joint chart coordinates, one Richardson level)
 # ---------------------------------------------------------------------------
 
-
-def stencil_rows(fill, rows, *args):
-    """Run ``fill(rows, *args)`` over a batch, row by row if the batch raises.
-
-    A finite-difference derivative raises DomainError for the whole batch
-    when the stencil of one row leaves the admissible set.  Each row then
-    runs alone, so only the rows whose own stencil leaves fail.  ``fill``
-    writes its results for the rows it is given, and nothing when it
-    raises.  Returns the rows that raise on their own.
-    """
-    try:
-        fill(rows, *args)
-        return rows[:0]
-    except DomainError:
-        pass
-    failed = []
-    for i in rows:
-        try:
-            fill(np.array([i]), *args)
-        except DomainError:
-            failed.append(i)
-    return np.array(failed, dtype=np.intp)
+# the chart-coordinate groups each derivative differentiates along
+_FD_AXES = {"d_x": ("x",), "d_xbar": ("xbar",), "g_z": ("z",), "g_zz": ("z", "z"),
+            "d_x_xbar": ("x", "xbar"), "d_x_z": ("x", "z"), "d_xbar_z": ("xbar", "z"),
+            "d2_x": ("x", "x"), "d2_xbar": ("xbar", "xbar")}
 
 
-def _chart_eval(gf, cx, cxbar, z, require_domain=True):
-    x = gf.source_chart.embed(cx)
-    xb = gf.target_chart.embed(cxbar)
-    if require_domain:
-        ok = gf._in_domain(x, xb, z)
-        if not np.all(ok):
-            raise DomainError(f"{gf.name}: finite-difference stencil exits the admissible set")
-    return gf._value(x, xb, z)
+def raise_for_nan(values, what):
+    """Return ``values``; raise DomainError if some row holds a nan, the mark
+    of a finite-difference stencil that left the admissible set."""
+    if np.isnan(values).any():
+        raise DomainError(f"{what}: finite-difference stencil exits the admissible set")
+    return values
+
+
+def _chart_eval(gf, w, ok):
+    """G at the joint chart coordinates w = (x, xbar, z), evaluated on the
+    admissible rows only; the others get nan and are cleared in ``ok``."""
+    n = gf.dim
+    x = gf.source_chart.embed(w[:, :n])
+    xb = gf.target_chart.embed(w[:, n:2 * n])
+    z = w[:, 2 * n]
+    inside = gf._in_domain(x, xb, z)
+    ok[~inside] = False
+    v = np.full(w.shape[0], np.nan)
+    v[inside] = gf._value(x[inside], xb[inside], z[inside])
+    return v
 
 
 def _steps(c, scale):
@@ -369,137 +367,65 @@ def _richardson(coarse, fine):
     return (4.0 * fine - coarse) / 3.0
 
 
-def _fd_first(gf, x, xbar, z, wrt):
-    chart = gf.source_chart if wrt == "x" else gf.target_chart
-    cx = gf.source_chart.coords(x)
-    cb = gf.target_chart.coords(xbar)
-    c = cx if wrt == "x" else cb
-    n = chart.dim
-    out = np.empty((c.shape[0], n))
-    for i in range(n):
-        h = _steps(c[:, i], _H1)
+def _fd(gf, x, xbar, z, which):
+    """Finite-difference derivative ``which`` (a GenFun derivative name) of
+    a batch, nan on the rows whose stencil leaves the admissible set.
 
-        def diff(step):
-            cp = c.copy(); cp[:, i] += step
-            cm = c.copy(); cm[:, i] -= step
-            args_p = (cp, cb) if wrt == "x" else (cx, cp)
-            args_m = (cm, cb) if wrt == "x" else (cx, cm)
-            return (_chart_eval(gf, *args_p, z) - _chart_eval(gf, *args_m, z)) / (2 * step)
+    Works over the joint chart coordinates w = (x, xbar, z): a central
+    first difference with steps ``_H1``, or a pure or four-point mixed
+    second difference with steps ``_H2``, each with one Richardson level.
+    """
+    n = gf.dim
+    w = np.column_stack([gf.source_chart.coords(x), gf.target_chart.coords(xbar), z])
+    m = w.shape[0]
+    ok = np.ones(m, dtype=bool)
 
-        out[:, i] = _richardson(diff(h), diff(h / 2))
-    return out
+    def f(*shifts):  # G at w moved by (axis, step) pairs
+        ws = w.copy()
+        for k, s in shifts:
+            ws[:, k] += s
+        return _chart_eval(gf, ws, ok)
 
+    def first(k, h):
+        return (f((k, h)) - f((k, -h))) / (2 * h)
 
-def _fd_z(gf, x, xbar, z, order):
-    h = _steps(z, _H1 if order == 1 else _H2)
-    f = lambda dz: _chart_eval(gf, gf.source_chart.coords(x), gf.target_chart.coords(xbar), z + dz)
-    if order == 1:
-        diff = lambda s: (f(s) - f(-s)) / (2 * s)
+    def pure(k, h):
+        return (f((k, h)) - 2 * f0 + f((k, -h))) / (h * h)
+
+    def mixed(k, l, hk, hl):
+        vals = 0.0
+        for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+            vals = vals + a * b * f((k, a * hk), (l, b * hl))
+        return vals / (4 * hk * hl)
+
+    groups = {"x": range(n), "xbar": range(n, 2 * n), "z": range(2 * n, 2 * n + 1)}
+    axes = [groups[g] for g in _FD_AXES[which]]
+    if len(axes) == 1:
+        out = np.empty((m, len(axes[0])))
+        for i, k in enumerate(axes[0]):
+            h = _steps(w[:, k], _H1)
+            out[:, i] = _richardson(first(k, h), first(k, h / 2))
     else:
-        f0 = f(np.zeros_like(z))
-        diff = lambda s: (f(s) - 2 * f0 + f(-s)) / (s * s)
-    return _richardson(diff(h), diff(h / 2))
-
-
-def _fd_second(gf, x, xbar, z, wrt):
-    chart = gf.source_chart if wrt == "x" else gf.target_chart
-    cx = gf.source_chart.coords(x)
-    cb = gf.target_chart.coords(xbar)
-    c = (cx if wrt == "x" else cb)
-    n = chart.dim
-    m = c.shape[0]
-    out = np.empty((m, n, n))
-
-    def val(cc):
-        return _chart_eval(gf, cc if wrt == "x" else cx, cb if wrt == "x" else cc, z)
-
-    f0 = val(c)
-    for i in range(n):
-        hi = _steps(c[:, i], _H2)
-
-        def pure(s):
-            cp = c.copy(); cp[:, i] += s
-            cm = c.copy(); cm[:, i] -= s
-            return (val(cp) - 2 * f0 + val(cm)) / (s * s)
-
-        out[:, i, i] = _richardson(pure(hi), pure(hi / 2))
-        for j in range(i + 1, n):
-            hj = _steps(c[:, j], _H2)
-
-            def cross(si, sj):
-                vals = 0.0
-                for a, bsign in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                    cc = c.copy()
-                    cc[:, i] += a * si
-                    cc[:, j] += bsign * sj
-                    vals = vals + a * bsign * val(cc)
-                return vals / (4 * si * sj)
-
-            v = _richardson(cross(hi, hj), cross(hi / 2, hj / 2))
-            out[:, i, j] = v
-            out[:, j, i] = v
-    return out
-
-
-def _fd_mixed_x_xbar(gf, x, xbar, z):
-    cx = gf.source_chart.coords(x)
-    cb = gf.target_chart.coords(xbar)
-    n = gf.dim
-    out = np.empty((cx.shape[0], n, n))
-    for i in range(n):
-        hi = _steps(cx[:, i], _H2)
-        for j in range(n):
-            hj = _steps(cb[:, j], _H2)
-
-            def cross(si, sj):
-                vals = 0.0
-                for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                    cxp = cx.copy(); cxp[:, i] += a * si
-                    cbp = cb.copy(); cbp[:, j] += b * sj
-                    vals = vals + a * b * _chart_eval(gf, cxp, cbp, z)
-                return vals / (4 * si * sj)
-
-            out[:, i, j] = _richardson(cross(hi, hj), cross(hi / 2, hj / 2))
-    return out
-
-
-def _fd_mixed_z(gf, x, xbar, z, wrt):
-    cx = gf.source_chart.coords(x)
-    cb = gf.target_chart.coords(xbar)
-    c = cx if wrt == "x" else cb
-    n = gf.dim
-    hz = _steps(z, _H2)
-    out = np.empty((c.shape[0], n))
-    for i in range(n):
-        hi = _steps(c[:, i], _H2)
-
-        def cross(si, sz):
-            vals = 0.0
-            for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
-                cc = c.copy(); cc[:, i] += a * si
-                args = (cc, cb) if wrt == "x" else (cx, cc)
-                vals = vals + a * b * _chart_eval(gf, *args, z + b * sz)
-            return vals / (4 * si * sz)
-
-        out[:, i] = _richardson(cross(hi, hz), cross(hi / 2, hz / 2))
+        f0 = f() if axes[0] == axes[1] else None  # pure entries only
+        out = np.empty((m, len(axes[0]), len(axes[1])))
+        for i, k in enumerate(axes[0]):
+            hk = _steps(w[:, k], _H2)
+            for j, l in enumerate(axes[1]):
+                hl = _steps(w[:, l], _H2)
+                if k == l:
+                    out[:, i, j] = _richardson(pure(k, hk), pure(k, hk / 2))
+                elif l in axes[0] and l < k:  # the mirror of a computed entry
+                    out[:, i, j] = out[:, j, i]
+                else:
+                    out[:, i, j] = _richardson(mixed(k, l, hk, hl), mixed(k, l, hk / 2, hl / 2))
+    out = out.reshape((m,) + tuple(n for g in _FD_AXES[which] if g != "z"))
+    out[~ok] = np.nan
     return out
 
 
 # ---------------------------------------------------------------------------
 # spec-level convenience wrappers
 # ---------------------------------------------------------------------------
-
-_DERIV_IDS = {
-    "d_x": lambda gf, x, xb, z: _fd_first(gf, *gf._batch(x, xb, z)[:3], "x"),
-    "d_xbar": lambda gf, x, xb, z: _fd_first(gf, *gf._batch(x, xb, z)[:3], "xbar"),
-    "g_z": lambda gf, x, xb, z: _fd_z(gf, *gf._batch(x, xb, z)[:3], order=1),
-    "g_zz": lambda gf, x, xb, z: _fd_z(gf, *gf._batch(x, xb, z)[:3], order=2),
-    "d_x_xbar": lambda gf, x, xb, z: _fd_mixed_x_xbar(gf, *gf._batch(x, xb, z)[:3]),
-    "d_x_z": lambda gf, x, xb, z: _fd_mixed_z(gf, *gf._batch(x, xb, z)[:3], wrt="x"),
-    "d_xbar_z": lambda gf, x, xb, z: _fd_mixed_z(gf, *gf._batch(x, xb, z)[:3], wrt="xbar"),
-    "d2_x": lambda gf, x, xb, z: _fd_second(gf, *gf._batch(x, xb, z)[:3], wrt="x"),
-    "d2_xbar": lambda gf, x, xb, z: _fd_second(gf, *gf._batch(x, xb, z)[:3], wrt="xbar"),
-}
 
 
 def eval_G(gf: GenFun, x, xbar, z) -> float:
@@ -516,13 +442,14 @@ def finite_diff_derivatives(gf: GenFun, which: str, x, xbar, z):
     """Finite-difference derivative of G, bypassing analytic overrides.
 
     ``which`` is one of d_x, d_xbar, g_z, g_zz, d_x_xbar, d_x_z, d_xbar_z,
-    d2_x, d2_xbar.  Raises DomainError if the stencil leaves the admissible
-    set.
+    d2_x, d2_xbar.  Raises DomainError if the point or a stencil point
+    leaves the admissible set; the batched derivatives return a nan row
+    there instead.
     """
-    if which not in _DERIV_IDS:
-        raise ValueError(f"unknown derivative id {which!r}; valid: {sorted(_DERIV_IDS)}")
+    if which not in _FD_AXES:
+        raise ValueError(f"unknown derivative id {which!r}; valid: {sorted(_FD_AXES)}")
     if not gf.in_domain(x, xbar, z):
         raise DomainError(f"{gf.name}: point not admissible")
-    out = _DERIV_IDS[which](gf, x, xbar, z)
+    out = raise_for_nan(_fd(gf, *gf._batch(x, xbar, z)[:3], which), gf.name)
     single = np.asarray(x).ndim == 1
     return out[0] if single else out

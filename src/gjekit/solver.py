@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, InfeasibleError, MonotonicityError, StallError
 from .gconvex import Envelope
+from .genfun import raise_for_nan
 from .grids import DomainGrid
 from . import kernels
 
@@ -247,9 +248,9 @@ def solve(problem: SemiDiscreteProblem):
     k0_hat = 0.0
     for i in range(n):
         sub = problem.grid.points[::7]
-        dd = gf.d_x(sub, np.broadcast_to(problem.targets[i],
-                                         (sub.shape[0], problem.targets.shape[1])).copy(),
-                    np.full(sub.shape[0], z_anchor[i]))
+        xb = np.broadcast_to(problem.targets[i], (sub.shape[0], problem.targets.shape[1]))
+        dd = raise_for_nan(gf.d_x(sub, xb.copy(), np.full(sub.shape[0], z_anchor[i])),
+                           f"{gf.name}: K0")
         k0_hat = max(k0_hat, float(np.max(np.linalg.norm(dd, axis=1))))
     undershoot = 2.2 * k0_hat * problem.grid.chart.diameter() + 1e-6
     lo_u = max(problem.anchor_u - undershoot,

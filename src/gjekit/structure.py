@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, RowStatus
 from .expmaps import e_matrix, exp_source, exp_target, g_segment_batch, p_map, pbar_rows
-from .genfun import GenFun, stencil_rows
+from .genfun import GenFun, raise_for_nan
 
 __all__ = [
     "ConditionReport", "a_matrix", "g3w_form", "g3w_dual_form", "g3w_batch",
@@ -166,7 +166,7 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
         xb_k, z_k = xb_net[ok], z_net[ok]
         if len(xb_k) >= 8:
             out = np.column_stack([
-                gf.d_x(x0s[ok], xb_k, z_k),
+                raise_for_nan(gf.d_x(x0s[ok], xb_k, z_k), f"{gf.name}: twist"),
                 gf.value(x0s[ok], xb_k, z_k, check=False)])
             cin = np.column_stack([gf.target_chart.coords(xb_k), z_k])
             r, wit = _min_sep_ratio(out, cin)
@@ -181,7 +181,7 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
         ok = gf._in_domain(xs, xb0s, np.full(len(xs), z0))
         x_k = xs[ok]
         if len(x_k) >= 8:
-            p = p_map(gf, xb0s[ok], np.full(len(x_k), z0), x_k, check=False)
+            p = p_map(gf, xb0s[ok], np.full(len(x_k), z0), x_k)
             cin = gf.source_chart.coords(x_k)
             r, wit = _min_sep_ratio(p, cin)
             total += len(x_k)
@@ -222,7 +222,7 @@ def check_unif_lip(gf: GenFun, interval, n_samples=2000, seed=0) -> ConditionRep
                "reason": "no admissible z"}
     k0 = 0.0
     if np.any(ok):
-        d = gf.d_x(xs[ok], xbs[ok], zs[ok])
+        d = raise_for_nan(gf.d_x(xs[ok], xbs[ok], zs[ok]), f"{gf.name}: K0")
         k0 = float(np.max(np.linalg.norm(d, axis=1)))
     margin = 0.0 if bad is None else -1.0
     return ConditionReport.build(
@@ -271,13 +271,10 @@ def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
                           np.concatenate([xbs[:, 0], xbs[:, 1]]))
     xb_mid = np.full(xbs[:, 0].shape, np.nan)
     mid_ok = np.zeros(k, dtype=bool)
-
-    def midpoints(rows):
-        xb, _, status = exp_target(gf, x[rows], u[rows], 0.5 * (pb[rows] + pb[rows + k]),
-                                   xbar_guess=xbs[rows, 0], return_status=True)
-        xb_mid[rows], mid_ok[rows] = xb, status == 0
-
-    stencil_rows(midpoints, np.flatnonzero((st[:k] == 0) & (st[k:] == 0)))
+    rows = np.flatnonzero((st[:k] == 0) & (st[k:] == 0))
+    xb, _, status = exp_target(gf, x[rows], u[rows], 0.5 * (pb[rows] + pb[rows + k]),
+                               xbar_guess=xbs[rows, 0], return_status=True)
+    xb_mid[rows], mid_ok[rows] = xb, status == 0
     dual_total = int(np.sum(mid_ok))
     skipped += n_skip + k - dual_total
     dual_fails = 0
@@ -308,7 +305,7 @@ def _snap_dir(v, snap=1e-12):
 def a_matrix(gf: GenFun, x, pbar, u, xbar_guess=None):
     """Second x-derivative of G composed with the target exponential map."""
     xbar, z = exp_target(gf, x, u, pbar, xbar_guess=xbar_guess)
-    return gf.d2_x(x, xbar, z)
+    return raise_for_nan(gf.d2_x(x, xbar, z), f"{gf.name}: a_matrix")
 
 
 # stencil points of the fourth-order form, in units of the step h
@@ -372,16 +369,14 @@ def _tensor_rows(gf, base, V, eta, hessian_at, names):
 def _hessian_rows(gf, fn, x, xbar, z, status):
     """fn(x, xbar, z), a batch of n x n matrices, on the rows whose status is OK.
 
-    A finite-difference derivative raises DomainError for the whole batch
-    when one row's stencil leaves the admissible set; that row then fails
-    with DERIVATIVE_STENCIL.  Returns (A, status), A nan on failed rows.
+    A finite-difference derivative is nan on the rows whose stencil leaves
+    the admissible set; those rows fail with DERIVATIVE_STENCIL.  Returns
+    (A, status), A nan on failed rows.
     """
     A = np.full((status.size, gf.dim, gf.dim), np.nan)
-
-    def fill(rows):
-        A[rows] = fn(x[rows], xbar[rows], z[rows])
-
-    status[stencil_rows(fill, np.flatnonzero(status == 0))] = RowStatus.DERIVATIVE_STENCIL
+    rows = status == 0
+    A[rows] = fn(x[rows], xbar[rows], z[rows])
+    status[rows & np.isnan(A).any(axis=(1, 2))] = RowStatus.DERIVATIVE_STENCIL
     return A, status
 
 
@@ -509,7 +504,8 @@ def _sweep_rows(gf: GenFun, interval, n_base, n_pairs, seed, dual):
                 "Vbar": V, "etabar": eta, "x_guess": xs[base]}
         vals, status = g3w_dual_batch(gf, **rows)
     else:
-        rows = {"x": xs[base], "pbar": gf.d_x(xs, xbs, zs)[base], "u": us[base],
+        pbar = raise_for_nan(gf.d_x(xs, xbs, zs), f"{gf.name}: g3w bases")
+        rows = {"x": xs[base], "pbar": pbar[base], "u": us[base],
                 "V": V, "eta": eta, "xbar_guess": xbs[base]}
         vals, status = g3w_batch(gf, **rows)
     return rows, vals, status

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gjekit import expmaps
 from gjekit.builtins import make_builtin
 from gjekit.demos import TEST_INTERVALS
 from gjekit.errors import GjekitError
@@ -31,6 +32,20 @@ def bent_cost(x, xb):
     Its source segments bend out of the box: Newton iterates clip to the
     edge, where a derivative stencil leaves the chart."""
     return -(xb[0] * (x[0] + 1.5 * x[1] ** 2) + xb[1] * x[1])
+
+
+@pytest.fixture
+def newton_rows(monkeypatch):
+    """The batch size of every Newton solve made while the test runs."""
+    calls = []
+    newton = expmaps._newton
+
+    def counting(*args):
+        calls.append(args[1].shape[0])
+        return newton(*args)
+
+    monkeypatch.setattr(expmaps, "_newton", counting)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -339,8 +339,8 @@ def test_segment_endpoint_errors():
 
 
 def test_segment_with_a_stencil_leaving_the_chart():
-    # a finite-difference derivative raises DomainError for the whole batch
-    # when one row's stencil leaves the chart; only that row may fail
+    # a finite-difference derivative is nan on the rows whose stencil
+    # leaves the chart; only those rows may fail
     gf = make_builtin("quasilinear", cost=bent_cost)
     xb, z = np.array([0.3, -0.2]), 0.1
     grid = np.linspace(0.0, 1.0, 9)
@@ -369,6 +369,15 @@ def test_segment_with_a_stencil_leaving_the_chart():
     assert batch.status.tolist() == [RowStatus.DERIVATIVE_STENCIL, 0]
     with pytest.raises(DomainError):
         g_segment(gf, "target", (xb, -xb), (edge, 0.1), s_grid=grid)
+
+
+def test_segment_batch_reruns_no_row_whose_stencil_leaves(newton_rows):
+    # the bent and inner rows above: one batched solve per grid point
+    gf = make_builtin("quasilinear", cost=bent_cost)
+    xb, z = np.array([0.3, -0.2]), 0.1
+    g_segment_batch(gf, "source", [[0.9, -0.9], [0.2, -0.3]], [[0.9, 0.9], [0.3, 0.3]],
+                    ([xb, xb], [z, z]), s_grid=np.linspace(0.0, 1.0, 9))
+    assert newton_rows == [2] * 9
 
 
 def test_jacobian_identity(builtins_all, intervals):

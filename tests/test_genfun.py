@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import bisect
 
-from conftest import sample_admissible
+from conftest import bent_cost, sample_admissible
 from gjekit.builtins import GridCost, GridSurface, make_builtin
 from gjekit.charts import BoxChart, PlaneChart, SphereChart
+from gjekit.demos import far_field_genfun
 from gjekit.errors import ConfigError, DomainError, RangeError, RowStatus
 from gjekit.expmaps import exp_target
 from gjekit.genfun import GenFun, ScalarRange, eval_G, eval_H, finite_diff_derivatives
@@ -207,6 +211,109 @@ def test_analytic_vs_finite_difference(name, builtins_all, intervals):
             scale = max(np.max(np.abs(fd)), np.max(np.abs(ana)))
             # absolute floor covers derivatives that vanish identically
             assert np.max(np.abs(ana - fd)) <= 1e-5 * scale + 1e-7, (name, which, i)
+
+
+# float.hex() of every finite-difference derivative, entries in row-major
+# order, at two fixed triples (source chart coords, target chart coords, z)
+# of the bent instance and of point_source (sphere source chart)
+_FD_TRIPLES = {
+    "bent": [([0.2, -0.3], [0.3, 0.3], 0.1), ([-0.7, 0.6], [0.5, -0.8], -0.4)],
+    "point_source": [([0.1, -0.2], [0.3, 0.2], 0.5), ([0.3, 0.25], [-0.4, 0.1], 0.55)],
+}
+_FD_PINS = {
+    ("bent", 0, "d_x"): "0x1.33333333396a1p-2 0x1.eb851eb8ed015p-6",
+    ("bent", 0, "d_xbar"): "0x1.570a3d70afc35p-2 -0x1.33333333396a1p-2",
+    ("bent", 0, "g_z"): "-0x1.0000000000b2ep+0",
+    ("bent", 0, "g_zz"): "0x0.0p+0",
+    ("bent", 0, "d_x_xbar"): "0x1.0000000500000p+0 0x0.0p+0 -0x1.ccccccd155555p-1 0x1.fffffff555555p-1",
+    ("bent", 0, "d_x_z"): "0x0.0p+0 0x0.0p+0",
+    ("bent", 0, "d_xbar_z"): "0x0.0p+0 0x0.0p+0",
+    ("bent", 0, "d2_x"): "0x1.5555555555555p-32 -0x1.6aaaaaaaaaaabp-30 -0x1.6aaaaaaaaaaabp-30 0x1.cccccc9000000p-1",
+    ("bent", 0, "d2_xbar"): "0x1.5555555555555p-32 0x0.0p+0 0x0.0p+0 -0x1.5555555555555p-32",
+    ("bent", 1, "d_x"): "0x1.ffffffff77a57p-2 0x1.9999999982870p-4",
+    ("bent", 1, "d_xbar"): "-0x1.47ae147aef137p-3 0x1.333333331474dp-1",
+    ("bent", 1, "g_z"): "-0x1.0000000009191p+0",
+    ("bent", 1, "g_zz"): "0x0.0p+0",
+    ("bent", 1, "d_x_xbar"): "0x1.0000000000000p+0 0x0.0p+0 0x1.ccccccbd55555p+0 0x1.0000002800000p+0",
+    ("bent", 1, "d_x_z"): "0x0.0p+0 0x0.0p+0",
+    ("bent", 1, "d_xbar_z"): "0x0.0p+0 0x0.0p+0",
+    ("bent", 1, "d2_x"): "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x1.8000001555555p+0",
+    ("bent", 1, "d2_xbar"): "0x0.0p+0 -0x1.4000000000000p-27 -0x1.4000000000000p-27 0x1.5555555555555p-29",
+    ("point_source", 0, "d_x"): "0x1.ad46e64ee7f59p-7 -0x1.a1d3de2d6ebe7p-7",
+    ("point_source", 0, "d_xbar"): "0x1.bd156ff3dec13p-5 0x1.03fecc1b08f67p-5",
+    ("point_source", 0, "g_z"): "0x1.d99d5d68995c8p+0",
+    ("point_source", 0, "g_zz"): "0x1.561fd60000000p+1",
+    ("point_source", 0, "d_x_xbar"): "0x1.1522d55555555p-11 0x1.142cf6d555555p-3 -0x1.1481f52aaaaabp-3 -0x1.67aa555555555p-12",
+    ("point_source", 0, "d_x_z"): "0x1.cde6085555555p-5 -0x1.c1943faaaaaabp-5",
+    ("point_source", 0, "d_xbar_z"): "0x1.3be4e3e000000p-2 0x1.7dac89d555555p-3",
+    ("point_source", 0, "d2_x"): "-0x1.1d95a25555555p-3 0x1.7cc8255555555p-9 0x1.7cc8255555555p-9 -0x1.26824e5555555p-3",
+    ("point_source", 0, "d2_xbar"): "0x1.887e5b5555555p-4 0x1.6769faaaaaaabp-9 0x1.6769faaaaaaabp-9 0x1.7d8742aaaaaabp-4",
+    ("point_source", 1, "d_x"): "-0x1.33090daa19775p-5 0x1.5d2c51a916ff3p-6",
+    ("point_source", 1, "d_xbar"): "-0x1.7d58a681a733bp-4 0x1.00c14d35f4c79p-4",
+    ("point_source", 1, "g_z"): "0x1.00b4833ce635fp+1",
+    ("point_source", 1, "g_zz"): "0x1.88a4a86555555p+1",
+    ("point_source", 1, "d_x_xbar"): "0x1.460f300000000p-9 0x1.528e04c000000p-3 -0x1.56b9b18000000p-3 0x1.72d0555555555p-12",
+    ("point_source", 1, "d_x_z"): "-0x1.3237b19555555p-3 0x1.5c3e3c5555555p-4",
+    ("point_source", 1, "d_xbar_z"): "-0x1.025173faaaaabp-1 0x1.2225cd6aaaaabp-2",
+    ("point_source", 1, "d2_x"): "-0x1.9856e1aaaaaabp-3 -0x1.0556575555555p-6 -0x1.0556575555555p-6 -0x1.8c5c860000000p-3",
+    ("point_source", 1, "d2_xbar"): "0x1.2199e4aaaaaabp-3 -0x1.75e87aaaaaaabp-8 -0x1.75e87aaaaaaabp-8 0x1.0c8cf15555555p-3",
+}
+
+
+def test_fd_values_are_pinned():
+    gfs = {"bent": make_builtin("quasilinear", cost=bent_cost),
+           "point_source": make_builtin("point_source")}
+    for (name, t, which), pinned in _FD_PINS.items():
+        gf = gfs[name]
+        cx, cb, z = _FD_TRIPLES[name][t]
+        x = gf.source_chart.embed(np.array([cx]))[0]
+        xb = gf.target_chart.embed(np.array([cb]))[0]
+        v = np.ravel(finite_diff_derivatives(gf, which, x, xb, z))
+        assert " ".join(float(a).hex() for a in v) == pinned, (name, t, which)
+
+
+# the derivatives each instance takes by finite differences
+_FD_PUBLIC = {
+    "bent": (make_builtin("quasilinear", cost=bent_cost),
+             ["d_x", "d_xbar", "d_x_xbar", "d2_x", "d2_xbar"]),
+    "wiggly": (WigglyGF(), ALL_DERIVS),
+}
+# chart coordinates on or near the box edge, where some stencils leave
+_EDGE = st.sampled_from([-1.0, 1.0, 1.0 - 1e-5, -1.0 + 1e-5, 1.0 - 1e-3])
+_COORD = st.one_of(st.floats(-1.0, 1.0), _EDGE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_FD_PUBLIC)),
+       rows=st.lists(st.tuples(_COORD, _COORD, _COORD, _COORD, st.floats(-2.0, 2.0)),
+                     min_size=1, max_size=6))
+def test_fd_batch_rows_are_their_one_row_results(name, rows):
+    # a batch row is nan exactly where its one-row call raises, and equals
+    # its one-row result bit for bit elsewhere
+    gf, names = _FD_PUBLIC[name]
+    w = np.array(rows)
+    x, xb, z = w[:, :2], w[:, 2:4], w[:, 4]
+    for which in names:
+        batch = getattr(gf, which)(x, xb, z)
+        for i in range(w.shape[0]):
+            try:
+                one = finite_diff_derivatives(gf, which, x[i], xb[i], z[i])
+            except DomainError:
+                assert np.all(np.isnan(batch[i])), (which, i)
+                continue
+            assert np.asarray(batch[i]).tobytes() == np.asarray(one).tobytes(), (which, i)
+
+
+def test_inverse_rows_outside_the_cost_domain_emit_no_warning():
+    # <x, xbar> = 1: the far-field cost -log(1 - <x, xbar>) is infinite there
+    gf = far_field_genfun()
+    x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    xb = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, status = gf.inverse_rows(x, xb, np.array([0.1, 0.1]))
+    assert status.tolist() == [RowStatus.NO_ADMISSIBLE_Z, 0]
+    assert np.isnan(z[0]) and np.isfinite(z[1])
 
 
 # -- module invariants ------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bent_cost, sample_admissible
 from gjekit.builtins import make_builtin
-from gjekit import expmaps
 from gjekit.demos import (TEST_INTERVALS, far_field_genfun, folded_twist_genfun,
                           violator_genfun)
 from gjekit.errors import DomainError, GjekitError
@@ -212,20 +211,6 @@ def test_g3w_sweep_rows_equal_one_row_forms(case, seed, n_base, n_pairs, dual):
     assert rep.constants["min_value"] == (vals[ok].min() if ok.any() else np.inf)
 
 
-@pytest.fixture
-def newton_rows(monkeypatch):
-    """The batch size of every Newton solve made while the test runs."""
-    calls = []
-    newton = expmaps._newton
-
-    def counting(*args):
-        calls.append(args[1].shape[0])
-        return newton(*args)
-
-    monkeypatch.setattr(expmaps, "_newton", counting)
-    return calls
-
-
 @pytest.mark.parametrize("dual", [False, True])
 def test_g3w_sweep_is_five_batched_solves(newton_rows, dual):
     for n_base in (2, 12):
@@ -254,11 +239,19 @@ def test_domconv_is_one_batched_solve_per_segment_point(newton_rows):
         assert len(newton_rows) == 10
 
 
+def test_domconv_reruns_no_row_whose_stencil_leaves(newton_rows):
+    # seventeen segment points, then the image midpoints; a row whose
+    # stencil leaves the chart is not solved again on its own
+    check_domconv(make_builtin("quasilinear", cost=bent_cost), (-0.5, 0.5), n_samples=6,
+                  seed=1)
+    assert len(newton_rows) == 18
+
+
 def test_checks_survive_stencils_leaving_the_chart():
-    # finite-difference derivatives raise DomainError for a whole batch when
-    # one row's stencil leaves the chart.  Such a configuration is a failed
-    # segment point or a skip, as when the checks ran one configuration at
-    # a time (these counts are that implementation's), not an abort.
+    # a finite-difference derivative is nan on the rows whose stencil leaves
+    # the chart.  Such a configuration is a failed segment point or a skip,
+    # as when the checks ran one configuration at a time (these counts are
+    # that implementation's), not an abort.
     gf = make_builtin("quasilinear", cost=bent_cost)
     dom = check_domconv(gf, (-0.5, 0.5), n_samples=6, seed=1)
     assert (dom.n_samples, dom.skipped, dom.constants["segment_failures"]) == (12, 0, 4)
