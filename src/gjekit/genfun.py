@@ -442,13 +442,13 @@ def finite_diff_derivatives(gf: GenFun, which: str, x, xbar, z):
     """Finite-difference derivative of G, bypassing analytic overrides.
 
     ``which`` is one of d_x, d_xbar, g_z, g_zz, d_x_xbar, d_x_z, d_xbar_z,
-    d2_x, d2_xbar.  Raises DomainError if the point or a stencil point
+    d2_x, d2_xbar.  Raises DomainError if a row's point or stencil point
     leaves the admissible set; the batched derivatives return a nan row
     there instead.
     """
     if which not in _FD_AXES:
         raise ValueError(f"unknown derivative id {which!r}; valid: {sorted(_FD_AXES)}")
-    if not gf.in_domain(x, xbar, z):
+    if not np.all(gf.in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: point not admissible")
     out = raise_for_nan(_fd(gf, *gf._batch(x, xbar, z)[:3], which), gf.name)
     single = np.asarray(x).ndim == 1

@@ -25,7 +25,20 @@ current best by more than the tie tolerance, so ties go to the lowest index.
 The solver's mass oracle applies the same chained rule to one piece against
 frozen others (:func:`piece_mass`): piece i ends up with a cell exactly when
 it beats the chained best of the rows before it by more than ``tie`` and no
-row after it exceeds its value by more than ``tie``.
+row after it exceeds its value by more than ``tie``.  :class:`ScanChain` is
+the scan one row at a time, for a caller that carries it through rows it
+changes.
+
+That win rule is an up-set in the piece value, so value bounds over a
+height interval decide most cells for every height in it.
+:func:`np_value_bounds` gives per-cell bounds that enclose the closed form
+bit for bit: every correctly rounded operation is monotone in each
+argument, so the bounds apply the kernel's own operations, in its order, to
+interval endpoints.  :func:`win_split` turns them into the cells won and
+the cells still open over the interval.  A narrowed :func:`piece_mass` call
+(``sel=``) evaluates the open cells only and sums the weights of every won
+cell in cell order: the same array as a full-grid call, so the same mass
+bit for bit.
 """
 
 import numpy as np
@@ -91,25 +104,79 @@ def np_piece_values(tag, params, xs, xbar, z, basis=None):
     return np_basis_values(tag, params, basis, xbar, z)
 
 
+def np_value_bounds(tag, params, b, xbar, z1, z2):
+    """Per-cell (lo, hi) enclosing :func:`np_basis_values` over z in [z1, z2].
+
+    ``lo <= np_basis_values(tag, params, b, xbar, z) <= hi`` holds bit for
+    bit for every z in [z1, z2], because each correctly rounded operation
+    is monotone in each argument: the bounds repeat the kernel's operations
+    in its order on interval endpoints.  Returns None where no enclosure is
+    known (a height at or past a guard).
+    """
+    if tag in ("ql_bilinear", "ql_neglog", "ql_cubic"):
+        # fl(A(b) - z) falls with z
+        return (np_basis_values(tag, params, b, xbar, z2),
+                np_basis_values(tag, params, b, xbar, z1))
+    if not z1 > 0.0:
+        return None
+    if tag == "minkowski":
+        # z b for b > 0 grows with z; -inf elsewhere at every z
+        return (np_basis_values(tag, params, b, xbar, z1),
+                np_basis_values(tag, params, b, xbar, z2))
+    if tag == "pb_zero":
+        # 0.5 (1/z - z b), then -inf below 0 (a monotone cut)
+        zb1, zb2 = z1 * b, z2 * b
+        lo = 0.5 * (1.0 / z2 - np.maximum(zb1, zb2))
+        hi = 0.5 * (1.0 / z1 - np.minimum(zb1, zb2))
+        lo[lo < 0.0] = -np.inf
+        hi[hi < 0.0] = -np.inf
+        return lo, hi
+    if tag == "point_source":
+        t2 = float(xbar @ xbar)
+        if not (0.25 * z1 * z1 * t2 < 1.0 and 0.25 * z2 * z2 * t2 < 1.0):
+            return None
+        # N = z - b c with c = 0.5 z^2 rising in z, over q = 1 - 0.25 z^2 t2
+        # falling in z and positive; N / q takes its q endpoint by N's sign
+        bc1, bc2 = b * (0.5 * z1 * z1), b * (0.5 * z2 * z2)
+        n_lo = z1 - np.maximum(bc1, bc2)
+        n_hi = z2 - np.minimum(bc1, bc2)
+        q1, q2 = 1.0 - 0.25 * z1 * z1 * t2, 1.0 - 0.25 * z2 * z2 * t2
+        n_lo /= np.where(n_lo >= 0.0, q1, q2)
+        n_hi /= np.where(n_hi >= 0.0, q2, q1)
+        return n_lo, n_hi
+    raise KeyError(f"unknown kernel tag {tag!r}")
+
+
 def np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar, z, tie,
-                  basis=None):
+                  basis=None, sel=None):
     """Mass of the cells piece i wins under the chained rule of :func:`scan_rows`.
 
     ``lo_tie`` is the chained best of the rows before i plus ``tie`` and
-    ``hi_best`` the plain max of the rows after i (see :func:`_win_mass`).
+    ``hi_best`` the plain max of the rows after i (see :func:`_wins`).
     ``basis`` (the piece's :func:`np_piece_basis`) may be passed
-    precomputed; the mass is the same bit for bit.
+    precomputed; the mass is the same bit for bit.  ``sel`` narrows the
+    call to some cells (:func:`piece_mass`).
     """
     v = np_piece_values(tag, params, xs, xbar, z, basis)
-    return _win_mass(v, weights, lo_tie, hi_best, tie)
+    return _win_mass(v, weights, lo_tie, hi_best, tie, sel)
 
 
-def _win_mass(v, weights, lo_tie, hi_best, tie):
+def _wins(v, lo_tie, hi_best, tie):
     # the scan gives piece i a cell exactly when it takes the cell from the
     # rows before it (v > lo + tie) and no row after it takes the cell back
-    # (each of them <= v + tie); -inf never wins
+    # (each of them <= v + tie); -inf never wins.  fl(v + tie) is monotone,
+    # so the cells won at v are won at every larger v.
     wins = v > lo_tie
     wins &= hi_best <= v + tie
+    return wins
+
+
+def _win_mass(v, weights, lo_tie, hi_best, tie, sel=None):
+    wins = _wins(v, lo_tie, hi_best, tie)
+    if sel is not None:
+        mask, pos = sel
+        mask[pos] = wins
+        wins = mask
     return float(np.sum(weights[wins]))
 
 
@@ -125,13 +192,31 @@ def scan_rows(rows, m, tie):
     ``tie``, so ties go to the lowest row index; cells no row covers keep
     value -inf and index -1.
     """
-    best = np.full(m, -np.inf)
-    idx = np.full(m, -1, dtype=np.int64)
-    for i, v in enumerate(rows):
-        take = v > best + tie
-        np.copyto(best, v, where=take)
-        idx[take] = i
-    return best, idx
+    chain = ScanChain(m, tie)
+    for v in rows:
+        chain.push(v)
+    return chain.best, chain.idx
+
+
+class ScanChain:
+    """The running (best, idx) of :func:`scan_rows`, one row at a time.
+
+    After k pushes ``best`` and ``idx`` are ``scan_rows`` over those k rows;
+    :meth:`push` is the scan's loop body, so a caller that carries the chain
+    through rows it changes keeps the one tie rule.
+    """
+
+    def __init__(self, m, tie):
+        self.best = np.full(m, -np.inf)
+        self.idx = np.full(m, -1, dtype=np.int64)
+        self.tie = tie
+        self.rows = 0
+
+    def push(self, v):
+        take = v > self.best + self.tie
+        np.copyto(self.best, v, where=take)
+        self.idx[take] = self.rows
+        self.rows += 1
 
 
 def _as_rows(a, m, ndim):
@@ -354,16 +439,46 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
     return scan_rows(rows, xs_emb.shape[0], tie)
 
 
-def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None):
+def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None,
+               sel=None):
     """f-mass of the cells piece (xbar, z) wins against the frozen other rows.
 
     ``lo_tie`` and ``hi_best`` are as in :func:`np_piece_mass`; ``basis`` is
     an optional precomputed :func:`piece_basis`.
+
+    ``sel = (mask, pos)`` narrows the call to the cells whose win is still
+    open (see :func:`win_split`): ``xs_emb``, ``lo_tie``, ``hi_best`` and
+    ``basis`` hold those cells only, their wins are written to
+    ``mask[pos]``, and the mass is the sum of ``weights[mask]``, where
+    ``weights`` and ``mask`` cover every cell the piece can win, in cell
+    order.  That array is the full call's ``weights[wins]`` element for
+    element, so the mass is the same bit for bit.
     """
     tag, params = kernel_tag(gf)
     if tag is None:
         v = evaluator_values(gf, xs_emb, xbar, z)
-        return _win_mass(v, weights, lo_tie, hi_best, tie)
+        return _win_mass(v, weights, lo_tie, hi_best, tie, sel)
     xs = np.ascontiguousarray(xs_emb, dtype=float)
     return np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar,
-                         float(z), tie, basis)
+                         float(z), tie, basis, sel)
+
+
+def win_split(gf, xbar, z1, z2, lo_tie, hi_best, tie, basis):
+    """(won, open) cell masks of the piece (xbar, z) over all z in [z1, z2].
+
+    ``won`` marks the cells :func:`piece_mass` gives the piece at every
+    such z, ``open`` the cells it may give or not; every other cell is lost
+    throughout.  The win rule is an up-set in the piece value, so the
+    bounds of :func:`np_value_bounds` decide it: won at the lower bound,
+    lost at the upper.  None without a kernel tag, a basis or bounds.
+    """
+    tag, params = kernel_tag(gf)
+    if tag is None or basis is None:
+        return None
+    bounds = np_value_bounds(tag, params, basis, xbar, float(z1), float(z2))
+    if bounds is None:
+        return None
+    won = _wins(bounds[0], lo_tie, hi_best, tie)
+    open_ = _wins(bounds[1], lo_tie, hi_best, tie)
+    open_ &= ~won
+    return won, open_

@@ -13,6 +13,14 @@ Only underfilled pieces move within a sweep (a piece is never lowered), so
 the envelope trajectory is monotone; the anchor normalization
 u(x0) = u0 is restored after mass convergence by a joint height shift, and
 the sweep/normalize cycle repeats until both criteria hold.
+
+The cell mass of a piece against the frozen others is the mass oracle
+(:class:`_MassOracle`).  The ascending sweep carries the chained best of
+the rows before each piece (:class:`kernels.ScanChain`) instead of
+rescanning them, and its last chain gives the next sweep's masses.  Each
+bisection step tells the oracle its bracket, and the oracle evaluates only
+the cells whose win can still change there; every mass, and so every
+iterate, is the same bit for bit as with full-grid evaluations.
 """
 
 import time
@@ -129,29 +137,105 @@ class _MassOracle:
     The cells are those the envelope scan (:func:`kernels.scan_rows`) would
     give the piece, so the solver moves heights against the partition that
     ``_masses_from`` and ``Envelope.cell_masses`` report.  Everything that
-    does not depend on the piece's height is computed once here: the chained
-    best of the rows before the piece plus ``tie``, the plain max of the rows
-    after it, and (from ``basis``) the piece's grid basis.  ``tally`` counts
-    the constructions ("builds") and evaluations ("calls").
+    does not depend on the piece's height is computed once here: the
+    chained best of the rows before the piece plus ``tie``, the plain max of
+    the rows after it, and (from ``basis``) the piece's grid basis.  The
+    first two come from the value stack ``values``, or ready-made as
+    ``frozen = (chained best, max after)`` from a caller that carries them.
+
+    :meth:`narrow` tells the oracle a height bracket that the next calls
+    fall in.  It splits the cells by value bounds over the bracket
+    (:func:`kernels.win_split`) and keeps the cells the piece can win, in
+    cell order, with a mask of the ones won throughout; a call inside the
+    bracket evaluates only the open cells, and a nested bracket re-splits
+    only those while more than one is open.  The mass is the same bit for
+    bit as a full-grid call.  Calls outside the bracket, and every call
+    without bounds, evaluate the full grid.  ``tally`` counts the
+    constructions ("builds") and evaluations ("calls").
     """
 
-    def __init__(self, problem, values, index, basis, tally=None):
+    def __init__(self, problem, values, index, basis, tally=None, frozen=None):
         self.p = problem
         self.i = index
         self.tie = problem.gf.tols.tie
         self.basis = basis
-        lo, _ = kernels.scan_rows(values[:index], values.shape[1], self.tie)
-        self.lo_tie = lo + self.tie
-        self.hi_best = values[index + 1:].max(axis=0, initial=-np.inf)
+        if frozen is None:
+            lo, _ = kernels.scan_rows(values[:index], values.shape[1], self.tie)
+            frozen = lo, _rows_after(values, index)
+        self.lo_tie = frozen[0] + self.tie
+        self.hi_best = frozen[1]
+        self.split = None
         self.tally = Counter() if tally is None else tally
         self.tally["builds"] += 1
 
+    def narrow(self, a, b):
+        """Let the next calls at heights between a and b evaluate only the
+        cells whose win is still open there."""
+        z1, z2 = min(a, b), max(a, b)
+        s = self.split
+        if s is not None and s.z1 <= z1 and z2 <= s.z2:
+            if s.pos.size <= 1:  # nothing left worth a split
+                return
+            # bounds exist inside a bracket that had them: its guards hold
+            won, open_ = self._win_split(z1, z2, s.basis, s.lo_tie, s.hi_best)
+            s.sel[s.pos] = won
+            take = np.flatnonzero(open_)
+            pos = s.pos[take]
+        else:
+            self.split = None
+            cut = self._win_split(z1, z2, self.basis, self.lo_tie, self.hi_best)
+            if cut is None:
+                return
+            won, open_ = cut
+            keep = np.flatnonzero(won | open_)
+            pos = np.flatnonzero(open_[keep])
+            take = keep[pos]
+            s = self.split = _Split(z1, z2, self.p.cell_weights[keep],
+                                    won[keep], pos, self.p.grid.points,
+                                    self.basis, self.lo_tie, self.hi_best)
+        s.z1, s.z2, s.pos = z1, z2, pos
+        s.xs, s.basis = s.xs[take], s.basis[take]
+        s.lo_tie, s.hi_best = s.lo_tie[take], s.hi_best[take]
+
+    def _win_split(self, z1, z2, basis, lo_tie, hi_best):
+        return kernels.win_split(self.p.gf, self.p.targets[self.i], z1, z2,
+                                 lo_tie, hi_best, self.tie, basis)
+
     def __call__(self, z):
         self.tally["calls"] += 1
-        return kernels.piece_mass(self.p.gf, self.p.grid.points,
-                                  self.p.cell_weights, self.lo_tie, self.hi_best,
-                                  self.p.targets[self.i], z, self.tie,
-                                  basis=self.basis)
+        p, s = self.p, self.split
+        if s is not None and s.z1 <= z <= s.z2:
+            return kernels.piece_mass(p.gf, s.xs, s.weights,
+                                      s.lo_tie, s.hi_best, p.targets[self.i],
+                                      z, self.tie, basis=s.basis,
+                                      sel=(s.sel, s.pos))
+        return kernels.piece_mass(p.gf, p.grid.points, p.cell_weights,
+                                  self.lo_tie, self.hi_best, p.targets[self.i],
+                                  z, self.tie, basis=self.basis)
+
+
+@dataclass
+class _Split:
+    """An oracle's cells for heights in [z1, z2] (see :meth:`_MassOracle.narrow`).
+
+    ``weights`` and ``sel`` cover the cells the piece can win there, in
+    cell order, ``sel`` marking the won ones; ``pos`` indexes the open
+    cells among them, and ``xs``, ``basis``, ``lo_tie``, ``hi_best`` hold
+    the open cells' entries.
+    """
+    z1: float
+    z2: float
+    weights: np.ndarray
+    sel: np.ndarray
+    pos: np.ndarray
+    xs: np.ndarray
+    basis: np.ndarray
+    lo_tie: np.ndarray
+    hi_best: np.ndarray
+
+
+def _rows_after(values, index):
+    return values[index + 1:].max(axis=0, initial=-np.inf)
 
 
 def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,
@@ -212,6 +296,7 @@ def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,
         if abs(b - a) <= 1e-13 * max(1.0, abs(a), abs(b)):
             break
         mid = 0.5 * (a + b)
+        oracle.narrow(a, b)
         m_mid = oracle(mid)
         if target_mass - slack <= m_mid <= target_mass + slack:
             return mid, m_mid
@@ -279,8 +364,8 @@ def solve(problem: SemiDiscreteProblem):
 
     for outer in range(100):
         V = _piece_rows(problem, bases, z)
+        masses = _masses_from(V, problem)
         while True:
-            masses = _masses_from(V, problem)
             res = masses - problem.masses
             res_inf = float(np.max(np.abs(res)))
             history.append((sweeps, res_inf, time.perf_counter() - t_start))
@@ -294,21 +379,27 @@ def solve(problem: SemiDiscreteProblem):
             if np.min(res) >= -park_tol:
                 break
             moved = False
+            # the chained best of the rows before i, carried through the
+            # sweep over the rows as they move; after the last row it is the
+            # scan of the whole stack, which gives the next sweep's masses
+            chain = kernels.ScanChain(problem.grid.n_cells, tols.tie)
             for i in range(n):  # ascending index, deterministic
-                oracle = _MassOracle(problem, V, i, bases[i], tally)
+                oracle = _MassOracle(problem, None, i, bases[i], tally,
+                                     frozen=(chain.best, _rows_after(V, i)))
                 m_i = oracle(z[i])
-                if m_i >= problem.masses[i] - park_tol:
-                    continue
-                z_new, _ = _move_piece_to_mass(problem, oracle, z[i],
-                                               problem.masses[i], raise_dir,
-                                               cell_quantum,
-                                               first_step=step_hint[i])
-                step_hint[i] = max(1e-6, 0.5 * abs(z_new - z[i]))
-                if z_new != z[i]:
-                    moved = True
-                z[i] = z_new
-                V[i] = _piece_row(problem, bases, i, z[i])
+                if m_i < problem.masses[i] - park_tol:
+                    z_new, _ = _move_piece_to_mass(problem, oracle, z[i],
+                                                   problem.masses[i], raise_dir,
+                                                   cell_quantum,
+                                                   first_step=step_hint[i])
+                    step_hint[i] = max(1e-6, 0.5 * abs(z_new - z[i]))
+                    if z_new != z[i]:
+                        moved = True
+                    z[i] = z_new
+                    V[i] = _piece_row(problem, bases, i, z[i])
+                chain.push(V[i])
             sweeps += 1
+            masses = _masses_of(chain.idx, problem.cell_weights, n)
             if not moved:
                 # every underfilled piece is parked at the staircase floor
                 break
@@ -397,9 +488,12 @@ def solve(problem: SemiDiscreteProblem):
 
 def _masses_from(V, problem):
     _, idx = kernels.scan_rows(V, V.shape[1], problem.gf.tols.tie)
+    return _masses_of(idx, problem.cell_weights, V.shape[0])
+
+
+def _masses_of(idx, weights, n):
     won = idx >= 0
-    return np.bincount(idx[won], weights=problem.cell_weights[won],
-                       minlength=V.shape[0])
+    return np.bincount(idx[won], weights=weights[won], minlength=n)
 
 
 def mass_residual(env: Envelope, problem: SemiDiscreteProblem):

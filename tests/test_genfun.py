@@ -191,6 +191,22 @@ def test_fd_stencil_domain_error():
         finite_diff_derivatives(ps, "g_z", E3, xb, z_edge)
 
 
+def test_fd_batch_equals_its_one_row_calls():
+    # two admissible quasilinear rows: each batch row is its one-row result
+    gf = make_builtin("quasilinear", cost=bent_cost)
+    x = np.array([[0.2, -0.4], [-0.3, 0.1]])
+    xb = np.array([[0.1, 0.3], [0.4, -0.2]])
+    z = np.array([0.5, -0.25])
+    for which in ["d_x", "g_z", "d_x_xbar", "d2_x"]:
+        batch = finite_diff_derivatives(gf, which, x, xb, z)
+        rows = [finite_diff_derivatives(gf, which, x[k], xb[k], z[k])
+                for k in range(2)]
+        assert np.array_equal(np.asarray(batch), np.array(rows)), which
+    # one inadmissible row still fails the batch
+    with pytest.raises(DomainError):
+        finite_diff_derivatives(gf, "d_x", x, np.array([[0.1, 0.3], [1.5, 0.0]]), z)
+
+
 ALL_DERIVS = ["d_x", "d_xbar", "g_z", "g_zz", "d_x_xbar", "d_x_z",
               "d_xbar_z", "d2_x", "d2_xbar"]
 

@@ -215,3 +215,145 @@ def test_scan_point_equals_the_one_cell_scan(seed, n, tie):
     vals[rng.random(n) < 0.2] = -np.inf
     best, idx = kernels.scan_rows(vals[:, None], 1, tie)
     assert kernels.scan_point(vals, tie) == (float(best[0]), int(idx[0]))
+
+
+# -- value bounds and the narrowed oracle -----------------------------------------
+
+_TAGS = {kernels.kernel_tag(gf)[0]: gf for gf in _cases()}
+
+
+def _basis_sample(rng, tag, m):
+    """A basis of both signs with planted +-0.0 and cells next to the
+    ``ql_neglog`` edge b = 1 - 1e-12; ``minkowski`` and ``pb_zero`` get -inf
+    cells from the signs."""
+    b = rng.normal(scale=0.8, size=m)
+    b[rng.random(m) < 0.1] = 0.0
+    b[rng.random(m) < 0.1] = -0.0
+    edge = rng.random(m) < 0.1
+    b[edge] = 1.0 - 1e-12 * rng.choice([0.5, 1.0, 2.0], size=int(edge.sum()))
+    if tag == "pb_zero":  # mostly squared distances, like the tag's basis
+        b[rng.random(m) < 0.5] **= 2
+    return b
+
+
+def _heights(rng, z1, z2, k=8):
+    """Heights in [z1, z2]: the endpoints, their inner neighbours and
+    random points between them."""
+    inner = rng.uniform(z1, z2, size=k)
+    return np.clip(np.concatenate(([z1, z2, np.nextafter(z1, np.inf),
+                                    np.nextafter(z2, -np.inf)], inner)), z1, z2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(sorted(_TAGS)), seed=st.integers(0, 2 ** 32 - 1),
+       z1=st.one_of(st.floats(-1.0, 3.0), st.sampled_from([0.0, -0.0, 5e-324])),
+       width=st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1e-12])))
+def test_value_bounds_enclose_the_kernel(tag, seed, z1, width):
+    gf = _TAGS[tag]
+    rng = np.random.default_rng(seed)
+    _, params = kernels.kernel_tag(gf)
+    b = _basis_sample(rng, tag, 64)
+    xbar = gf.target_chart.sample(1, rng)[0]
+    z2 = z1 + width if width else z1  # keeps the sign of a zero height
+    if tag == "point_source" and rng.random() < 0.3:
+        # an endpoint on the guard 0.25 z^2 |xbar|^2 < 1, or just inside it
+        z2 = float(2.0 / np.linalg.norm(xbar))
+        z2 = z2 if rng.random() < 0.5 else np.nextafter(z2, 0.0)
+        z1 = min(z1, z2)
+    bounds = kernels.np_value_bounds(tag, params, b, xbar, z1, z2)
+    if bounds is None:
+        assert tag not in ("ql_bilinear", "ql_neglog", "ql_cubic")
+        t2 = float(xbar @ xbar)
+        assert not z1 > 0.0 or (tag == "point_source"
+                                and not 0.25 * z2 * z2 * t2 < 1.0)
+        return
+    lo, hi = bounds
+    for z in _heights(rng, z1, z2):
+        v = kernels.np_basis_values(tag, params, b, xbar, float(z))
+        assert np.all(lo <= v) and np.all(v <= hi), (tag, z)
+    if z1 == z2:  # a single height: the bounds are the kernel's own values
+        v = kernels.np_basis_values(tag, params, b, xbar, z1)
+        assert np.array_equal(_bits(lo), _bits(v))
+        assert np.array_equal(_bits(hi), _bits(v))
+
+
+def _planted_rows(rng, v, n, tie):
+    """n frozen rows around the piece row v: copies (exact ties), near-ties
+    within 1.5 tie, random values, -inf cells and a -inf row."""
+    m = v.shape[0]
+    finite = np.isfinite(v)
+    centre = np.median(v[finite]) if np.any(finite) else 0.0
+    rows = centre + 0.3 * rng.normal(size=(n, m))
+    for row in rows:
+        kind = rng.integers(0, 4, size=m)
+        row[(kind == 0) & finite] = v[(kind == 0) & finite]
+        near = (kind == 1) & finite
+        row[near] = v[near] + tie * rng.uniform(-1.5, 1.5, size=int(near.sum()))
+        row[kind == 2] = -np.inf
+    if n > 1:
+        rows[rng.integers(0, n)] = -np.inf
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(tag=st.sampled_from(sorted(_TAGS)), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 5), tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_narrowed_oracle_mass_is_the_full_mass(tag, seed, n, tie):
+    # nested brackets as bisection makes them, calls inside and outside the
+    # current bracket, frozen rows planted at the piece's own values
+    gf, grid = _TAGS[tag], _GRIDS[_TAGS[tag].name]
+    rng = np.random.default_rng(seed)
+    xbar = gf.target_chart.sample(1, rng)[0]
+    zmax = 3.0
+    if tag == "point_source":
+        zmax = min(zmax, 1.999 / np.linalg.norm(xbar))
+    zmin = -1.0 if tag.startswith("ql_") else (-0.2 if rng.random() < 0.2 else 0.0)
+    a, b = np.sort(rng.uniform(zmin, zmax, size=2))
+    basis = kernels.piece_basis(gf, grid.points, xbar)
+    v = kernels.piece_values(gf, grid.points, xbar, 0.5 * (a + b), basis=basis)
+    i = int(rng.integers(0, n))
+    V = _planted_rows(rng, v, n, tie)
+    w = 2.0 ** -np.arange(grid.n_cells)  # a mass names its cells
+    problem = SimpleNamespace(gf=gf, grid=grid, cell_weights=w,
+                              targets=np.repeat(xbar[None, :], n, axis=0))
+    oracle = solver._MassOracle(problem, V, i, basis)
+    full = solver._MassOracle(problem, V, i, basis)
+    for _ in range(12):
+        oracle.narrow(a, b)
+        for z in (0.5 * (a + b), a, b, rng.uniform(zmin, zmax)):
+            assert oracle(z) == full(z), (z, a, b)
+        mid = 0.5 * (a + b)
+        a, b = (a, mid) if rng.random() < 0.5 else (mid, b)
+        if rng.random() < 0.5:
+            a, b = b, a  # brackets come in either order
+    assert full.split is None
+
+
+def _scan_by_hand(V, m, tie):
+    best, idx = [-np.inf] * m, [-1] * m
+    for i, row in enumerate(V):
+        for c in range(m):
+            if row[c] > best[c] + tie:
+                best[c], idx[c] = row[c], i
+    return np.array(best), np.array(idx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
+       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_scan_chain_is_the_scan_of_every_prefix(seed, n, tie):
+    # the chain a sweep carries, one row at a time, against a cell-by-cell
+    # scan and scan_rows of every prefix; the max of the rows after i
+    rng = np.random.default_rng(seed)
+    m = 30
+    V = _planted_rows(rng, rng.normal(size=m), n, tie)
+    chain = kernels.ScanChain(m, tie)
+    for i in range(n + 1):
+        best, idx = _scan_by_hand(V[:i], m, tie)
+        assert np.array_equal(chain.best, best) and np.array_equal(chain.idx, idx)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(kernels.scan_rows(V[:i], m, tie), (best, idx)))
+        if i < n:
+            assert np.array_equal(solver._rows_after(V, i),
+                                  np.max(V[i + 1:], axis=0, initial=-np.inf))
+            chain.push(V[i])

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from gjekit import kernels
+from gjekit import kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
 from gjekit.demos import demo_problem, point_source_8_problem
@@ -171,3 +171,70 @@ def test_demo_iterate_sequence_is_pinned(monkeypatch, name, resolution, sweeps,
     heights, digest = _PINNED_BITS[name]
     assert tuple(h.hex() for h in state.heights) == heights
     assert hashlib.sha256(env.grid_values().tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("name, resolution, calls, full_calls, cells", [
+    ("classical-MA", 96, 1206, 214, 2_018_428),
+    ("parallel-beam-5", 128, 741, 210, 3_468_865),
+])
+def test_oracle_narrowing_is_pinned(monkeypatch, name, resolution, calls,
+                                    full_calls, cells):
+    # a bisection step evaluates only the cells whose win is still open in
+    # its bracket; without narrowing every call is a full-grid call and the
+    # cell count reads calls * n_cells (11.1 and 12.1 million here)
+    problem, _ = demo_problem(name, resolution)
+    seen = {"calls": 0, "full": 0, "cells": 0}
+    piece_mass = kernels.piece_mass
+
+    def counting(*args, **kwargs):
+        seen["calls"] += 1
+        seen["full"] += kwargs.get("sel") is None
+        seen["cells"] += np.size(args[3])
+        return piece_mass(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "piece_mass", counting)
+    solve(problem)
+    assert (seen["calls"], seen["full"], seen["cells"]) == (calls, full_calls, cells)
+
+
+@pytest.mark.parametrize("name, resolution", [("classical-MA", 96),
+                                              ("parallel-beam-5", 128)])
+def test_sweep_frozen_rows_are_the_live_rows(monkeypatch, name, resolution):
+    # the ascending sweep carries the chained best of the rows before piece
+    # i and takes the max of the rows after it, and its final chain gives
+    # the next masses: each must be a fresh scan of the rows as they stand
+    problem, _ = demo_problem(name, resolution)
+    n, tie = problem.n_targets, problem.gf.tols.tie
+    rows = {}
+    piece_row, init, masses_of = (solver._piece_row, solver._MassOracle.__init__,
+                                  solver._masses_of)
+
+    def stack():
+        return np.array([rows[j] for j in range(n)])
+
+    def tracking(problem, bases, i, z):
+        rows[i] = piece_row(problem, bases, i, z)
+        return rows[i]
+
+    def checking(self, problem, values, index, basis, tally=None, frozen=None):
+        if frozen is not None:
+            V = stack()
+            best, _ = kernels.scan_rows(V[:index], V.shape[1], tie)
+            assert np.array_equal(frozen[0], best)
+            assert np.array_equal(frozen[1],
+                                  np.max(V[index + 1:], axis=0, initial=-np.inf))
+            checked[index] += 1
+        init(self, problem, values, index, basis, tally, frozen)
+
+    def from_scan(idx, weights, count):
+        V = stack()
+        assert np.array_equal(idx, kernels.scan_rows(V, V.shape[1], tie)[1])
+        return masses_of(idx, weights, count)
+
+    checked = np.zeros(n, dtype=int)
+    monkeypatch.setattr(solver, "_piece_row", tracking)
+    monkeypatch.setattr(solver._MassOracle, "__init__", checking)
+    monkeypatch.setattr(solver, "_masses_of", from_scan)
+    _, state = solve(problem)
+    assert state.converged
+    assert np.all(checked > 0)
