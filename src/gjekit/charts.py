@@ -138,12 +138,14 @@ class PlaneChart(BoxChart):
 
 
 def _dot3(x, v):
-    """<x, v> over the last axis by column accumulation.
+    """<x, v> over the last axis by column accumulation; ``v`` is one vector
+    or rows like ``x``.
 
     A BLAS ``x @ v`` rounds a row differently depending on the batch it
-    sits in; this sum rounds every row the same way whatever the batch.
+    sits in; this sum rounds every row the same way whatever the batch, and
+    is ``np.sum(x * v, axis=-1)`` bit for bit.
     """
-    return (x[..., 0] * v[0] + x[..., 1] * v[1]) + x[..., 2] * v[2]
+    return (x[..., 0] * v[..., 0] + x[..., 1] * v[..., 1]) + x[..., 2] * v[..., 2]
 
 
 def _orthonormal_frame(pole):

@@ -201,7 +201,7 @@ def cmd_raytrace(cfg, verbose=False):
 
 
 def cmd_estimate(cfg, verbose=False):
-    from .estimates import aleksandrov_check, engulfing_check, sharp_growth_check
+    from .estimates import aleksandrov_check, engulfing_check
     out = _out_dir(cfg)
     env = _load_envelope(cfg)
     gf = env.gf

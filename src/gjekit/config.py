@@ -6,6 +6,8 @@ that a run can override them in a single place (CLI ``tolerances`` block).
 
 from dataclasses import dataclass, replace, fields
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -56,7 +58,7 @@ class Tolerances:
         known = {f.name for f in fields(self)}
         bad = set(kw) - known
         if bad:
-            raise ValueError(f"unknown tolerance overrides: {sorted(bad)}")
+            raise ConfigError(f"unknown tolerance overrides: {sorted(bad)}")
         return replace(self, **kw)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .errors import EmptyEnvelopeError, NicenessError
+from .errors import ConfigError, EmptyEnvelopeError, NicenessError
 from .expmaps import exp_target, p_map
 from .grids import DomainGrid, mask_to_rle, rle_to_mask
 from . import kernels
@@ -286,7 +286,11 @@ class Envelope:
         with open(path) as fh:
             doc = json.load(fh)
         if doc.get("format_version") != ENVELOPE_FORMAT_VERSION:
-            raise ValueError(f"unsupported envelope format: {doc.get('format_version')}")
+            raise ConfigError(f"unsupported envelope format in {path}: "
+                              f"{doc.get('format_version')}")
+        missing = sorted({"genfun", "grid_resolution", "pieces"} - set(doc))
+        if missing:
+            raise ConfigError(f"envelope file {path} lacks {missing}")
         gf = gf or genfun_from_descriptor(doc["genfun"])
         grid = grid or DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
         xbars = np.array([p[0] for p in doc["pieces"]])

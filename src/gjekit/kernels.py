@@ -215,7 +215,7 @@ class ScanChain:
     def push(self, v):
         take = v > self.best + self.tie
         np.copyto(self.best, v, where=take)
-        self.idx[take] = self.rows
+        np.copyto(self.idx, self.rows, where=take)
         self.rows += 1
 
 

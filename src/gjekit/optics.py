@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charts import _dot3
 from .errors import ConfigError
 from .expmaps import exp_target
 from .gconvex import Envelope
@@ -72,32 +73,6 @@ class ReflectorSurface:
         return np.column_stack([self.env.xbars,
                                 np.zeros(self.env.n_pieces)])
 
-    # -- per-piece exact geometry ---------------------------------------------
-
-    def radial_distance(self, d, i):
-        """Point source: radial graph of piece i's ellipsoid along direction d."""
-        xbar = self.env.xbars[i]
-        a = 1.0 / self.env.zs[i]
-        return (a * a - 0.25 * xbar @ xbar) / (a - 0.5 * d @ xbar)
-
-    def surface_point_and_normal(self, x_chart_or_dir, i):
-        """Exact hit point and outward unit normal of piece i."""
-        if self.kind == "point_source":
-            d = x_chart_or_dir
-            r = self.radial_distance(d, i)
-            P = r * d
-            xbar = self.env.xbars[i]
-            # gradient of |P| + |P - xbar| points out of the ellipsoid
-            n = P / np.linalg.norm(P) + (P - xbar) / np.linalg.norm(P - xbar)
-            return P, n / np.linalg.norm(n)
-        x = x_chart_or_dir
-        xbar = self.env.xbars[i]
-        z = self.env.zs[i]
-        y = 0.5 * (1.0 / z - z * np.sum((x - xbar) ** 2))
-        P = np.array([x[0], x[1], y])
-        n = np.array([z * (x[0] - xbar[0]), z * (x[1] - xbar[1]), 1.0])
-        return P, n / np.linalg.norm(n)
-
     def quadric_residual(self, P, i):
         """Signed defect of P from piece i's exact quadric."""
         if self.kind == "point_source":
@@ -133,43 +108,100 @@ class TraceReport:
         }
 
 
-def _reflect(d, n):
-    return d - 2.0 * (d @ n) * n
+# rows per block of an ensemble trace: the geometry and miss temporaries
+# are a few (block, 3) arrays, so their memory does not grow with the ray
+# count
+_RAY_BLOCK = 16384
+_UP = np.array([0.0, 0.0, 1.0])
 
 
-def _line_point_miss(origin, direction, point):
-    """Distance from a point to the forward ray {origin + t direction, t >= 0}."""
-    w = point - origin
-    t = w @ direction
-    if t < 0:
-        return float(np.linalg.norm(w))
-    return float(np.linalg.norm(w - t * direction))
+def _reflector_geometry(surface, pts, idx):
+    """(incident directions, hit points, unit normals, reflected directions).
+
+    Row k is the ray from source point ``pts[k]`` (a unit direction for a
+    point source, a chart point under the mirror for a parallel beam)
+    striking the exact quadric of piece ``idx[k]``.  Dots and norms add
+    their components in ``np.sum``'s order, so a row's bits do not depend
+    on the rows beside it.
+    """
+    env = surface.env
+    xb = env.xbars[idx]
+    z = env.zs[idx]
+    if surface.kind == "point_source":
+        d_in = pts
+        a = 1.0 / z
+        r = (a * a - 0.25 * _dot3(xb, xb)) / (a - 0.5 * _dot3(d_in, xb))
+        P = r[:, None] * d_in
+        Q = P - xb
+        # gradient of |P| + |P - xbar| points out of the ellipsoid
+        n_vec = P / np.sqrt(_dot3(P, P))[:, None] + Q / np.sqrt(_dot3(Q, Q))[:, None]
+    else:
+        m = pts.shape[0]
+        d_in = np.broadcast_to(_UP, (m, 3))
+        dx = pts[:, :2] - xb
+        P = np.empty((m, 3))
+        P[:, :2] = pts[:, :2]
+        P[:, 2] = 0.5 * (1.0 / z - z * (dx[:, 0] * dx[:, 0] + dx[:, 1] * dx[:, 1]))
+        n_vec = np.ones((m, 3))
+        n_vec[:, :2] = z[:, None] * dx
+    n_hat = n_vec / np.sqrt(_dot3(n_vec, n_vec))[:, None]
+    d_out = d_in - (2.0 * _dot3(d_in, n_hat))[:, None] * n_hat
+    return d_in, P, n_hat, d_out
+
+
+def _reflection_residual(d_in, n_hat, d_out):
+    """Largest reflection-law or coplanarity defect over the rows (0 for none)."""
+    refl = np.abs(np.abs(_dot3(d_in, n_hat)) - np.abs(_dot3(d_out, n_hat)))
+    frames = np.empty((d_in.shape[0], 3, 3))
+    frames[:, :, 0] = d_in
+    frames[:, :, 1] = d_out
+    frames[:, :, 2] = n_hat
+    copl = np.abs(np.linalg.det(frames))
+    return np.maximum(refl.max(initial=0.0), copl.max(initial=0.0))
+
+
+def _nearest_target(targets, P, d_out):
+    """(index, miss) of the target nearest each forward ray {P + t d_out, t >= 0}.
+
+    Ties go to the lowest target index.  One ``md,md->m`` einsum per target
+    rounds each row as a column of the ``mtd,md->mt`` einsum does.
+    """
+    for k, target in enumerate(targets):
+        w = target - P
+        t = np.einsum("md,md->m", w, d_out)
+        np.clip(t, 0.0, None, out=t)
+        res = w - t[:, None] * d_out
+        miss = np.sqrt(_dot3(res, res))
+        if k == 0:
+            j, best = np.zeros(miss.shape[0], dtype=np.int64), miss
+        else:
+            closer = miss < best
+            np.copyto(best, miss, where=closer)
+            j[closer] = k
+    return j, best
 
 
 def trace_ray(surface: ReflectorSurface, ray: Ray, snap=None):
-    """Trace one ray; returns (hit point, reflected Ray, target index or None).
+    """Trace one ray; returns (hit point, reflected Ray, target index or None, miss).
 
-    The active piece is the envelope's winner at the ray's chart location;
-    the intersection and the normal come from that piece's exact quadric.
-    A reflected ray that misses every target by more than the snap distance
-    records an escape (target index None).
+    The one-row call of :func:`trace_ensemble`'s geometry: the active piece
+    is the envelope's winner at the ray's source point, and the hit point,
+    normal and reflection come from that piece's exact quadric.  A
+    point-source ray leaves the origin along ``ray.direction``; a
+    parallel-beam ray is the ascending vertical ray through the chart point
+    under ``ray.origin``.  A reflected ray that misses every target by more
+    than the snap distance records an escape (target index None).
     """
     env = surface.env
     snap = snap if snap is not None else env.tols.snap
     if surface.kind == "point_source":
-        d = ray.direction
-        _, i = env.representative(d)
-        P, n = surface.surface_point_and_normal(d, i)
-        r_out = _reflect(d, n)
+        pts = ray.direction[None, :]
     else:
-        x = ray.origin[:2]
-        _, i = env.representative(np.asarray(x, dtype=float))
-        P, n = surface.surface_point_and_normal(np.asarray(x, dtype=float), i)
-        r_out = _reflect(ray.direction, n)
-    miss = np.array([_line_point_miss(P, r_out, t) for t in surface.targets_3d])
-    j = int(np.argmin(miss))
-    target = j if miss[j] <= snap else None
-    return P, Ray(P, r_out), target, float(miss[j])
+        pts = ray.origin[None, :2]
+    _, P, _, d_out = _reflector_geometry(surface, pts, _active_pieces(env, pts))
+    j, miss = _nearest_target(surface.targets_3d, P, d_out)
+    target = int(j[0]) if miss[0] <= snap else None
+    return P[0], Ray(P[0], d_out[0]), target, float(miss[0])
 
 
 def _sample_source(env, n_rays, f, rng):
@@ -201,52 +233,29 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, f=None, seed=0,
     Rays are sampled from the source density with a counter-based Philox
     stream fixed by ``seed`` (deterministic independent of threading), so
     each ray carries weight T_f / n_rays and the per-target energies
-    estimate the prescribed masses.  The whole ensemble is traced
-    vectorized with the same exact quadric geometry as ``trace_ray``.
+    estimate the prescribed masses.  The whole ensemble is sampled and
+    assigned its active pieces at once; the geometry of ``trace_ray``, the
+    residuals and the nearest target then stream over fixed blocks of rays,
+    so the trace's memory beyond O(n_rays) per-ray records is bounded by
+    the block size, not by ``n_rays``.  Every row's bits are independent of
+    the block it sits in.
     """
     env = surface.env
     snap = env.tols.snap
     rng = np.random.Generator(np.random.Philox(key=seed))
     pts = _sample_source(env, n_rays, f, rng)
+    idx = _active_pieces(env, pts)
     total = float(np.sum(env.grid.weights * env.grid.density_from(f)))
     n_t = surface.targets_3d.shape[0]
 
-    if surface.kind == "point_source":
-        d = pts                                   # unit directions
-        idx = _active_pieces(env, d)
-        xb = env.xbars[idx]
-        a = 1.0 / env.zs[idx]
-        r = (a * a - 0.25 * np.sum(xb * xb, axis=1)) / (a - 0.5 * np.sum(d * xb, axis=1))
-        P = r[:, None] * d
-        n_vec = P / np.linalg.norm(P, axis=1, keepdims=True) \
-            + (P - xb) / np.linalg.norm(P - xb, axis=1, keepdims=True)
-        d_in = d
-    else:
-        x = pts[:, :2]
-        idx = _active_pieces(env, pts)
-        xb2 = env.xbars[idx]
-        z = env.zs[idx]
-        y = 0.5 * (1.0 / z - z * np.sum((x - xb2) ** 2, axis=1))
-        P = np.column_stack([x, y])
-        n_vec = np.column_stack([z[:, None] * (x - xb2), np.ones(n_rays)])
-        d_in = np.broadcast_to(np.array([0.0, 0.0, 1.0]), (n_rays, 3))
-    n_hat = n_vec / np.linalg.norm(n_vec, axis=1, keepdims=True)
-    dn = np.sum(d_in * n_hat, axis=1)
-    d_out = d_in - 2.0 * dn[:, None] * n_hat
-
-    # reflection-law residuals and coplanarity
-    refl_res = np.abs(np.abs(dn) - np.abs(np.sum(d_out * n_hat, axis=1)))
-    copl = np.abs(np.linalg.det(np.stack([d_in, d_out, n_hat], axis=2)))
-    max_refl = float(max(refl_res.max(initial=0.0), copl.max(initial=0.0)))
-
-    # forward-ray miss distance to every target
-    w = surface.targets_3d[None, :, :] - P[:, None, :]
-    t = np.einsum("mtd,md->mt", w, d_out)
-    t = np.clip(t, 0.0, None)
-    res = w - t[:, :, None] * d_out[:, None, :]
-    miss = np.linalg.norm(res, axis=2)
-    j = np.argmin(miss, axis=1)
-    best_miss = miss[np.arange(n_rays), j]
+    j = np.empty(n_rays, dtype=np.int64)
+    best_miss = np.empty(n_rays)
+    max_refl = 0.0
+    for lo in range(0, n_rays, _RAY_BLOCK):
+        rows = slice(lo, lo + _RAY_BLOCK)
+        d_in, P, n_hat, d_out = _reflector_geometry(surface, pts[rows], idx[rows])
+        max_refl = np.maximum(max_refl, _reflection_residual(d_in, n_hat, d_out))
+        j[rows], best_miss[rows] = _nearest_target(surface.targets_3d, P, d_out)
     hit_ok = best_miss <= snap
     hits = np.bincount(j[hit_ok], minlength=n_t)
     escapes = int(n_rays - hits.sum())
@@ -264,7 +273,7 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, f=None, seed=0,
     chi2 = float(np.sum((hits - n_rays * p) ** 2 / (n_rays * p)))
     return TraceReport(n_rays=n_rays, hits=hits, energies=energies,
                        escapes=escapes, chi_square=chi2, max_miss=max_miss,
-                       max_reflection_residual=max_refl, seed=seed)
+                       max_reflection_residual=float(max_refl), seed=seed)
 
 
 def consistency_with_exp_target(surface_or_env, x_samples, tol_chart=1e-4):

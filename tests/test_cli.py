@@ -76,6 +76,43 @@ def test_check_report_is_pinned(tmp_path, kind):
     assert (rc, hashlib.sha256(blocks.encode()).hexdigest()) == _CHECK_PINS[kind]
 
 
+# sha256 of trace_report.json without its provenance block (json.dumps with
+# sorted keys), with the exit code: each optics demo solved at resolution 48,
+# then 20,000 rays (more than one trace block) at seeds 0-2.  Measured on
+# the same platform as _CHECK_PINS.
+_TRACE_PINS = {
+    ("point-source-8", 0): (0, "a221976dd9c725202e4c985dc3b1854b1eee211e6badade0b4139602c27b7204"),
+    ("point-source-8", 1): (0, "9a58d7a0bc074ebc2e9f568ecf677c3532374cc6604207f7fbac4e3e33f9834d"),
+    ("point-source-8", 2): (0, "486c85183b53b0ccd51ba2dfe1a095520f9dc94e132e15d1a24f4ab9daa85964"),
+    ("parallel-beam-5", 0): (0, "35e706dbe46d45a6c9b692027ac4f752b77a8b0768f719c1fc7073e3d1a03734"),
+    ("parallel-beam-5", 1): (0, "7b4359c99e86bf0cce34918314bc77aa9773f0373e1165b016ddcd4bc84aa420"),
+    ("parallel-beam-5", 2): (0, "01eb0194c445b935f6e651dcf4f6fffc4857dbf47de11a9b5c7d0e31341887b4"),
+}
+
+
+@pytest.fixture(scope="module")
+def solved_optics_demos(tmp_path_factory):
+    root = tmp_path_factory.mktemp("optics")
+    for label in ("point-source-8", "parallel-beam-5"):
+        cfg = _write(root, {"demo": label, "resolution": 48,
+                            "output_dir": str(root / label)}, f"{label}.json")
+        assert main(["solve", "--config", cfg]) == 0
+    return root
+
+
+@pytest.mark.parametrize("label, seed", sorted(_TRACE_PINS))
+def test_trace_report_is_pinned(solved_optics_demos, label, seed):
+    root = solved_optics_demos
+    cfg = _write(root, {"demo": label, "resolution": 48, "seed": seed,
+                        "counts": {"n_rays": 20_000},
+                        "output_dir": str(root / label)}, f"{label}-{seed}.json")
+    rc = main(["raytrace", "--config", cfg])
+    report = json.loads((root / label / "trace_report.json").read_text())
+    report.pop("provenance")
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert (rc, digest) == _TRACE_PINS[label, seed]
+
+
 def test_solve_deterministic_byte_identical(tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     for out in (out1, out2):
@@ -104,6 +141,36 @@ def test_raytrace_without_envelope_exit_2(tmp_path):
     cfg = _write(tmp_path, {"demo": "point-source-8", "resolution": 48,
                             "output_dir": str(tmp_path / "nothing")})
     assert main(["raytrace", "--config", cfg]) == 2
+
+
+def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
+    cfg = _write(tmp_path, {
+        "genfun": {"kind": "quasilinear"},
+        "resolution": 16,
+        "targets": [{"point": [0.4, 0.0], "mass": 2.0},
+                    {"point": [-0.4, 0.0], "mass": 2.0}],
+        "tolerances": {"mass_rel": 1e-3, "no_such_tol": 1.0},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown tolerance overrides: ['no_such_tol']")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"format_version": 99}, "unsupported envelope format"),
+    ({"format_version": 1, "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]},
+     "lacks ['genfun']"),
+])
+def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
+    env = tmp_path / "envelope.json"
+    env.write_text(json.dumps(doc))
+    for command in ("raytrace", "estimate"):
+        cfg = _write(tmp_path, {"demo": "point-source-8", "envelope": str(env),
+                                "output_dir": str(tmp_path / "out")})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err, err
 
 
 def test_demo_pipeline_point_source(tmp_path):

@@ -329,6 +329,29 @@ def test_narrowed_oracle_mass_is_the_full_mass(tag, seed, n, tie):
     assert full.split is None
 
 
+def _scan_masked_write(rows, m, tie):
+    """The chained scan with the index written as ``idx[take] = i``."""
+    best, idx = np.full(m, -np.inf), np.full(m, -1, dtype=np.int64)
+    for i, v in enumerate(rows):
+        take = v > best + tie
+        np.copyto(best, v, where=take)
+        idx[take] = i
+    return best, idx
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 9), m=st.integers(1, 70),
+       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_scan_rows_index_copy_is_the_masked_write(seed, n, m, tie):
+    # exact ties, ties within tie, -inf cells and a -inf row
+    rng = np.random.default_rng(seed)
+    V = _planted_rows(rng, rng.normal(size=m), n, tie)
+    best, idx = kernels.scan_rows(V, m, tie)
+    ref_best, ref_idx = _scan_masked_write(V, m, tie)
+    assert np.array_equal(best, ref_best) and np.array_equal(idx, ref_idx)
+    assert idx.dtype == ref_idx.dtype
+
+
 def _scan_by_hand(V, m, tie):
     best, idx = [-np.inf] * m, [-1] * m
     for i, row in enumerate(V):

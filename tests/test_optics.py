@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gjekit import optics
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
 from gjekit.errors import ConfigError
@@ -142,3 +143,48 @@ def test_trace_csv(tmp_path, solved_parallel_beam_small):
     data = np.genfromtxt(path, delimiter=",", names=True)
     assert data.shape[0] == 500
     assert rep.hits.sum() == np.sum(data["target"] >= 0)
+
+
+def _report_bits(rep):
+    return {k: [float(x).hex() for x in np.ravel(v)] if isinstance(v, (float, np.ndarray))
+            else v for k, v in vars(rep).items()}
+
+
+@pytest.mark.parametrize("fixture", ["solved_point_source_small",
+                                     "solved_parallel_beam_small"])
+def test_ensemble_bits_do_not_depend_on_the_block(tmp_path, monkeypatch, request,
+                                                  fixture):
+    env = request.getfixturevalue(fixture)[1]
+    surf = ReflectorSurface(env)
+    runs = []
+    for block in (optics._RAY_BLOCK, 7, 1000):
+        monkeypatch.setattr(optics, "_RAY_BLOCK", block)
+        path = tmp_path / f"rays{block}.csv"
+        rep = trace_ensemble(surf, 5000, seed=2, csv_path=path)
+        runs.append((_report_bits(rep), path.read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("fixture", ["solved_point_source_small",
+                                     "solved_parallel_beam_small"])
+def test_trace_ray_is_the_one_row_ensemble(tmp_path, request, fixture):
+    # trace_ray on the ensemble's own sampled points: the per-ray targets
+    # and printed misses of the CSV, and the largest miss bit for bit
+    env = request.getfixturevalue(fixture)[1]
+    surf = ReflectorSurface(env)
+    n, seed = 300, 4
+    path = tmp_path / "rays.csv"
+    rep = trace_ensemble(surf, n, seed=seed, csv_path=path)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    pts = optics._sample_source(env, n, None, rng)
+    rows = path.read_text().splitlines()[1:]
+    misses = []
+    for k, p in enumerate(pts):
+        if surf.kind == "point_source":
+            ray = Ray(np.zeros(3), p)
+        else:
+            ray = Ray(np.array([p[0], p[1], -1.0]), np.array([0.0, 0.0, 1.0]))
+        _, _, tgt, miss = trace_ray(surf, ray)
+        assert rows[k] == f"{k},{-1 if tgt is None else tgt},{miss:.12e}"
+        misses.append(miss)
+    assert max(misses).hex() == rep.max_miss.hex()
