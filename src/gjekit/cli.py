@@ -209,8 +209,6 @@ def cmd_estimate(cfg, verbose=False):
     rng = np.random.default_rng(seed)
     n_sections = int(cfg.get("counts", {}).get("n_sections", 20))
     rows = []
-    half_span = 0.25 * (np.asarray(env.grid.chart.hi) - np.asarray(env.grid.chart.lo))
-    center = env.grid.chart.center
     for k in range(n_sections):
         x_ref = env.grid.points[int(rng.integers(0, env.grid.n_cells))]
         u_ref, active = env.eval(x_ref)

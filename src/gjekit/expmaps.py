@@ -170,13 +170,13 @@ def _solve_rows(J, r):
         return np.linalg.solve(J, r[:, :, None])[:, :, 0], singular
     except np.linalg.LinAlgError:
         pass
-    # LAPACK rejects the whole stack for one singular matrix: solve each
+    # LAPACK rejects the whole stack for one singular matrix.  slogdet runs
+    # the same LU factorization and reports an exact zero pivot as sign 0;
+    # the other rows are solved as one stack, with the bits of their own solves
+    with np.errstate(invalid="ignore"):  # a nan J warns here; its step is nan below
+        singular = np.linalg.slogdet(J)[0] == 0
     step = np.full(r.shape, np.nan)
-    for i in range(r.shape[0]):
-        try:
-            step[i] = np.linalg.solve(J[i:i + 1], r[i:i + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            singular[i] = True
+    step[~singular] = np.linalg.solve(J[~singular], r[~singular, :, None])[:, :, 0]
     return step, singular
 
 
@@ -389,7 +389,6 @@ class GSegment:
         return xb[0], float(z[0])
 
     def to_csv(self, path):
-        k = self.s_grid.shape[0]
         p = self.p_at(self.s_grid)
         cols = [self.s_grid] + list(self.points.T) + list(p.T)
         header = ["s"] + [f"x{i}" for i in range(self.points.shape[1])] \

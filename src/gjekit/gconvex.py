@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .errors import ConfigError, EmptyEnvelopeError, NicenessError
 from .expmaps import exp_target, p_map
-from .grids import DomainGrid, mask_to_rle, rle_to_mask
+from .grids import DomainGrid
 from . import kernels
 
 ENVELOPE_FORMAT_VERSION = 1

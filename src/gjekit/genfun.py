@@ -8,12 +8,13 @@ generic algorithms work with the reversed scalar axis internally, so the
 public API always accepts and returns the natural scalar.
 
 Derivatives are taken with respect to *chart coordinates*.  A subclass may
-supply analytic derivatives in the embedding space (``_ed_*`` hooks); the
-base class chain-rules them through the chart jacobians.  Anything not
-supplied analytically falls back to central finite differences with one
-Richardson extrapolation level.  A finite-difference derivative is
-row-wise: a row whose stencil leaves the admissible set comes back nan,
-and the other rows keep the bits of their one-row calls.
+supply analytic derivatives in the embedding space (the ``_e<which>`` hooks
+of :class:`GenFun`); one chain rule in the base class contracts them with
+the chart jacobians.  Anything not supplied analytically falls back to
+central finite differences with one Richardson extrapolation level.  A
+finite-difference derivative is row-wise: a row whose stencil leaves the
+admissible set comes back nan, and the other rows keep the bits of their
+one-row calls.
 
 All evaluators are vectorized over a leading batch axis and pure; GenFun
 instances are immutable after construction and safe to share across
@@ -79,12 +80,14 @@ class GenFun:
     """Base generating function.
 
     Subclasses implement ``_value`` and ``_in_domain`` (batched, embedded
-    points) and may provide analytic embedded derivatives ``_ed_x``,
-    ``_ed_xbar``, ``_eg_z``, ``_eg_zz``, ``_ed_x_xbar``, ``_ed_x_z``,
-    ``_ed_xbar_z``, ``_ed2_x``, ``_ed2_xbar`` plus a closed-form scalar
-    inverse ``_h_closed``.  The derivatives ``d_x`` ... ``d2_xbar`` a
-    subclass leaves to finite differences never raise for a stencil that
-    leaves the admissible set: that row is nan.
+    points) and may provide a closed-form scalar inverse ``_h_closed``.
+    Each chart derivative ``<which>`` (``d_x``, ``d_xbar``, ``g_z``,
+    ``g_zz``, ``d_x_xbar``, ``d_x_z``, ``d_xbar_z``, ``d2_x``, ``d2_xbar``)
+    has the optional analytic embedded hook ``_e<which>`` (``_ed_x``,
+    ``_eg_z``, ``_ed2_xbar``, ...); ``d2_x``/``d2_xbar`` use theirs only
+    together with ``_ed_x``/``_ed_xbar``.  The derivatives a subclass leaves
+    to finite differences never raise for a stencil that leaves the
+    admissible set: that row is nan.
     """
 
     name = "genfun"
@@ -234,91 +237,68 @@ class GenFun:
     # -- chart derivative surface ----------------------------------------------------
 
     def d_x(self, x, xbar, z):
-        return self._chart_first(x, xbar, z, wrt="x")
+        return self._derivative("d_x", x, xbar, z)
 
     def d_xbar(self, x, xbar, z):
-        return self._chart_first(x, xbar, z, wrt="xbar")
+        return self._derivative("d_xbar", x, xbar, z)
 
     def g_z(self, x, xbar, z):
-        x, xbar, z, single = self._batch(x, xbar, z)
-        if getattr(self, "_eg_z", None) is not None:
-            v = self._eg_z(x, xbar, z)
-        else:
-            v = _fd(self, x, xbar, z, "g_z")
-        return float(v[0]) if single else v
+        return self._derivative("g_z", x, xbar, z)
 
     def g_zz(self, x, xbar, z):
-        x, xbar, z, single = self._batch(x, xbar, z)
-        if getattr(self, "_eg_zz", None) is not None:
-            v = self._eg_zz(x, xbar, z)
-        else:
-            v = _fd(self, x, xbar, z, "g_zz")
-        return float(v[0]) if single else v
+        return self._derivative("g_zz", x, xbar, z)
 
     def d_x_xbar(self, x, xbar, z):
-        x, xbar, z, single = self._batch(x, xbar, z)
-        if getattr(self, "_ed_x_xbar", None) is not None:
-            Jx = self.source_chart.jacobian(self.source_chart.coords(x))
-            Jb = self.target_chart.jacobian(self.target_chart.coords(xbar))
-            M = self._ed_x_xbar(x, xbar, z)
-            out = np.einsum("mai,mab,mbj->mij", Jx, M, Jb)
-        else:
-            out = _fd(self, x, xbar, z, "d_x_xbar")
-        return out[0] if single else out
+        return self._derivative("d_x_xbar", x, xbar, z)
 
     def d_x_z(self, x, xbar, z):
-        x, xbar, z, single = self._batch(x, xbar, z)
-        if getattr(self, "_ed_x_z", None) is not None:
-            Jx = self.source_chart.jacobian(self.source_chart.coords(x))
-            out = np.einsum("mai,ma->mi", Jx, self._ed_x_z(x, xbar, z))
-        else:
-            out = _fd(self, x, xbar, z, "d_x_z")
-        return out[0] if single else out
+        return self._derivative("d_x_z", x, xbar, z)
 
     def d_xbar_z(self, x, xbar, z):
-        x, xbar, z, single = self._batch(x, xbar, z)
-        if getattr(self, "_ed_xbar_z", None) is not None:
-            Jb = self.target_chart.jacobian(self.target_chart.coords(xbar))
-            out = np.einsum("mai,ma->mi", Jb, self._ed_xbar_z(x, xbar, z))
-        else:
-            out = _fd(self, x, xbar, z, "d_xbar_z")
-        return out[0] if single else out
+        return self._derivative("d_xbar_z", x, xbar, z)
 
     def d2_x(self, x, xbar, z):
-        return self._chart_second(x, xbar, z, wrt="x")
+        return self._derivative("d2_x", x, xbar, z)
 
     def d2_xbar(self, x, xbar, z):
-        return self._chart_second(x, xbar, z, wrt="xbar")
+        return self._derivative("d2_xbar", x, xbar, z)
 
-    def _chart_first(self, x, xbar, z, wrt):
+    def _derivative(self, which, x, xbar, z):
+        """Derivative ``which`` (a key of ``_FD_AXES``) in chart coordinates.
+
+        The embedded hook ``"_e" + which`` contracted with the chart
+        jacobian along each x/xbar axis; a second derivative along one chart
+        adds the chart-Hessian term, which needs the embedded gradient
+        (``_ed_x``/``_ed_xbar``) as well.  Without those hooks, ``_fd``.
+        """
         x, xbar, z, single = self._batch(x, xbar, z)
-        hook = getattr(self, "_ed_x" if wrt == "x" else "_ed_xbar", None)
-        if hook is not None:
-            chart = self.source_chart if wrt == "x" else self.target_chart
-            pt = x if wrt == "x" else xbar
-            J = chart.jacobian(chart.coords(pt))
-            out = np.einsum("mai,ma->mi", J, hook(x, xbar, z))
+        axes = _CHART_AXES[which]
+        hessian = len(axes) == 2 and axes[0] == axes[1]
+        hook = getattr(self, "_e" + which, None)
+        if hessian and getattr(self, "_ed_" + axes[0], None) is None:
+            hook = None
+        if hook is None:
+            out = _fd(self, x, xbar, z, which)
+        elif not axes:
+            out = hook(x, xbar, z)
         else:
-            out = _fd(self, x, xbar, z, "d_" + wrt)
-        return out[0] if single else out
-
-    def _chart_second(self, x, xbar, z, wrt):
-        x, xbar, z, single = self._batch(x, xbar, z)
-        hook = getattr(self, "_ed2_x" if wrt == "x" else "_ed2_xbar", None)
-        ghook = getattr(self, "_ed_x" if wrt == "x" else "_ed_xbar", None)
-        if hook is not None and ghook is not None:
-            chart = self.source_chart if wrt == "x" else self.target_chart
-            pt = x if wrt == "x" else xbar
+            charts = {"x": (self.source_chart, x), "xbar": (self.target_chart, xbar)}
+            chart, pt = charts[axes[0]]
             c = chart.coords(pt)
             J = chart.jacobian(c)
-            Hc = chart.hessian(c)
-            M = hook(x, xbar, z)
-            g = ghook(x, xbar, z)
-            out = (np.einsum("mai,mab,mbj->mij", J, M, J)
-                   + np.einsum("ma,maij->mij", g, Hc))
-        else:
-            out = _fd(self, x, xbar, z, "d2_" + wrt)
-        return out[0] if single else out
+            out = hook(x, xbar, z)
+            if len(axes) == 1:
+                out = np.einsum("mai,ma->mi", J, out)
+            else:
+                chart2, pt2 = charts[axes[1]]
+                J2 = J if hessian else chart2.jacobian(chart2.coords(pt2))
+                out = np.einsum("mai,mab,mbj->mij", J, out, J2)
+            if hessian:
+                grad = getattr(self, "_ed_" + axes[0])(x, xbar, z)
+                out = out + np.einsum("ma,maij->mij", grad, chart.hessian(c))
+        if not single:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]
 
     def descriptor(self):
         return {"name": self.name,
@@ -331,10 +311,13 @@ class GenFun:
 # finite-difference engine (joint chart coordinates, one Richardson level)
 # ---------------------------------------------------------------------------
 
-# the chart-coordinate groups each derivative differentiates along
+# the coordinate groups each derivative differentiates along: the stencil
+# axes of ``_fd``; its x/xbar groups are the chart jacobians the chain rule
+# of ``GenFun._derivative`` contracts
 _FD_AXES = {"d_x": ("x",), "d_xbar": ("xbar",), "g_z": ("z",), "g_zz": ("z", "z"),
             "d_x_xbar": ("x", "xbar"), "d_x_z": ("x", "z"), "d_xbar_z": ("xbar", "z"),
             "d2_x": ("x", "x"), "d2_xbar": ("xbar", "xbar")}
+_CHART_AXES = {w: tuple(g for g in axes if g != "z") for w, axes in _FD_AXES.items()}
 
 
 def raise_for_nan(values, what):
@@ -418,7 +401,7 @@ def _fd(gf, x, xbar, z, which):
                     out[:, i, j] = out[:, j, i]
                 else:
                     out[:, i, j] = _richardson(mixed(k, l, hk, hl), mixed(k, l, hk / 2, hl / 2))
-    out = out.reshape((m,) + tuple(n for g in _FD_AXES[which] if g != "z"))
+    out = out.reshape((m,) + (n,) * len(_CHART_AXES[which]))
     out[~ok] = np.nan
     return out
 

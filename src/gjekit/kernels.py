@@ -14,9 +14,12 @@ composition.  A caller with fixed foci (the solver) computes each basis once
 and passes it as ``basis=`` to ``piece_values`` and ``piece_mass``; the
 values are the same bit for bit.
 
-:class:`PointValues` is the transposed kernel: every piece at one point,
-for the envelope's pointwise queries.  It caches what depends on the foci
-alone and reproduces the evaluator bit for bit.
+``np_basis_values`` is the only numpy copy of each closed form; the
+generating functions' own evaluators stay as the reference the tests
+compare against.  :class:`PointValues` is the transposed use: every piece
+at one point, for the envelope's pointwise queries.  It builds the basis of
+all foci at that point and runs ``np_basis_values`` with a height per
+column, which reproduces the evaluator bit for bit.
 
 Inadmissible points are encoded as -inf piece values, which the reductions
 treat as "piece not competing".  :func:`scan_rows` is the one place the
@@ -61,21 +64,28 @@ def np_piece_basis(tag, xs, xbar):
     return xs @ xbar
 
 
-def np_basis_values(tag, params, b, xbar, z):
-    """Piece values from the grid basis ``b`` of :func:`np_piece_basis`."""
+def np_basis_values(tag, params, b, t2, z):
+    """Piece values from the basis ``b`` of :func:`np_piece_basis`.
+
+    ``z`` is one height or a height per column of ``b``; ``t2`` is |xbar|^2
+    in the same shape, read by ``point_source`` only (pass None otherwise).
+    A single height outside the tag's range gives a row of -inf; per-column
+    heights are the caller's to check (:class:`PointValues` masks its foci
+    itself).
+    """
     m = b.shape[0]
+    single = not isinstance(z, np.ndarray)
     if tag == "ql_bilinear":
         return b - z
     if tag == "ql_neglog":
         out = np.full(m, -np.inf)
         ok = b < 1.0 - 1e-12
-        out[ok] = np.log(1.0 - b[ok]) - z
+        out[ok] = np.log(1.0 - b[ok]) - (z if single else z[ok])
         return out
     if tag == "ql_cubic":
         return b + params[0] * (b * b * b) - z
     if tag == "point_source":
-        t2 = float(xbar @ xbar)
-        if not (z > 0.0 and 0.25 * z * z * t2 < 1.0):
+        if single and not (z > 0.0 and 0.25 * z * z * t2 < 1.0):
             return np.full(m, -np.inf)
         # (z - 0.5 z^2 b) / (1 - 0.25 z^2 t2), evaluated in one buffer
         out = b * (0.5 * z * z)
@@ -83,16 +93,18 @@ def np_basis_values(tag, params, b, xbar, z):
         out /= 1.0 - 0.25 * z * z * t2
         return out
     if tag == "pb_zero":
-        if not z > 0.0:
+        if single and not z > 0.0:
             return np.full(m, -np.inf)
+        # params[0] is the range's lower end: the evaluator's domain keeps
+        # the closed upper branch v >= lower
         v = 0.5 * (1.0 / z - z * b)
-        v[v < 0.0] = -np.inf
+        v[~(v >= params[0])] = -np.inf
         return v
     if tag == "minkowski":
-        if not z > 0.0:
+        if single and not z > 0.0:
             return np.full(m, -np.inf)
         v = z * b
-        v[b <= 0.0] = -np.inf
+        v[~(b > 0.0)] = -np.inf
         return v
     raise KeyError(f"unknown kernel tag {tag!r}")
 
@@ -101,7 +113,8 @@ def np_piece_values(tag, params, xs, xbar, z, basis=None):
     """Piece values over grid points xs (m, d); -inf where inadmissible."""
     if basis is None:
         basis = np_piece_basis(tag, xs, xbar)
-    return np_basis_values(tag, params, basis, xbar, z)
+    t2 = float(xbar @ xbar) if tag == "point_source" else None
+    return np_basis_values(tag, params, basis, t2, z)
 
 
 def np_value_bounds(tag, params, b, xbar, z1, z2):
@@ -115,21 +128,21 @@ def np_value_bounds(tag, params, b, xbar, z1, z2):
     """
     if tag in ("ql_bilinear", "ql_neglog", "ql_cubic"):
         # fl(A(b) - z) falls with z
-        return (np_basis_values(tag, params, b, xbar, z2),
-                np_basis_values(tag, params, b, xbar, z1))
+        return (np_basis_values(tag, params, b, None, z2),
+                np_basis_values(tag, params, b, None, z1))
     if not z1 > 0.0:
         return None
     if tag == "minkowski":
         # z b for b > 0 grows with z; -inf elsewhere at every z
-        return (np_basis_values(tag, params, b, xbar, z1),
-                np_basis_values(tag, params, b, xbar, z2))
+        return (np_basis_values(tag, params, b, None, z1),
+                np_basis_values(tag, params, b, None, z2))
     if tag == "pb_zero":
-        # 0.5 (1/z - z b), then -inf below 0 (a monotone cut)
+        # 0.5 (1/z - z b), then -inf below the lower end (a monotone cut)
         zb1, zb2 = z1 * b, z2 * b
         lo = 0.5 * (1.0 / z2 - np.maximum(zb1, zb2))
         hi = 0.5 * (1.0 / z1 - np.minimum(zb1, zb2))
-        lo[lo < 0.0] = -np.inf
-        hi[hi < 0.0] = -np.inf
+        lo[~(lo >= params[0])] = -np.inf
+        hi[~(hi >= params[0])] = -np.inf
         return lo, hi
     if tag == "point_source":
         t2 = float(xbar @ xbar)
@@ -284,52 +297,43 @@ def point_kernel(gf, xbars, zs):
 class PointValues:
     """All piece values at one point through the closed forms.
 
-    The result equals ``evaluator_values(gf, x, xbars, zs)`` bit for bit:
-    each tag repeats its generating function's ``_in_domain`` and ``_value``
-    in the same order of operations.  Everything that depends on the foci
-    alone is computed once here: the foci transposed to (d, n), the focus
-    part of the domain mask (target chart, admissible height) and per-focus
-    constants.  A query then checks the source chart once for x, builds the
-    basis column by column (``b = xt[0] * x[0]; b += xt[1] * x[1]; ...``,
-    which is numpy's row sum in its order) and applies the closed form and
-    the conditions joint in x and the focus.
+    The result equals ``evaluator_values(gf, x, xbars, zs)`` bit for bit.
+    Everything that depends on the foci alone is computed once here: the
+    foci transposed to (d, n), |xbar|^2 per focus and the focus part of the
+    evaluator's domain mask (target chart, admissible height).  A query
+    checks the source chart once for x, builds the basis column by column
+    (``b = xt[0] * x[0]; b += xt[1] * x[1]; ...``, which is numpy's row sum
+    in its order), runs :func:`np_basis_values` with a height per column and
+    restores -inf on the masked foci.  The closed forms give the
+    evaluator's bits from that basis: each applies its generating
+    function's ``_value`` operations, up to commuted products.
     """
 
     def __init__(self, gf, xbars, zs):
-        self.tag, params = kernel_tag(gf)
+        self.tag, self.params = kernel_tag(gf)
         self.chart = gf.source_chart
-        self.lower = gf.srange.lower
-        tag = self.tag
         ok = gf.target_chart.contains(xbars)
-        if tag.startswith("ql_"):
+        if self.tag.startswith("ql_"):
             ok &= np.isfinite(zs)
-        elif tag == "point_source":
+        elif self.tag == "point_source":
             t = np.linalg.norm(xbars, axis=1)
             ok &= (zs > 0.0) & (0.5 * zs * t < 1.0)
         else:
             ok &= zs > 0.0
         # inadmissible foci get harmless placeholders, so the closed forms
         # run warning-free over every column; the mask restores -inf
-        self.ok, self.off = ok, ~ok
+        self.off = ~ok
         xbars = np.where(ok[:, None], xbars, 0.0)
-        z = np.where(ok, zs, 1.0)
+        self.z = np.where(ok, zs, 1.0)
         self.xt = np.ascontiguousarray(xbars.T)
-        self.z = z
-        if tag == "ql_cubic":
-            self.eps = params[0]
-        elif tag == "point_source":
-            t2 = np.sum(xbars * xbars, axis=1)
-            self.c = 0.5 * z * z  # N = z - c b
-            self.q = 1.0 - 0.25 * z * z * t2
-        elif tag == "pb_zero":
-            self.inv_z = 1.0 / z
+        self.t2 = np.sum(xbars * xbars, axis=1)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float).reshape(-1)
         if not self.chart.contains(x[None, :])[0]:
             return np.full(self.z.shape[0], -np.inf)
-        tag, xt = self.tag, self.xt
-        if tag == "pb_zero":
+        xt = self.xt
+        if self.tag == "pb_zero":
             b = (x[0] - xt[0]) ** 2
             for k in range(1, x.shape[0]):
                 b += (x[k] - xt[k]) ** 2
@@ -338,38 +342,8 @@ class PointValues:
             for k in range(1, x.shape[0]):
                 b += xt[k] * x[k]
             b += 0.0  # numpy's row sum starts at +0.0: no -0.0 result
-        off = self.off
-        if tag == "ql_bilinear":
-            v = b
-            v -= self.z
-        elif tag == "ql_cubic":
-            v = b * b
-            v *= b
-            v *= self.eps
-            v += b
-            v -= self.z
-        elif tag == "ql_neglog":
-            ok = b < 1.0 - 1e-12
-            ok &= self.ok
-            v = np.full(b.shape[0], -np.inf)
-            v[ok] = np.log(1.0 - b[ok]) - self.z[ok]
-            return v
-        elif tag == "point_source":
-            v = b
-            v *= self.c
-            np.subtract(self.z, v, out=v)
-            v /= self.q
-        elif tag == "pb_zero":
-            v = b
-            v *= self.z
-            np.subtract(self.inv_z, v, out=v)
-            v *= 0.5
-            off = off | ~(v >= self.lower)
-        else:  # minkowski
-            off = off | ~(b > 0.0)
-            v = b
-            v *= self.z
-        np.copyto(v, -np.inf, where=off)
+        v = np_basis_values(self.tag, self.params, b, self.t2, self.z)
+        np.copyto(v, -np.inf, where=self.off)
         return v
 
 
@@ -386,7 +360,7 @@ def kernel_tag(gf):
     if name == "minkowski":
         return "minkowski", ()
     if name == "parallel_beam" and getattr(gf.surface, "name", "") == "zero":
-        return "pb_zero", ()
+        return "pb_zero", (gf.srange.lower,)
     if name.startswith("quasilinear"):
         cname = getattr(gf.cost, "name", "")
         if cname == "bilinear":

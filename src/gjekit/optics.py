@@ -21,7 +21,7 @@ Intersections use the closed-form quadrics of the active piece, so the only
 noise in an ensemble trace is Monte-Carlo sampling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -133,7 +133,6 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
     margin is the smallest output/input separation ratio; a collision drives
     it to zero.
     """
-    rng = np.random.default_rng(seed)
     worst = np.inf
     witness = {}
     total = 0

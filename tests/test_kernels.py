@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gjekit import kernels, solver
-from gjekit.builtins import make_builtin
+from gjekit.builtins import ParallelBeamGF, make_builtin
 from gjekit.charts import BoxChart
 from gjekit.demos import violator_genfun
 from gjekit.gconvex import Envelope
+from gjekit.genfun import ScalarRange
 from gjekit.grids import DomainGrid
 
 
@@ -43,6 +44,8 @@ def test_scan_rows_chains_ties_and_leaves_uncovered_cells():
 
 
 _CASES = {gf.name: gf for gf in _cases()}
+# a range that starts above zero: the parallel-beam domain keeps v >= 0.1
+_CASES["parallel_beam[lower=0.1]"] = ParallelBeamGF(srange=ScalarRange(0.1, np.inf, 0.2, 20.0))
 _GRIDS = {name: DomainGrid(gf.source_chart, 12) for name, gf in _CASES.items()}
 
 
@@ -268,11 +271,12 @@ def test_value_bounds_enclose_the_kernel(tag, seed, z1, width):
                                 and not 0.25 * z2 * z2 * t2 < 1.0)
         return
     lo, hi = bounds
+    t2 = float(xbar @ xbar)
     for z in _heights(rng, z1, z2):
-        v = kernels.np_basis_values(tag, params, b, xbar, float(z))
+        v = kernels.np_basis_values(tag, params, b, t2, float(z))
         assert np.all(lo <= v) and np.all(v <= hi), (tag, z)
     if z1 == z2:  # a single height: the bounds are the kernel's own values
-        v = kernels.np_basis_values(tag, params, b, xbar, z1)
+        v = kernels.np_basis_values(tag, params, b, t2, z1)
         assert np.array_equal(_bits(lo), _bits(v))
         assert np.array_equal(_bits(hi), _bits(v))
 
