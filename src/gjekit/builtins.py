@@ -47,6 +47,7 @@ class BilinearCost:
     """c(x, xbar) = -<x, xbar>; the classical Monge-Ampere calibration."""
 
     name = "bilinear"
+    _kernel = ("ql_bilinear", ())
 
     def value(self, x, xb):
         return -np.sum(x * xb, axis=1)
@@ -81,6 +82,7 @@ class NegLogCost:
     """c(x, xbar) = -log(1 - <x, xbar>), the far-field reflector cost."""
 
     name = "neg_log"
+    _kernel = ("ql_neglog", ())
 
     def value(self, x, xb):
         return -np.log(1.0 - np.sum(x * xb, axis=1))
@@ -131,6 +133,7 @@ class CubicPerturbedCost:
 
     def __init__(self, eps=2.0):
         self.eps = float(eps)
+        self._kernel = ("ql_cubic", (self.eps,))
 
     def _b(self, x, xb):
         return np.sum(x * xb, axis=1)
@@ -355,6 +358,7 @@ class QuasilinearGF(GenFun):
         super().__init__(source_chart, target_chart, srange, tols)
         self.cost = cost
         self.name = f"quasilinear[{cost.name}]"
+        self._kernel = getattr(cost, "_kernel", None)
         analytic = cost.d_x is not None
         if analytic:
             self._ed_x = lambda x, xb, z: -self.cost.d_x(x, xb)
@@ -370,9 +374,12 @@ class QuasilinearGF(GenFun):
     def _value(self, x, xb, z):
         return -self.cost.value(x, xb) - z
 
+    def _focus_ok(self, xb, z):
+        return self.target_chart.contains(xb) & np.isfinite(z)
+
     def _in_domain(self, x, xb, z):
-        return (self.source_chart.contains(x) & self.target_chart.contains(xb)
-                & np.isfinite(z) & self.cost.domain_ok(x, xb))
+        return (self.source_chart.contains(x) & self._focus_ok(xb, z)
+                & self.cost.domain_ok(x, xb))
 
     def _h_closed(self, x, xb, u):
         # rows outside cost.domain_ok come out non-finite and fail admissibility
@@ -407,6 +414,7 @@ class PointSourceGF(GenFun):
         srange = srange or ScalarRange(0.0, np.inf, 0.05, 20.0)
         super().__init__(source_chart, target_chart, srange, tols)
         self.name = "point_source"
+        self._kernel = ("point_source", ())
 
     @staticmethod
     def _nq(x, xb, z):
@@ -420,10 +428,18 @@ class PointSourceGF(GenFun):
         _, _, N, Q = self._nq(x, xb, z)
         return N / Q
 
+    def _focus_ok(self, xb, z):
+        # z > 0 and the denominator Q of the value is positive, in _nq's bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = 1.0 - 0.25 * z * z * np.sum(xb * xb, axis=1)
+        return (z > 0.0) & (q > 0.0) & self.target_chart.contains(xb)
+
     def _in_domain(self, x, xb, z):
-        t = np.linalg.norm(xb, axis=1)
-        return ((z > 0.0) & (0.5 * z * t < 1.0)
-                & self.source_chart.contains(x) & self.target_chart.contains(xb))
+        return self._focus_ok(xb, z) & self.source_chart.contains(x)
+
+    def z_limits(self, xbar):
+        t2 = float(np.sum(xbar * xbar))
+        return 0.0, (2.0 / np.sqrt(t2) if t2 > 0.0 else np.inf)
 
     def _h_closed(self, x, xb, u):
         # quadratic alpha z^2 + z - u = 0 with alpha = u t2/4 - b/2;
@@ -518,6 +534,9 @@ class ParallelBeamGF(GenFun):
         super().__init__(source_chart, target_chart, srange, tols)
         self.surface = surface or ZeroSurface()
         self.name = "parallel_beam"
+        if isinstance(self.surface, ZeroSurface):
+            # the kernel's cut keeps the same upper branch v >= lower
+            self._kernel = ("pb_zero", (self.srange.lower,))
 
     def _value(self, x, xb, z):
         D = np.sum((x - xb) ** 2, axis=1)
@@ -528,11 +547,17 @@ class ParallelBeamGF(GenFun):
         # 2 z r / (1/z^2 + |r|^2) folds at |r| = 1/z); restricting the value
         # to the closed upper branch G >= lower keeps the injective side,
         # fold circle included
-        ok = (z > 0.0) & self.source_chart.contains(x) & self.target_chart.contains(xb)
+        ok = self._focus_ok(xb, z) & self.source_chart.contains(x)
         if np.any(ok):
             v = np.where(ok, self._value(x, xb, np.where(ok, z, 1.0)), -1.0)
             ok = ok & (v >= self.srange.lower)
         return ok
+
+    def _focus_ok(self, xb, z):
+        return (z > 0.0) & self.target_chart.contains(xb)
+
+    def z_limits(self, xbar):
+        return 0.0, np.inf
 
     def _h_closed(self, x, xb, u):
         v = u - self.surface.value(xb)
@@ -589,14 +614,20 @@ class MinkowskiGF(GenFun):
         srange = srange or ScalarRange(0.0, np.inf, 0.1, 10.0)
         super().__init__(source_chart, target_chart, srange, tols)
         self.name = "minkowski"
+        self._kernel = ("minkowski", ())
 
     def _value(self, x, xb, z):
         return z * np.sum(x * xb, axis=1)
 
+    def _focus_ok(self, xb, z):
+        return (z > 0.0) & self.target_chart.contains(xb)
+
     def _in_domain(self, x, xb, z):
         b = np.sum(x * xb, axis=1)
-        return ((b > 0.0) & (z > 0.0)
-                & self.source_chart.contains(x) & self.target_chart.contains(xb))
+        return (b > 0.0) & self._focus_ok(xb, z) & self.source_chart.contains(x)
+
+    def z_limits(self, xbar):
+        return 0.0, np.inf
 
     def _h_closed(self, x, xb, u):
         b = np.sum(x * xb, axis=1)

@@ -81,6 +81,11 @@ class GenFun:
 
     Subclasses implement ``_value`` and ``_in_domain`` (batched, embedded
     points) and may provide a closed-form scalar inverse ``_h_closed``.
+    ``z_limits`` is the open height interval of a piece with a given focus.
+    A built-in also sets ``_kernel``, its closed form's tag and parameters
+    in :mod:`kernels` (None: the kernels run the evaluator), and
+    ``_focus_ok``, the part of its domain that depends on the focus and the
+    height alone.
     Each chart derivative ``<which>`` (``d_x``, ``d_xbar``, ``g_z``,
     ``g_zz``, ``d_x_xbar``, ``d_x_z``, ``d_xbar_z``, ``d2_x``, ``d2_xbar``)
     has the optional analytic embedded hook ``_e<which>`` (``_ed_x``,
@@ -92,6 +97,7 @@ class GenFun:
 
     name = "genfun"
     orientation = +1  # -1 when the stored formula has dG/dz > 0
+    _kernel = None
 
     def __init__(self, source_chart, target_chart, srange: ScalarRange,
                  tols: Tolerances = DEFAULT_TOLS):
@@ -112,6 +118,19 @@ class GenFun:
         raise NotImplementedError
 
     _h_closed = None
+
+    def z_limits(self, xbar):
+        """Open interval of admissible heights of the piece with focus xbar."""
+        return -np.inf, np.inf
+
+    def _value_or(self, x, xbar, z, fill):
+        """G on the admissible rows, ``fill`` on the others; returns (values,
+        admissible mask)."""
+        ok = self._in_domain(x, xbar, z)
+        v = np.full(x.shape[0], fill)
+        if np.any(ok):
+            v[ok] = self._value(x[ok], xbar[ok], z[ok])
+        return v, ok
 
     @property
     def deriv_mode(self):
@@ -332,13 +351,9 @@ def _chart_eval(gf, w, ok):
     """G at the joint chart coordinates w = (x, xbar, z), evaluated on the
     admissible rows only; the others get nan and are cleared in ``ok``."""
     n = gf.dim
-    x = gf.source_chart.embed(w[:, :n])
-    xb = gf.target_chart.embed(w[:, n:2 * n])
-    z = w[:, 2 * n]
-    inside = gf._in_domain(x, xb, z)
-    ok[~inside] = False
-    v = np.full(w.shape[0], np.nan)
-    v[inside] = gf._value(x[inside], xb[inside], z[inside])
+    v, inside = gf._value_or(gf.source_chart.embed(w[:, :n]),
+                             gf.target_chart.embed(w[:, n:2 * n]), w[:, 2 * n], np.nan)
+    ok &= inside
     return v
 
 

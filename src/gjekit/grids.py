@@ -65,29 +65,3 @@ class DomainGrid:
         d = self.coords - np.asarray(center_coords, float)
         return np.sum(d * d, axis=1) <= radius ** 2
 
-
-def mask_to_rle(mask) -> dict:
-    """Run-length encode a boolean mask (starts with the count of False)."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.size == 0:
-        return {"length": 0, "runs": []}
-    flips = np.flatnonzero(np.diff(mask))
-    edges = np.concatenate([[0], flips + 1, [mask.size]])
-    runs = np.diff(edges).tolist()
-    if mask[0]:
-        runs = [0] + runs
-    return {"length": int(mask.size), "runs": [int(r) for r in runs]}
-
-
-def rle_to_mask(rle) -> np.ndarray:
-    out = np.zeros(rle["length"], dtype=bool)
-    pos = 0
-    val = False
-    for run in rle["runs"]:
-        if val:
-            out[pos:pos + run] = True
-        pos += run
-        val = not val
-    if pos != rle["length"]:
-        raise ValueError("corrupt run-length encoding")
-    return out

@@ -3,16 +3,16 @@
 The envelope/solver inner loop evaluates one generating-function piece over
 every grid cell and reduces (max/argmax or a masked mass sum).  For the
 built-in generating functions the piece values are small closed forms in
-numpy, one per kernel tag; anything untagged goes through the generating
-function's own evaluator (:func:`evaluator_values`).
+numpy, one per kernel tag; a built-in generating function names its tag
+and parameters in its ``_kernel`` attribute.  Anything untagged goes through
+the generating function's own evaluator (:func:`evaluator_values`).
 
 The closed forms run in two steps.  ``np_piece_basis`` computes the grid
 basis of a piece, the only O(m d) part, which depends on the focus alone:
 ``xs @ xbar``, or ``|xs - xbar|^2`` for ``pb_zero``.  ``np_basis_values``
-turns the basis and the height into values, and ``np_piece_values`` is the
-composition.  A caller with fixed foci (the solver) computes each basis once
-and passes it as ``basis=`` to ``piece_values`` and ``piece_mass``; the
-values are the same bit for bit.
+turns the basis and the height into values.  A caller with fixed foci (the
+solver) computes each basis once and passes it as ``basis=`` to
+``piece_values`` and ``piece_mass``; the values are the same bit for bit.
 
 ``np_basis_values`` is the only numpy copy of each closed form; the
 generating functions' own evaluators stay as the reference the tests
@@ -85,12 +85,14 @@ def np_basis_values(tag, params, b, t2, z):
     if tag == "ql_cubic":
         return b + params[0] * (b * b * b) - z
     if tag == "point_source":
-        if single and not (z > 0.0 and 0.25 * z * z * t2 < 1.0):
+        # (z - 0.5 z^2 b) / q with q = 1 - 0.25 z^2 t2, evaluated in one
+        # buffer; admissible when z > 0 and q > 0 (PointSourceGF._focus_ok)
+        q = 1.0 - 0.25 * z * z * t2
+        if single and not (z > 0.0 and q > 0.0):
             return np.full(m, -np.inf)
-        # (z - 0.5 z^2 b) / (1 - 0.25 z^2 t2), evaluated in one buffer
         out = b * (0.5 * z * z)
         np.subtract(z, out, out=out)
-        out /= 1.0 - 0.25 * z * z * t2
+        out /= q
         return out
     if tag == "pb_zero":
         if single and not z > 0.0:
@@ -109,18 +111,10 @@ def np_basis_values(tag, params, b, t2, z):
     raise KeyError(f"unknown kernel tag {tag!r}")
 
 
-def np_piece_values(tag, params, xs, xbar, z, basis=None):
-    """Piece values over grid points xs (m, d); -inf where inadmissible."""
-    if basis is None:
-        basis = np_piece_basis(tag, xs, xbar)
-    t2 = float(xbar @ xbar) if tag == "point_source" else None
-    return np_basis_values(tag, params, basis, t2, z)
-
-
-def np_value_bounds(tag, params, b, xbar, z1, z2):
+def np_value_bounds(tag, params, b, t2, z1, z2):
     """Per-cell (lo, hi) enclosing :func:`np_basis_values` over z in [z1, z2].
 
-    ``lo <= np_basis_values(tag, params, b, xbar, z) <= hi`` holds bit for
+    ``lo <= np_basis_values(tag, params, b, t2, z) <= hi`` holds bit for
     bit for every z in [z1, z2], because each correctly rounded operation
     is monotone in each argument: the bounds repeat the kernel's operations
     in its order on interval endpoints.  Returns None where no enclosure is
@@ -145,33 +139,23 @@ def np_value_bounds(tag, params, b, xbar, z1, z2):
         hi[~(hi >= params[0])] = -np.inf
         return lo, hi
     if tag == "point_source":
-        t2 = float(xbar @ xbar)
-        if not (0.25 * z1 * z1 * t2 < 1.0 and 0.25 * z2 * z2 * t2 < 1.0):
+        q1, q2 = 1.0 - 0.25 * z1 * z1 * t2, 1.0 - 0.25 * z2 * z2 * t2
+        if not (q1 > 0.0 and q2 > 0.0):
             return None
         # N = z - b c with c = 0.5 z^2 rising in z, over q = 1 - 0.25 z^2 t2
         # falling in z and positive; N / q takes its q endpoint by N's sign
         bc1, bc2 = b * (0.5 * z1 * z1), b * (0.5 * z2 * z2)
         n_lo = z1 - np.maximum(bc1, bc2)
         n_hi = z2 - np.minimum(bc1, bc2)
-        q1, q2 = 1.0 - 0.25 * z1 * z1 * t2, 1.0 - 0.25 * z2 * z2 * t2
         n_lo /= np.where(n_lo >= 0.0, q1, q2)
         n_hi /= np.where(n_hi >= 0.0, q2, q1)
         return n_lo, n_hi
     raise KeyError(f"unknown kernel tag {tag!r}")
 
 
-def np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar, z, tie,
-                  basis=None, sel=None):
-    """Mass of the cells piece i wins under the chained rule of :func:`scan_rows`.
-
-    ``lo_tie`` is the chained best of the rows before i plus ``tie`` and
-    ``hi_best`` the plain max of the rows after i (see :func:`_wins`).
-    ``basis`` (the piece's :func:`np_piece_basis`) may be passed
-    precomputed; the mass is the same bit for bit.  ``sel`` narrows the
-    call to some cells (:func:`piece_mass`).
-    """
-    v = np_piece_values(tag, params, xs, xbar, z, basis)
-    return _win_mass(v, weights, lo_tie, hi_best, tie, sel)
+def _focus_t2(tag, xbar):
+    # |xbar|^2 in the evaluator's row-sum order; only the point source reads it
+    return float(np.sum(xbar * xbar)) if tag == "point_source" else None
 
 
 def _wins(v, lo_tie, hi_best, tie):
@@ -251,11 +235,7 @@ def evaluator_values(gf, xs, xbars, zs):
     m = max(a.shape[0] if a.ndim == k else 1
             for a, k in ((xs, 2), (xbars, 2), (zs, 1)))
     xs, xbars, zs = _as_rows(xs, m, 2), _as_rows(xbars, m, 2), _as_rows(zs, m, 1)
-    ok = gf._in_domain(xs, xbars, zs)
-    out = np.full(m, -np.inf)
-    if np.any(ok):
-        out[ok] = gf._value(xs[ok], xbars[ok], zs[ok])
-    return out
+    return gf._value_or(xs, xbars, zs, -np.inf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +269,7 @@ def point_kernel(gf, xbars, zs):
     :class:`PointValues` for a tagged generating function, the evaluator
     (:func:`evaluator_values`) otherwise.
     """
-    if kernel_tag(gf)[0] is None:
+    if gf._kernel is None:
         return lambda x: evaluator_values(gf, x, xbars, zs)
     return PointValues(gf, xbars, zs)
 
@@ -300,7 +280,7 @@ class PointValues:
     The result equals ``evaluator_values(gf, x, xbars, zs)`` bit for bit.
     Everything that depends on the foci alone is computed once here: the
     foci transposed to (d, n), |xbar|^2 per focus and the focus part of the
-    evaluator's domain mask (target chart, admissible height).  A query
+    evaluator's domain mask (the generating function's ``_focus_ok``).  A query
     checks the source chart once for x, builds the basis column by column
     (``b = xt[0] * x[0]; b += xt[1] * x[1]; ...``, which is numpy's row sum
     in its order), runs :func:`np_basis_values` with a height per column and
@@ -310,16 +290,9 @@ class PointValues:
     """
 
     def __init__(self, gf, xbars, zs):
-        self.tag, self.params = kernel_tag(gf)
+        self.tag, self.params = gf._kernel
         self.chart = gf.source_chart
-        ok = gf.target_chart.contains(xbars)
-        if self.tag.startswith("ql_"):
-            ok &= np.isfinite(zs)
-        elif self.tag == "point_source":
-            t = np.linalg.norm(xbars, axis=1)
-            ok &= (zs > 0.0) & (0.5 * zs * t < 1.0)
-        else:
-            ok &= zs > 0.0
+        ok = gf._focus_ok(xbars, zs)
         # inadmissible foci get harmless placeholders, so the closed forms
         # run warning-free over every column; the mask restores -inf
         self.off = ~ok
@@ -348,28 +321,19 @@ class PointValues:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# dispatch on the generating function's kernel
 # ---------------------------------------------------------------------------
 
 
-def kernel_tag(gf):
-    """Kernel tag and parameters for a generating function, or (None, ())."""
-    name = getattr(gf, "name", "")
-    if name == "point_source":
-        return "point_source", ()
-    if name == "minkowski":
-        return "minkowski", ()
-    if name == "parallel_beam" and getattr(gf.surface, "name", "") == "zero":
-        return "pb_zero", (gf.srange.lower,)
-    if name.startswith("quasilinear"):
-        cname = getattr(gf.cost, "name", "")
-        if cname == "bilinear":
-            return "ql_bilinear", ()
-        if cname == "neg_log":
-            return "ql_neglog", ()
-        if cname == "cubic_perturbed":
-            return "ql_cubic", (float(gf.cost.eps),)
-    return None, ()
+def _row(gf, kernel, xs, xbar, z, basis=None):
+    """Values of the piece (xbar, z) at grid points xs; ``kernel`` is
+    ``gf._kernel``, None for the evaluator."""
+    if kernel is None:
+        return evaluator_values(gf, xs, xbar, z)
+    tag, params = kernel
+    if basis is None:
+        basis = np_piece_basis(tag, xs, xbar)
+    return np_basis_values(tag, params, basis, _focus_t2(tag, xbar), float(z))
 
 
 def piece_basis(gf, xs_emb, xbar):
@@ -378,21 +342,16 @@ def piece_basis(gf, xs_emb, xbar):
     Pass it back as ``basis=`` to :func:`piece_values` and :func:`piece_mass`
     to skip the O(m d) part of every evaluation at that focus.
     """
-    tag, _ = kernel_tag(gf)
-    if tag is None:
+    if gf._kernel is None:
         return None
-    return np_piece_basis(tag, np.ascontiguousarray(xs_emb, dtype=float),
+    return np_piece_basis(gf._kernel[0], np.ascontiguousarray(xs_emb, dtype=float),
                           np.ascontiguousarray(xbar, dtype=float))
 
 
 def piece_values(gf, xs_emb, xbar, z, basis=None):
     """Values of the piece (xbar, z) at embedded grid points; -inf = inadmissible."""
-    tag, params = kernel_tag(gf)
-    if tag is None:
-        return evaluator_values(gf, xs_emb, xbar, z)
-    xs = np.ascontiguousarray(xs_emb, dtype=float)
-    xbar = np.ascontiguousarray(xbar, dtype=float)
-    return np_piece_values(tag, params, xs, xbar, float(z), basis)
+    return _row(gf, gf._kernel, np.ascontiguousarray(xs_emb, dtype=float),
+                np.ascontiguousarray(xbar, dtype=float), z, basis)
 
 
 def envelope_scan(gf, xs_emb, xbars, zs, tie):
@@ -401,24 +360,23 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
     Ties within ``tie`` go to the lowest index (:func:`scan_rows`); cells no
     piece covers get index -1.
     """
-    tag, params = kernel_tag(gf)
-    if tag is None:
-        rows = (evaluator_values(gf, xs_emb, xbar, z) for xbar, z in zip(xbars, zs))
-    else:
-        xs = np.ascontiguousarray(xs_emb, dtype=float)
-        xbars = np.ascontiguousarray(xbars, dtype=float)
-        zs = np.ascontiguousarray(zs, dtype=float)
-        rows = (np_piece_values(tag, params, xs, xbar, z)
-                for xbar, z in zip(xbars, zs))
-    return scan_rows(rows, xs_emb.shape[0], tie)
+    kernel = gf._kernel
+    xs = np.ascontiguousarray(xs_emb, dtype=float)
+    xbars = np.ascontiguousarray(xbars, dtype=float)
+    zs = np.ascontiguousarray(zs, dtype=float)
+    rows = (_row(gf, kernel, xs, xbar, z) for xbar, z in zip(xbars, zs))
+    return scan_rows(rows, xs.shape[0], tie)
 
 
 def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None,
                sel=None):
     """f-mass of the cells piece (xbar, z) wins against the frozen other rows.
 
-    ``lo_tie`` and ``hi_best`` are as in :func:`np_piece_mass`; ``basis`` is
-    an optional precomputed :func:`piece_basis`.
+    The cells are those the chained rule of :func:`scan_rows` gives the
+    piece: ``lo_tie`` is the chained best of the rows before it plus
+    ``tie`` and ``hi_best`` the plain max of the rows after it (see
+    :func:`_wins`); ``basis`` is an optional precomputed
+    :func:`piece_basis`, which leaves the mass the same bit for bit.
 
     ``sel = (mask, pos)`` narrows the call to the cells whose win is still
     open (see :func:`win_split`): ``xs_emb``, ``lo_tie``, ``hi_best`` and
@@ -428,13 +386,8 @@ def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None,
     order.  That array is the full call's ``weights[wins]`` element for
     element, so the mass is the same bit for bit.
     """
-    tag, params = kernel_tag(gf)
-    if tag is None:
-        v = evaluator_values(gf, xs_emb, xbar, z)
-        return _win_mass(v, weights, lo_tie, hi_best, tie, sel)
-    xs = np.ascontiguousarray(xs_emb, dtype=float)
-    return np_piece_mass(tag, params, xs, weights, lo_tie, hi_best, xbar,
-                         float(z), tie, basis, sel)
+    v = _row(gf, gf._kernel, np.ascontiguousarray(xs_emb, dtype=float), xbar, z, basis)
+    return _win_mass(v, weights, lo_tie, hi_best, tie, sel)
 
 
 def win_split(gf, xbar, z1, z2, lo_tie, hi_best, tie, basis):
@@ -446,10 +399,11 @@ def win_split(gf, xbar, z1, z2, lo_tie, hi_best, tie, basis):
     bounds of :func:`np_value_bounds` decide it: won at the lower bound,
     lost at the upper.  None without a kernel tag, a basis or bounds.
     """
-    tag, params = kernel_tag(gf)
-    if tag is None or basis is None:
+    if gf._kernel is None or basis is None:
         return None
-    bounds = np_value_bounds(tag, params, basis, xbar, float(z1), float(z2))
+    tag, params = gf._kernel
+    bounds = np_value_bounds(tag, params, basis, _focus_t2(tag, xbar),
+                             float(z1), float(z2))
     if bounds is None:
         return None
     won = _wins(bounds[0], lo_tie, hi_best, tie)

@@ -96,20 +96,6 @@ class SolverState:
     oracle_builds: int = 0    # frozen-envelope constructions (_MassOracle)
 
 
-def _piece_z_limits(gf, xbar):
-    """Admissible open z-interval of the piece with focus xbar."""
-    name = getattr(gf, "name", "")
-    if name == "point_source":
-        t = float(np.linalg.norm(xbar))
-        hi = np.inf if t == 0 else 2.0 / t
-        return 0.0, hi
-    if name in ("parallel_beam", "minkowski"):
-        return 0.0, np.inf
-    if name.startswith("quasilinear"):
-        return -np.inf, np.inf
-    return -np.inf, np.inf
-
-
 def _target_bases(problem):
     """Grid basis of every target's piece (None entries without a kernel tag).
 
@@ -250,7 +236,7 @@ def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,
     """
     gf = problem.gf
     tols = gf.tols
-    lo_lim, hi_lim = _piece_z_limits(gf, problem.targets[oracle.i])
+    lo_lim, hi_lim = gf.z_limits(problem.targets[oracle.i])
     slack = problem.tol_mass * problem.total_mass / max(2, problem.n_targets)
     m_now = oracle(z_now)
     if target_mass - slack <= m_now <= target_mass + slack:
@@ -355,6 +341,16 @@ def solve(problem: SemiDiscreteProblem):
     bases = _target_bases(problem)
     tally = Counter()
 
+    def move(oracle, i):
+        """Move piece i to its target mass; True when its height changed."""
+        z_new, _ = _move_piece_to_mass(problem, oracle, z[i], problem.masses[i],
+                                       raise_dir, cell_quantum, first_step=step_hint[i])
+        step_hint[i] = max(1e-6, 0.5 * abs(z_new - z[i]))
+        changed = bool(z_new != z[i])
+        z[i] = z_new
+        V[i] = _piece_row(problem, bases, i, z[i])
+        return changed
+
     # Early rounds only need mass balance at grid-cell resolution: deficits
     # below one cell mass cannot be repaired while the overall level is still
     # far from the anchor (the staircase plateau at g_i only exists near the
@@ -388,15 +384,7 @@ def solve(problem: SemiDiscreteProblem):
                                      frozen=(chain.best, _rows_after(V, i)))
                 m_i = oracle(z[i])
                 if m_i < problem.masses[i] - park_tol:
-                    z_new, _ = _move_piece_to_mass(problem, oracle, z[i],
-                                                   problem.masses[i], raise_dir,
-                                                   cell_quantum,
-                                                   first_step=step_hint[i])
-                    step_hint[i] = max(1e-6, 0.5 * abs(z_new - z[i]))
-                    if z_new != z[i]:
-                        moved = True
-                    z[i] = z_new
-                    V[i] = _piece_row(problem, bases, i, z[i])
+                    moved |= move(oracle, i)
                 chain.push(V[i])
             sweeps += 1
             masses = _masses_of(chain.idx, problem.cell_weights, n)
@@ -431,16 +419,7 @@ def solve(problem: SemiDiscreteProblem):
                 for i in order:
                     if abs(res[i]) <= inner_tol:
                         continue
-                    oracle = _MassOracle(problem, V, int(i), bases[i], tally)
-                    z_new, _ = _move_piece_to_mass(problem, oracle, z[i],
-                                                   problem.masses[i], raise_dir,
-                                                   cell_quantum,
-                                                   first_step=step_hint[i])
-                    step_hint[i] = max(1e-6, 0.5 * abs(z_new - z[i]))
-                    if z_new != z[i]:
-                        changed = True
-                    z[i] = z_new
-                    V[i] = _piece_row(problem, bases, i, z[i])
+                    changed |= move(_MassOracle(problem, V, int(i), bases[i], tally), i)
                 sweeps += 1
                 if not changed:
                     break

@@ -12,7 +12,7 @@ from gjekit.config import DEFAULT_TOLS
 from gjekit.demos import ball_measure_envelope, paraboloid_envelope
 from gjekit.errors import EmptyEnvelopeError, NicenessError
 from gjekit.gconvex import Envelope, GAffine, g_cone_subdiff, g_dual, polar_dual
-from gjekit.grids import DomainGrid, mask_to_rle, rle_to_mask
+from gjekit.grids import DomainGrid
 
 
 def _ql(res=40, half=1.0):
@@ -305,14 +305,6 @@ def test_envelope_serialization_roundtrip(tmp_path):
     assert np.allclose(env2.zs, zs)
     x = np.array([0.11, -0.07])
     assert np.isclose(env2.eval(x)[0], env.eval(x)[0])
-
-
-def test_rle_mask_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        mask = rng.random(rng.integers(1, 200)) < 0.3
-        assert np.array_equal(rle_to_mask(mask_to_rle(mask)), mask)
-    assert np.array_equal(rle_to_mask(mask_to_rle(np.zeros(0, bool))), np.zeros(0, bool))
 
 
 _TIE_GF = make_builtin("quasilinear", tols=DEFAULT_TOLS.with_overrides(tie=1e-3))

@@ -47,6 +47,20 @@ def test_point_source_domain_predicate():
         eval_G(ps, E3, far, 1.0)
 
 
+@pytest.mark.parametrize("name", ["quasilinear", "point_source",
+                                  "parallel_beam", "minkowski"])
+def test_z_limits_bound_the_focus_predicate(name, builtins_all):
+    # heights 1e-12 inside each finite end of z_limits pass the class's
+    # focus-and-height predicate, heights 1e-12 outside it fail
+    gf = builtins_all[name]
+    for xbar in gf.target_chart.sample(200, np.random.default_rng(7)):
+        ends = [(e, s) for e, s in zip(gf.z_limits(xbar), (1.0, -1.0)) if np.isfinite(e)]
+        inside = np.array([e + s * 1e-12 for e, s in ends] or [-1e6, 1e6])
+        outside = np.array([e - s * 1e-12 for e, s in ends])
+        assert gf._focus_ok(np.tile(xbar, (inside.size, 1)), inside).all()
+        assert not gf._focus_ok(np.tile(xbar, (outside.size, 1)), outside).any()
+
+
 def test_minkowski_orientation_flag():
     mk = make_builtin("minkowski")
     assert mk.orientation == -1

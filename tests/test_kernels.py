@@ -25,8 +25,7 @@ def _cases():
         ("minkowski", lambda: make_builtin("minkowski")),
     ]:
         gf = build()
-        tag, _ = kernels.kernel_tag(gf)
-        assert tag == kind
+        assert gf._kernel[0] == kind
         out.append(gf)
     return out
 
@@ -71,11 +70,10 @@ def test_cached_piece_mass_is_bit_identical(name, seed, z, tie):
     gf, grid = _CASES[name], _GRIDS[name]
     rng = np.random.default_rng(seed)
     xbar = gf.target_chart.sample(1, rng)[0]
-    tag, params = kernels.kernel_tag(gf)
     xs, w = grid.points, grid.weights
-    v = kernels.np_piece_values(tag, params, xs, xbar, z)
+    v = kernels.piece_values(gf, xs, xbar, z)
     lo_tie, hi_best = _near(rng, v, tie) + tie, _near(rng, v, tie)
-    ref = kernels.np_piece_mass(tag, params, xs, w, lo_tie, hi_best, xbar, z, tie)
+    ref = kernels.piece_mass(gf, xs, w, lo_tie, hi_best, xbar, z, tie)
     basis = kernels.piece_basis(gf, xs, xbar)
     cached = kernels.piece_mass(gf, xs, w, lo_tie, hi_best, xbar, z, tie,
                                 basis=basis)
@@ -156,8 +154,7 @@ def test_kernel_matches_evaluator(name):
 def test_generic_fallback_path():
     # untagged generating function goes through the evaluator-driven path
     gf = make_builtin("quasilinear", cost=lambda x, xb: float(np.sum((x - xb) ** 2)))
-    tag, _ = kernels.kernel_tag(gf)
-    assert tag is None
+    assert gf._kernel is None
     grid = DomainGrid(gf.source_chart, 12)
     v = kernels.piece_values(gf, grid.points, np.array([0.1, 0.2]), 0.3)
     assert np.all(np.isfinite(v))
@@ -207,6 +204,27 @@ def test_point_values_keep_the_sign_of_zero():
     assert _bits(got).tolist() == _bits(ref).tolist() == _bits([0.0]).tolist()
 
 
+def test_point_source_heights_at_the_guard_agree_on_every_path():
+    # heights within a few ulps of 2/|xbar|, where the value's denominator
+    # q = 1 - z^2 |xbar|^2 / 4 changes sign: the evaluator, the grid row and
+    # the pointwise query admit the same cells
+    gf, grid = _CASES["point_source"], _GRIDS["point_source"]
+    rng = np.random.default_rng(3)
+    foci = gf.target_chart.sample(3000, rng)
+    k = np.arange(-3, 4)
+    zs = ((2.0 / np.linalg.norm(foci, axis=1))[:, None] * (1.0 + k * 2.2e-16)).ravel()
+    xbars = np.repeat(foci, k.size, axis=0)
+    ref = np.isfinite([kernels.evaluator_values(gf, grid.points, xb, z)
+                       for xb, z in zip(xbars, zs)])
+    rows = np.isfinite([kernels.piece_values(gf, grid.points, xb, z)
+                        for xb, z in zip(xbars, zs)])
+    point = kernels.PointValues(gf, xbars, zs)
+    cols = np.isfinite([point(x) for x in grid.points]).T
+    assert 0 < ref.any(axis=1).sum() < zs.size  # the probe straddles the guard
+    assert np.array_equal(rows, ref)
+    assert np.array_equal(cols, ref)
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
        tie=st.sampled_from([0.0, 1e-9, 1e-3]))
@@ -222,7 +240,7 @@ def test_scan_point_equals_the_one_cell_scan(seed, n, tie):
 
 # -- value bounds and the narrowed oracle -----------------------------------------
 
-_TAGS = {kernels.kernel_tag(gf)[0]: gf for gf in _cases()}
+_TAGS = {gf._kernel[0]: gf for gf in _cases()}
 
 
 def _basis_sample(rng, tag, m):
@@ -254,24 +272,23 @@ def _heights(rng, z1, z2, k=8):
 def test_value_bounds_enclose_the_kernel(tag, seed, z1, width):
     gf = _TAGS[tag]
     rng = np.random.default_rng(seed)
-    _, params = kernels.kernel_tag(gf)
+    _, params = gf._kernel
     b = _basis_sample(rng, tag, 64)
     xbar = gf.target_chart.sample(1, rng)[0]
+    t2 = float(np.sum(xbar * xbar))
     z2 = z1 + width if width else z1  # keeps the sign of a zero height
     if tag == "point_source" and rng.random() < 0.3:
         # an endpoint on the guard 0.25 z^2 |xbar|^2 < 1, or just inside it
         z2 = float(2.0 / np.linalg.norm(xbar))
         z2 = z2 if rng.random() < 0.5 else np.nextafter(z2, 0.0)
         z1 = min(z1, z2)
-    bounds = kernels.np_value_bounds(tag, params, b, xbar, z1, z2)
+    bounds = kernels.np_value_bounds(tag, params, b, t2, z1, z2)
     if bounds is None:
         assert tag not in ("ql_bilinear", "ql_neglog", "ql_cubic")
-        t2 = float(xbar @ xbar)
         assert not z1 > 0.0 or (tag == "point_source"
                                 and not 0.25 * z2 * z2 * t2 < 1.0)
         return
     lo, hi = bounds
-    t2 = float(xbar @ xbar)
     for z in _heights(rng, z1, z2):
         v = kernels.np_basis_values(tag, params, b, t2, float(z))
         assert np.all(lo <= v) and np.all(v <= hi), (tag, z)
