@@ -11,6 +11,7 @@ the wall-time column of the solver convergence log.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -28,27 +29,32 @@ from .errors import ConfigError, GjekitError
 from .gconvex import Envelope, GAffine
 from .grids import DomainGrid
 from .solver import SemiDiscreteProblem, solve
-from .structure import (_jsonable, check_domconv, check_nondeg, check_qqconv,
-                        check_twist, check_unif_lip,
-                        crosscheck_g3w_implies_qqconv, g3w_sweep)
+from .structure import _jsonable, check_conditions
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
+@functools.cache
+def _config_validator():
+    """Validator of the shipped config schema, built once per process; the
+    schema itself is checked against its metaschema by the tests."""
+    from jsonschema.validators import validator_for
+    schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
+    return validator_for(schema)(schema)
+
+
 def _load_config(path):
-    import jsonschema
+    from jsonschema.exceptions import best_match
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config schema violation: {e.message}") from e
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return cfg
 
 
@@ -100,22 +106,9 @@ def _write_json(path, payload):
 def cmd_check(cfg, verbose=False):
     gf, interval = _genfun_from_config(cfg)
     seed = int(cfg.get("seed", 0))
-    counts = cfg.get("counts", {})
-    n = int(counts.get("n_samples", 400))
+    n = int(cfg.get("counts", {}).get("n_samples", 400))
     out = _out_dir(cfg)
-    reports = {
-        "unif_lip": check_unif_lip(gf, interval, n_samples=n, seed=seed),
-        "twist": check_twist(gf, interval, n_samples=max(64, n // 4), seed=seed),
-        "nondeg": check_nondeg(gf, interval, n_samples=n, seed=seed),
-        "domconv": check_domconv(gf, interval, n_samples=max(24, n // 10), seed=seed),
-        "g3w": g3w_sweep(gf, interval, n_base=max(16, n // 16), n_pairs=8, seed=seed),
-        "g3w_dual": g3w_sweep(gf, interval, n_base=max(8, n // 32), n_pairs=4,
-                              seed=seed, dual=True),
-        "qqconv": check_qqconv(gf, interval, n_samples=max(16, n // 16), seed=seed),
-        "qqconv_dual": check_qqconv(gf, interval, n_samples=max(8, n // 32),
-                                    seed=seed, dual=True),
-    }
-    cross = crosscheck_g3w_implies_qqconv(gf, interval, seed=seed)
+    reports, cross = check_conditions(gf, interval, n_samples=n, seed=seed)
     payload = {"provenance": _provenance(cfg), "genfun": gf.name,
                "interval": list(interval),
                "reports": {k: r.to_dict() for k, r in reports.items()},

@@ -26,8 +26,9 @@ forms
 Everything is batched over a leading sample axis; Newton solves run all
 samples simultaneously with per-sample damping, and a row follows exactly
 the iterates it follows when solved alone.  ``g_segment_batch`` samples
-many segments at once: the continuation along s stays sequential, and each
-step is one batched solve over every segment of the batch.
+many segments at once, on a shared grid or on a grid per segment: the
+continuation along s stays sequential, and each step is one batched solve
+over every segment that has a point there.
 """
 
 from dataclasses import dataclass, field
@@ -49,17 +50,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _e_from(Gxb, Gxz, Gb, Gz):
+    """E from the blocks d2G/dx dxbar, d2G/dx dz, dG/dxbar and dG/dz, batched."""
+    return Gxb - Gxz[:, :, None] * Gb[:, None, :] / Gz[:, None, None]
+
+
 def e_matrix(gf: GenFun, x, xbar, z, adjoint=False, check=True):
     """Nondegeneracy matrix E (or its adjoint E^T) at an admissible triple."""
     single = np.asarray(x).ndim == 1
     x, xbar, z, _ = gf._batch(x, xbar, z)
     if check and not np.all(gf._in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: e_matrix at inadmissible triple")
-    Gxb = gf.d_x_xbar(x, xbar, z)
-    Gxz = gf.d_x_z(x, xbar, z)
-    Gb = gf.d_xbar(x, xbar, z)
-    Gz = gf.g_z(x, xbar, z)
-    E = Gxb - Gxz[:, :, None] * Gb[:, None, :] / Gz[:, None, None]
+    E = _e_from(gf.d_x_xbar(x, xbar, z), gf.d_x_z(x, xbar, z), gf.d_xbar(x, xbar, z),
+                gf.g_z(x, xbar, z))
     if check:
         raise_for_nan(E, f"{gf.name}: e_matrix")
     if adjoint:
@@ -252,9 +255,9 @@ def exp_source(gf: GenFun, xbar, z, p, x_guess=None, tols=None, return_status=Fa
         J = np.broadcast_to(np.eye(gf.dim), (c.shape[0], gf.dim, gf.dim)).copy()
         if np.any(ok):
             xo, xbo, zo = x[ok], xb[ok], zr[ok]
-            Gz = gf.g_z(xo, xbo, zo)
-            r[ok] = -gf.d_xbar(xo, xbo, zo) / Gz[:, None] - p_l[rows][ok]
-            E = e_matrix(gf, xo, xbo, zo, check=False)
+            Gz, Gb = gf.g_z(xo, xbo, zo), gf.d_xbar(xo, xbo, zo)
+            r[ok] = -Gb / Gz[:, None] - p_l[rows][ok]
+            E = _e_from(gf.d_x_xbar(xo, xbo, zo), gf.d_x_z(xo, xbo, zo), Gb, Gz)
             J[ok] = -np.swapaxes(E, 1, 2) / Gz[:, None, None]
         return r, J
 
@@ -402,17 +405,19 @@ class GSegment:
 
 @dataclass
 class SegmentBatch:
-    """Segments of one kind sampled on a shared grid, one row per segment.
+    """Segments of one kind, one row per segment, sampled on a shared grid
+    ``s_grid`` (m,) or on a grid per row (k, m).
 
     ``status`` is a RowStatus per row for its endpoints (INADMISSIBLE for a
     source endpoint outside the domain, the scalar-inverse code for a target
     endpoint, DERIVATIVE_STENCIL where the stencil of a finite-difference
     coordinate map leaves the domain); ``ok[i, j]`` says whether row i
-    inverted at ``s_grid[j]``.
-    Rows with bad endpoints carry nan in ``p0``, ``p1`` and every point.
+    inverted at its j-th grid point.
+    Rows with bad endpoints carry nan in ``p0``, ``p1`` and every point, and
+    a row with a shorter grid carries nan past its last point.
     """
 
-    s_grid: np.ndarray
+    s_grid: np.ndarray          # (m,) or (k, m)
     p0: np.ndarray              # (k, n)
     p1: np.ndarray              # (k, n)
     points: np.ndarray          # (k, m, embdim)
@@ -426,20 +431,23 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
 
     For ``kind="source"`` the endpoints are (k, embdim) source points and
     the anchor is (xbar, z) with one row each; for ``kind="target"`` they
-    are target points and the anchor is (x, u).  The continuation runs
-    along s in order, one batched exponential-map solve per grid point over
-    the rows with admissible endpoints; each row starts from its own last
-    successful point (its first endpoint at the start).  A row follows
-    exactly the iterates of its one-row segment: a finite-difference
-    derivative is nan on the rows whose own stencil leaves the domain, so
-    only those rows see it.
+    are target points and the anchor is (x, u).  ``s_grid`` is one grid for
+    every row, or a (k, m) array with a grid per row, padded with nan past a
+    row's last point.  The continuation runs along the grid columns in
+    order, one batched exponential-map solve per column over the rows with
+    admissible endpoints and a point in that column; each row is solved at
+    its own parameter and starts from its own last successful point (its
+    first endpoint at the start).  A row follows exactly the iterates of its
+    one-row segment: a finite-difference derivative is nan on the rows whose
+    own stencil leaves the domain, so only those rows see it.
     """
     tols = tols or gf.tols
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 33)
     s_grid = np.asarray(s_grid, dtype=float)
     a, b = (np.atleast_2d(np.asarray(e, dtype=float)) for e in (a, b))
-    k, m, n = a.shape[0], s_grid.shape[0], gf.dim
+    k, m, n = a.shape[0], s_grid.shape[-1], gf.dim
+    s_rows = np.broadcast_to(s_grid, (k, m))
     # the anchor: (xbar, z) or (x, u), one row per segment
     fixed, scalar = (np.atleast_1d(np.asarray(e, dtype=float)) for e in anchor)
     fixed = np.broadcast_to(np.atleast_2d(fixed), (k, fixed.shape[-1]))
@@ -477,16 +485,20 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
     if live.size == 0:
         return batch
     prev = a.copy()
-    for j, s in enumerate(s_grid):
-        p = (1.0 - s) * p0[live] + s * p1[live]
+    for j in range(m):
+        now = live[~np.isnan(s_rows[live, j])]
+        if now.size == 0:
+            continue
+        s = s_rows[now, j, None]
+        p = (1.0 - s) * p0[now] + s * p1[now]
         if kind == "source":
-            x, st = exp_source(gf, fixed[live], scalar[live], p, x_guess=prev[live],
+            x, st = exp_source(gf, fixed[now], scalar[now], p, x_guess=prev[now],
                                tols=tols, return_status=True)
         else:
-            x, zz, st = exp_target(gf, fixed[live], scalar[live], p, xbar_guess=prev[live],
-                                   z_guess=prev_z[live], tols=tols, return_status=True)
+            x, zz, st = exp_target(gf, fixed[now], scalar[now], p, xbar_guess=prev[now],
+                                   z_guess=prev_z[now], tols=tols, return_status=True)
         done = st == 0
-        rows = live[done]
+        rows = now[done]
         prev[rows] = pts[rows, j] = x[done]
         if zs is not None:
             prev_z[rows] = zs[rows, j] = zz[done]

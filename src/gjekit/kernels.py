@@ -64,51 +64,68 @@ def np_piece_basis(tag, xs, xbar):
     return xs @ xbar
 
 
-def np_basis_values(tag, params, b, t2, z):
+def np_basis_values(tag, params, b, t2, z, out=None):
     """Piece values from the basis ``b`` of :func:`np_piece_basis`.
 
     ``z`` is one height or a height per column of ``b``; ``t2`` is |xbar|^2
     in the same shape, read by ``point_source`` only (pass None otherwise).
     A single height outside the tag's range gives a row of -inf; per-column
     heights are the caller's to check (:class:`PointValues` masks its foci
-    itself).
+    itself).  The values go into ``out`` when it is given, which may be
+    ``b`` itself.
     """
-    m = b.shape[0]
     single = not isinstance(z, np.ndarray)
     if tag == "ql_bilinear":
-        return b - z
+        return np.subtract(b, z, out=out)
     if tag == "ql_neglog":
-        out = np.full(m, -np.inf)
         ok = b < 1.0 - 1e-12
-        out[ok] = np.log(1.0 - b[ok]) - (z if single else z[ok])
+        v = np.log(1.0 - b[ok]) - (z if single else z[ok])
+        out = _minus_inf(b, out)
+        out[ok] = v
         return out
     if tag == "ql_cubic":
-        return b + params[0] * (b * b * b) - z
+        # b + params[0] (b b b) - z
+        c = b * b
+        c *= b
+        c *= params[0]
+        out = np.add(b, c, out=c if out is None else out)
+        return np.subtract(out, z, out=out)
     if tag == "point_source":
-        # (z - 0.5 z^2 b) / q with q = 1 - 0.25 z^2 t2, evaluated in one
-        # buffer; admissible when z > 0 and q > 0 (PointSourceGF._focus_ok)
+        # (z - 0.5 z^2 b) / q with q = 1 - 0.25 z^2 t2; admissible when
+        # z > 0 and q > 0 (PointSourceGF._focus_ok)
         q = 1.0 - 0.25 * z * z * t2
         if single and not (z > 0.0 and q > 0.0):
-            return np.full(m, -np.inf)
-        out = b * (0.5 * z * z)
+            return _minus_inf(b, out)
+        out = np.multiply(b, 0.5 * z * z, out=out)
         np.subtract(z, out, out=out)
         out /= q
         return out
     if tag == "pb_zero":
         if single and not z > 0.0:
-            return np.full(m, -np.inf)
-        # params[0] is the range's lower end: the evaluator's domain keeps
-        # the closed upper branch v >= lower
-        v = 0.5 * (1.0 / z - z * b)
-        v[~(v >= params[0])] = -np.inf
-        return v
+            return _minus_inf(b, out)
+        # 0.5 (1/z - z b); params[0] is the range's lower end: the
+        # evaluator's domain keeps the closed upper branch v >= lower
+        out = np.multiply(z, b, out=out)
+        np.subtract(1.0 / z, out, out=out)
+        out *= 0.5
+        out[~(out >= params[0])] = -np.inf
+        return out
     if tag == "minkowski":
         if single and not z > 0.0:
-            return np.full(m, -np.inf)
-        v = z * b
-        v[~(b > 0.0)] = -np.inf
-        return v
+            return _minus_inf(b, out)
+        off = ~(b > 0.0)
+        out = np.multiply(z, b, out=out)
+        out[off] = -np.inf
+        return out
     raise KeyError(f"unknown kernel tag {tag!r}")
+
+
+def _minus_inf(b, out):
+    """A row of -inf shaped like ``b``, in ``out`` when it is given."""
+    if out is None:
+        return np.full(b.shape[0], -np.inf)
+    out.fill(-np.inf)
+    return out
 
 
 def np_value_bounds(tag, params, b, t2, z1, z2):
@@ -283,10 +300,10 @@ class PointValues:
     evaluator's domain mask (the generating function's ``_focus_ok``).  A query
     checks the source chart once for x, builds the basis column by column
     (``b = xt[0] * x[0]; b += xt[1] * x[1]; ...``, which is numpy's row sum
-    in its order), runs :func:`np_basis_values` with a height per column and
-    restores -inf on the masked foci.  The closed forms give the
-    evaluator's bits from that basis: each applies its generating
-    function's ``_value`` operations, up to commuted products.
+    in its order), runs :func:`np_basis_values` with a height per column into
+    that basis buffer and restores -inf on the masked foci.  The closed
+    forms give the evaluator's bits from that basis: each applies its
+    generating function's ``_value`` operations, up to commuted products.
     """
 
     def __init__(self, gf, xbars, zs):
@@ -315,7 +332,7 @@ class PointValues:
             for k in range(1, x.shape[0]):
                 b += xt[k] * x[k]
             b += 0.0  # numpy's row sum starts at +0.0: no -0.0 result
-        v = np_basis_values(self.tag, self.params, b, self.t2, self.z)
+        v = np_basis_values(self.tag, self.params, b, self.t2, self.z, out=b)
         np.copyto(v, -np.inf, where=self.off)
         return v
 

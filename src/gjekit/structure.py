@@ -19,17 +19,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, RowStatus
-from .expmaps import e_matrix, exp_source, exp_target, g_segment_batch, p_map, pbar_rows
+from .expmaps import (SegmentBatch, e_matrix, exp_source, exp_target, g_segment_batch,
+                      p_map, pbar_rows)
 from .genfun import GenFun, raise_for_nan
 
 __all__ = [
     "ConditionReport", "a_matrix", "g3w_form", "g3w_dual_form", "g3w_batch",
     "g3w_dual_batch",
     "check_nondeg", "check_twist", "check_unif_lip", "check_domconv",
-    "check_qqconv", "g3w_sweep", "crosscheck_g3w_implies_qqconv",
+    "check_qqconv", "g3w_sweep", "crosscheck_g3w_implies_qqconv", "check_conditions",
 ]
 
 _EPS4 = np.finfo(float).eps ** 0.25
+# sample counts of the smooth-case cross-check: sweep base points, direction
+# pairs per base point, quasiconvexity configurations
+_CROSS_BASE, _CROSS_PAIRS, _CROSS_QQ = 32, 8, 24
 
 
 @dataclass
@@ -98,13 +102,14 @@ def _admissible_samples(gf: GenFun, interval, n, seed):
 def _sample_pairs(gf: GenFun, interval, seeds):
     """The first two admissible samples for each seed, stacked over the
     seeds that have two: (xs, xbs, us, zs) of shapes (k, 2, embdim) and
-    (k, 2), plus the number of seeds skipped for having fewer."""
+    (k, 2), plus the index in ``seeds`` of each stacked seed; a seed with
+    fewer is skipped."""
     pairs = [tuple(a[:2] for a in _admissible_samples(gf, interval, 4, sd)) for sd in seeds]
-    pairs = [pr for pr in pairs if len(pr[0]) == 2]
+    kept = np.array([t for t, pr in enumerate(pairs) if len(pr[0]) == 2], dtype=int)
     shapes = ((2, gf.source_chart.embdim), (2, gf.target_chart.embdim), (2,), (2,))
-    stacked = tuple(np.array([pr[i] for pr in pairs], dtype=float).reshape((-1,) + sh)
+    stacked = tuple(np.array([pairs[t][i] for t in kept], dtype=float).reshape((-1,) + sh)
                     for i, sh in enumerate(shapes))
-    return stacked, len(seeds) - len(pairs)
+    return stacked, kept
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +200,16 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
 
 
 def _min_sep_ratio(outputs, inputs):
-    douts = np.linalg.norm(outputs[:, None, :] - outputs[None, :, :], axis=2)
-    dins = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=2)
-    iu = np.triu_indices(len(inputs), k=1)
-    douts, dins = douts[iu], dins[iu]
+    """Smallest |out_i - out_j| / |in_i - in_j| over the pairs i < j whose
+    inputs are more than 1e-9 apart, with the first such pair (i, j)."""
+    i, j = np.triu_indices(len(inputs), k=1)
+    douts = np.linalg.norm(outputs[i] - outputs[j], axis=1)
+    dins = np.linalg.norm(inputs[i] - inputs[j], axis=1)
     keep = dins > 1e-9
     ratio = douts[keep] / dins[keep]
     k = int(np.argmin(ratio))
     rows = np.flatnonzero(keep)[k]
-    return float(ratio[k]), (iu[0][rows], iu[1][rows])
+    return float(ratio[k]), (i[rows], j[rows])
 
 
 def check_unif_lip(gf: GenFun, interval, n_samples=2000, seed=0) -> ConditionReport:
@@ -239,16 +245,28 @@ def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
     image points must invert back into the target domain (within hull
     slack), which is the operational meaning of image convexity.
     """
-    slack = gf.tols.hull_slack
-    witness = {}
-    # source direction: one batched segment call over every configuration;
-    # a configuration with an inadmissible endpoint is skipped
-    (xs, xbs, _, zs), skipped = _sample_pairs(
-        gf, interval, [seed + 101 * t for t in range(n_samples)])
+    # source direction: one batched segment call over every configuration
+    samples = _domconv_samples(gf, interval, n_samples, seed)
+    xs, xbs, _, zs = samples
     seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
                           s_grid=np.linspace(0, 1, segment_points))
+    return _domconv_report(gf, interval, n_samples, seed, samples, seg)
+
+
+def _domconv_samples(gf: GenFun, interval, n_samples, seed):
+    """The source-direction configurations of ``check_domconv``."""
+    return _sample_pairs(gf, interval, [seed + 101 * t for t in range(n_samples)])[0]
+
+
+def _domconv_report(gf: GenFun, interval, n_samples, seed, samples, seg):
+    """``check_domconv`` from its source configurations and their segments;
+    a configuration that is not sampled or has an inadmissible endpoint is
+    skipped.  The target direction is checked here."""
+    slack = gf.tols.hull_slack
+    witness = {}
+    xs, xbs, _, zs = samples
     used = np.flatnonzero(seg.status == 0)
-    skipped += xs.shape[0] - used.size
+    skipped = n_samples - used.size
     total = used.size
     fails = 0
     for i in used:
@@ -262,7 +280,7 @@ def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
             witness = witness or {"kind": "segment_exits_domain", **conf}
     # dual direction: image midpoint inversion, one batched solve; a
     # configuration whose image points or midpoint fail is skipped
-    (xs, xbs, us, _), n_skip = _sample_pairs(
+    (xs, xbs, us, _), _ = _sample_pairs(
         gf, interval, [seed + 7777 + 31 * t for t in range(n_samples)])
     x, u = xs[:, 0], us[:, 0]
     k = x.shape[0]
@@ -275,7 +293,7 @@ def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
                                xbar_guess=xbs[rows, 0], return_status=True)
     xb_mid[rows], mid_ok[rows] = xb, status == 0
     dual_total = int(np.sum(mid_ok))
-    skipped += n_skip + k - dual_total
+    skipped += n_samples - dual_total
     dual_fails = 0
     for i in np.flatnonzero(mid_ok):
         if not gf.target_chart.contains(xb_mid[i], slack=slack):
@@ -492,6 +510,14 @@ def _orthogonal_pairs(n, n_random, rng):
 def _sweep_rows(gf: GenFun, interval, n_base, n_pairs, seed, dual):
     """Every (base point, direction pair) row of a sweep, as the keyword
     arguments of the batched form, with its value and RowStatus."""
+    rows = _sweep_inputs(gf, interval, n_base, n_pairs, seed, dual)
+    vals, status = (g3w_dual_batch if dual else g3w_batch)(gf, **rows)
+    return rows, vals, status
+
+
+def _sweep_inputs(gf: GenFun, interval, n_base, n_pairs, seed, dual):
+    """Every (base point, direction pair) row of a sweep, as the keyword
+    arguments of the batched form."""
     rng = np.random.default_rng(seed)
     xs, xbs, us, zs = _admissible_samples(gf, interval, n_base, seed)
     pairs = [_orthogonal_pairs(gf.dim, n_pairs, rng) for _ in range(len(xs))]
@@ -499,15 +525,11 @@ def _sweep_rows(gf: GenFun, interval, n_base, n_pairs, seed, dual):
     V = np.array([v for pr in pairs for v, _ in pr]).reshape(-1, gf.dim)
     eta = np.array([e for pr in pairs for _, e in pr]).reshape(-1, gf.dim)
     if dual:
-        rows = {"p": p_map(gf, xbs, zs, xs)[base], "xbar": xbs[base], "z": zs[base],
+        return {"p": p_map(gf, xbs, zs, xs)[base], "xbar": xbs[base], "z": zs[base],
                 "Vbar": V, "etabar": eta, "x_guess": xs[base]}
-        vals, status = g3w_dual_batch(gf, **rows)
-    else:
-        pbar = raise_for_nan(gf.d_x(xs, xbs, zs), f"{gf.name}: g3w bases")
-        rows = {"x": xs[base], "pbar": pbar[base], "u": us[base],
-                "V": V, "eta": eta, "xbar_guess": xbs[base]}
-        vals, status = g3w_batch(gf, **rows)
-    return rows, vals, status
+    pbar = raise_for_nan(gf.d_x(xs, xbs, zs), f"{gf.name}: g3w bases")
+    return {"x": xs[base], "pbar": pbar[base], "u": us[base],
+            "V": V, "eta": eta, "xbar_guess": xbs[base]}
 
 
 def g3w_sweep(gf: GenFun, interval, n_base=64, n_pairs=32, seed=0,
@@ -518,7 +540,11 @@ def g3w_sweep(gf: GenFun, interval, n_base=64, n_pairs=32, seed=0,
     All rows go through one batched form; rows whose stencil fails are
     skipped and counted.
     """
-    rows, vals, status = _sweep_rows(gf, interval, n_base, n_pairs, seed, dual)
+    return _sweep_report(gf, *_sweep_rows(gf, interval, n_base, n_pairs, seed, dual), dual)
+
+
+def _sweep_report(gf: GenFun, rows, vals, status, dual):
+    """``g3w_sweep`` from its rows, their values and their RowStatus."""
     ok = status == 0
     # the first strict minimum in row order; nan never witnesses
     cand = np.where(ok & (vals < np.inf), vals, np.inf)
@@ -606,37 +632,67 @@ def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
     nonpositive right side is a violation witness (M = infinity).  Every
     configuration is sampled first; their segments are one batched call.
     """
-    tols = gf.tols
-    s_grid = np.linspace(0.0, 1.0, n_grid)
-    sp_grid = np.linspace(0.0, 0.9, n_grid)
-    grid = np.unique(np.concatenate([s_grid, sp_grid]))
-    idx = (np.searchsorted(grid, s_grid), np.searchsorted(grid, sp_grid))
-    (xs, xbs, us, zs), skipped = _sample_pairs(
-        gf, interval, [seed + 997 * t for t in range(n_samples)])
+    qgrid = _qq_grid(n_grid)
+    grid = qgrid[0]
+    (xs, xbs, us, zs), kept = _qq_samples(gf, interval, n_samples, seed)
     if dual:
         seg = g_segment_batch(gf, "target", xbs[:, 0], xbs[:, 1], (xs[:, 0], us[:, 0]),
                               s_grid=grid)
+    else:
+        seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
+                              s_grid=grid)
+    fits = _qq_fits(gf, (xs, xbs, us, zs), seg, qgrid, dual)
+    return _qq_report("qqconv_dual" if dual else "qqconv", fits, n_samples - kept.size)
+
+
+def _qq_grid(n_grid):
+    """The merged grid of the s and s' parameters, and their positions in it."""
+    s_grid = np.linspace(0.0, 1.0, n_grid)
+    sp_grid = np.linspace(0.0, 0.9, n_grid)
+    grid = np.unique(np.concatenate([s_grid, sp_grid]))
+    return grid, (np.searchsorted(grid, s_grid), np.searchsorted(grid, sp_grid))
+
+
+def _qq_samples(gf: GenFun, interval, n_samples, seed):
+    """The configurations of ``check_qqconv``, one per seed ``seed + 997 t``
+    that has two admissible samples, with the index t of each."""
+    return _sample_pairs(gf, interval, [seed + 997 * t for t in range(n_samples)])
+
+
+def _qq_fits(gf: GenFun, samples, seg, qgrid, dual):
+    """Per configuration, (M_required, violation witness or None, skipped)
+    from the points of its segment ``seg`` on the grid ``qgrid`` of
+    ``_qq_grid``; a configuration whose segment or second height fails is
+    skipped."""
+    xs, xbs, us, zs = samples
+    grid, idx = qgrid
+    if dual:
         usable = (seg.status == 0) & seg.ok.all(axis=1)
     else:
         u0 = gf.value(xs[:, 0], xbs[:, 0], zs[:, 0])
         z1, status = gf.inverse_rows(xs[:, 0], xbs[:, 1], u0)
-        seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
-                              s_grid=grid)
         usable = (status == 0) & (seg.status == 0) & seg.ok.all(axis=1)
+    fits = []
+    for i in range(xs.shape[0]):
+        conf = (xs[i, 0], xs[i, 1], xbs[i, 0], xbs[i, 1])
+        if not usable[i]:
+            fits.append((None, None, True))
+        elif dual:
+            fits.append(_qq_dual_single(gf, *conf, float(us[i, 0]), seg.points[i],
+                                        seg.z_values[i], grid, *idx, gf.tols))
+        else:
+            fits.append(_qq_single(gf, *conf, float(zs[i, 0]), float(z1[i]),
+                                   seg.points[i], grid, *idx, gf.tols))
+    return fits
+
+
+def _qq_report(name, fits, skipped):
+    """The report over the configurations' ``fits`` in order; ``skipped``
+    counts the seeds that gave no configuration."""
     fitted = 1.0
     used = 0
     violation = None
-    for i in range(xs.shape[0]):
-        if not usable[i]:
-            skipped += 1
-            continue
-        conf = (xs[i, 0], xs[i, 1], xbs[i, 0], xbs[i, 1])
-        if dual:
-            M_t, viol, skip = _qq_dual_single(gf, *conf, float(us[i, 0]), seg.points[i],
-                                              seg.z_values[i], grid, *idx, tols)
-        else:
-            M_t, viol, skip = _qq_single(gf, *conf, float(zs[i, 0]), float(z1[i]),
-                                         seg.points[i], grid, *idx, tols)
+    for M_t, viol, skip in fits:
         if skip:
             skipped += 1
             continue
@@ -645,7 +701,6 @@ def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
             violation = violation or viol
             continue
         fitted = max(fitted, M_t)
-    name = "qqconv_dual" if dual else "qqconv"
     if violation is not None:
         return ConditionReport.build(
             name, used, -np.inf, violation, 0.0,
@@ -683,12 +738,17 @@ def _qq_dual_single(gf, x0, x1, xb0, xb1, u0, xbt, zt, grid, idx_t, idx_tp, tols
     return M_req, None, False
 
 
-def crosscheck_g3w_implies_qqconv(gf: GenFun, interval, n_base=32, n_pairs=8,
-                                  n_qq=24, seed=0):
+def crosscheck_g3w_implies_qqconv(gf: GenFun, interval, n_base=_CROSS_BASE,
+                                  n_pairs=_CROSS_PAIRS, n_qq=_CROSS_QQ, seed=0):
     """Smooth-case consistency: a nonnegative sampled tensor must come with
     a finite fitted M.  Emits both numbers side by side."""
     tensor = g3w_sweep(gf, interval, n_base=n_base, n_pairs=n_pairs, seed=seed)
     qq = check_qqconv(gf, interval, n_samples=n_qq, seed=seed)
+    return _crosscheck(gf, tensor, qq)
+
+
+def _crosscheck(gf: GenFun, tensor, qq):
+    """The cross-check record from the primal sweep and qqconv reports."""
     tensor_ok = tensor.worst_margin >= -gf.tols.tensor_floor
     m_finite = np.isfinite(qq.constants["fitted_M"])
     implication_holds = (not tensor_ok) or m_finite
@@ -701,3 +761,75 @@ def crosscheck_g3w_implies_qqconv(gf: GenFun, interval, n_base=32, n_pairs=8,
         "tensor_report": tensor.to_dict(),
         "qqconv_report": qq.to_dict(),
     }
+
+
+# ---------------------------------------------------------------------------
+# the check pass
+# ---------------------------------------------------------------------------
+
+
+def check_conditions(gf: GenFun, interval, n_samples=400, seed=0):
+    """Every condition of a check pass, and the smooth-case cross-check.
+
+    Returns (reports, crosscheck): the ConditionReport of each condition,
+    keyed by name, and the record of ``crosscheck_g3w_implies_qqconv``.
+    Each check's sample count scales with ``n_samples``.  Every
+    configuration is sampled first, and each family of rows is solved once:
+    the domconv and qqconv source segments advance in one continuation, the
+    cross-check's qqconv configurations are the first ``_CROSS_QQ`` seeds of
+    the report's seed list ``seed + 997 t`` (or the list extends to them),
+    and the report's and the cross-check's primal sweep rows are one
+    ``g3w_batch``.  A row of a batched solve follows exactly the iterates it
+    follows alone, so every result equals that of its public check.
+    """
+    n = n_samples
+    n_dom, n_qq = max(24, n // 10), max(16, n // 16)
+    dom = _domconv_samples(gf, interval, n_dom, seed)
+    qq, qq_kept = _qq_samples(gf, interval, max(n_qq, _CROSS_QQ), seed)
+    sweeps = [_sweep_inputs(gf, interval, max(16, n // 16), 8, seed, False),
+              _sweep_inputs(gf, interval, _CROSS_BASE, _CROSS_PAIRS, seed, False)]
+    # the public checks' default grids: 17 domconv points, n_grid 11 for qqconv
+    qgrid = _qq_grid(11)
+    dom_seg, qq_seg = _source_segments(gf, [(dom, np.linspace(0, 1, 17)), (qq, qgrid[0])])
+    fits = _qq_fits(gf, qq, qq_seg, qgrid, False)
+
+    def qq_report(n_seeds):
+        c = int(np.sum(qq_kept < n_seeds))
+        return _qq_report("qqconv", fits[:c], n_seeds - c)
+
+    k = sweeps[0]["x"].shape[0]
+    vals, status = g3w_batch(gf, **{key: np.concatenate([sw[key] for sw in sweeps])
+                                    for key in sweeps[0]})
+    g3w, tensor = (_sweep_report(gf, sw, vals[part], status[part], False)
+                   for sw, part in zip(sweeps, (slice(0, k), slice(k, None))))
+    reports = {
+        "unif_lip": check_unif_lip(gf, interval, n_samples=n, seed=seed),
+        "twist": check_twist(gf, interval, n_samples=max(64, n // 4), seed=seed),
+        "nondeg": check_nondeg(gf, interval, n_samples=n, seed=seed),
+        "domconv": _domconv_report(gf, interval, n_dom, seed, dom, dom_seg),
+        "g3w": g3w,
+        "g3w_dual": g3w_sweep(gf, interval, n_base=max(8, n // 32), n_pairs=4,
+                              seed=seed, dual=True),
+        "qqconv": qq_report(n_qq),
+        "qqconv_dual": check_qqconv(gf, interval, n_samples=max(8, n // 32),
+                                    seed=seed, dual=True),
+    }
+    return reports, _crosscheck(gf, tensor, qq_report(_CROSS_QQ))
+
+
+def _source_segments(gf: GenFun, families):
+    """Source segments of several families, each (samples, s_grid) with the
+    configurations' (xs, xbs, us, zs), in one continuation.  Returns a
+    SegmentBatch per family, equal to the family's own ``g_segment_batch``
+    call."""
+    sizes = [len(sm[0]) for sm, _ in families]
+    ends = np.cumsum([0] + sizes)
+    grids = np.full((ends[-1], max(len(g) for _, g in families)), np.nan)
+    for (_, g), lo, hi in zip(families, ends, ends[1:]):
+        grids[lo:hi, :len(g)] = g
+    xs, xbs, _, zs = (np.concatenate([sm[i] for sm, _ in families]) for i in range(4))
+    seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
+                          s_grid=grids)
+    return [SegmentBatch(g, seg.p0[lo:hi], seg.p1[lo:hi], seg.points[lo:hi, :len(g)], None,
+                         seg.status[lo:hi], seg.ok[lo:hi, :len(g)])
+            for (_, g), lo, hi in zip(families, ends, ends[1:])]

@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
-from gjekit.cli import main
+from gjekit.cli import _load_config, main
+from gjekit.errors import ConfigError
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -23,6 +26,22 @@ def test_malformed_config_exit_2(tmp_path):
     unknown = _write(tmp_path, {"genfun": {"kind": "quasilinear"}, "bogus": 1},
                      "unknown.json")
     assert main(["check", "--config", unknown]) == 2
+
+
+def test_shipped_schema_and_its_error_messages(tmp_path):
+    # the schema is checked against its metaschema here, not on every
+    # command; a config error reads as jsonschema.validate's own message
+    schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    bad = [{"resolution": 32}, {"genfun": {"kind": "quasilinear"}, "bogus": 1},
+           {"genfun": {"kind": "quasilinear"}, "seed": "zero"},
+           {"demo": "classical-MA", "counts": {"n_samples": -1}}]
+    for k, cfg in enumerate(bad):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(cfg, schema)
+        with pytest.raises(ConfigError) as got:
+            _load_config(_write(tmp_path, cfg, f"bad{k}.json"))
+        assert str(got.value) == f"config schema violation: {expected.value.message}"
 
 
 def test_check_quasilinear_passes(tmp_path):
@@ -74,6 +93,26 @@ def test_check_report_is_pinned(tmp_path, kind):
     blocks = json.dumps({"reports": report["reports"], "crosscheck": report["crosscheck"]},
                         sort_keys=True)
     assert (rc, hashlib.sha256(blocks.encode()).hexdigest()) == _CHECK_PINS[kind]
+
+
+# the violator at the seeds where many Newton row solves exhaust the
+# damping, pinned as _CHECK_PINS
+_VIOLATOR_PINS = {
+    1: (1, "6ef62880a09865abf86feb148d0b169273c89bea946266604281c0a5d80a141d"),
+    2: (1, "50964e3b7b38d2a40d35fef7b11058adff70e1628f5e94a4633f3c7788714072"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_VIOLATOR_PINS))
+def test_violator_check_report_is_pinned_where_the_damping_runs_out(tmp_path, seed):
+    cfg = _write(tmp_path, {"genfun": {"kind": "violator"}, "seed": seed,
+                            "counts": {"n_samples": 200},
+                            "output_dir": str(tmp_path / "out")})
+    rc = main(["check", "--config", cfg])
+    report = json.loads((tmp_path / "out" / "check_report.json").read_text())
+    blocks = json.dumps({"reports": report["reports"], "crosscheck": report["crosscheck"]},
+                        sort_keys=True)
+    assert (rc, hashlib.sha256(blocks.encode()).hexdigest()) == _VIOLATOR_PINS[seed]
 
 
 # sha256 of trace_report.json without its provenance block (json.dumps with

@@ -325,6 +325,53 @@ def test_segment_batch_rows_are_their_one_row_segments(name, kind, seed, m, data
         assert s_grid[~batch.ok[i]].tolist() == seg.failures
 
 
+@pytest.mark.parametrize("kind", ["source", "target"])
+def test_segment_batch_rows_on_grids_of_their_own(newton_rows, kind):
+    # three families of violator segments on grids of their own, the second
+    # shorter than the others, in one continuation: each family's rows equal
+    # the family's own call, including rows that fail mid-segment
+    gf = violator_genfun()
+    lo, hi = TEST_INTERVALS["violator"]
+    rng = np.random.default_rng(0)
+    xs, xbs = gf.source_chart.sample(40, rng), gf.target_chart.sample(40, rng)
+    us = rng.uniform(lo, hi, 40)
+    zs, status = gf.inverse_rows(xs, xbs, us)
+    ok = np.flatnonzero(status == 0)
+    k = ok.size // 2
+    first, second = ok[:k], ok[k:2 * k]
+    if kind == "source":
+        a, b, anchor, chart = xs[first], xs[second], (xbs[first], zs[first]), gf.source_chart
+    else:
+        a, b, anchor, chart = xbs[first], xbs[second], (xs[first], us[first]), gf.target_chart
+    b[1] = chart.embed(chart.hi * 3)[0]  # a planted endpoint outside the chart
+    grids = [np.linspace(0.0, 1.0, 9), np.linspace(0.0, 0.5, 4),
+             np.unique(np.r_[np.linspace(0.0, 1.0, 6), 0.45])]
+    parts = np.array_split(np.arange(k), 3)
+    s_grid = np.full((k, 9), np.nan)
+    for g, part in zip(grids, parts):
+        s_grid[part, :g.size] = g
+    newton_rows.clear()
+    batch = g_segment_batch(gf, kind, a, b, anchor, s_grid=s_grid)
+    # one batched solve per grid column over the rows with a point there
+    live = batch.status == 0
+    assert newton_rows == [int(np.sum(live & ~np.isnan(s_grid[:, j]))) for j in range(9)]
+    assert batch.status[1] != 0
+    assert np.any(live & batch.ok.any(axis=1) & ~batch.ok.all(axis=1))
+    for g, part in zip(grids, parts):
+        own = g_segment_batch(gf, kind, a[part], b[part], (anchor[0][part], anchor[1][part]),
+                              s_grid=g)
+        m = g.size
+        assert np.array_equal(batch.status[part], own.status)
+        assert np.array_equal(batch.p0[part], own.p0, equal_nan=True)
+        assert np.array_equal(batch.p1[part], own.p1, equal_nan=True)
+        assert np.array_equal(batch.points[part, :m], own.points, equal_nan=True)
+        assert np.array_equal(batch.ok[part, :m], own.ok)
+        if kind == "target":
+            assert np.array_equal(batch.z_values[part, :m], own.z_values, equal_nan=True)
+            assert np.isnan(batch.z_values[part, m:]).all()
+        assert not batch.ok[part, m:].any() and np.isnan(batch.points[part, m:]).all()
+
+
 def test_segment_endpoint_errors():
     gf = make_builtin("quasilinear")
     a, far = np.array([0.1, 0.2]), np.array([3.0, 0.0])
