@@ -148,6 +148,17 @@ def _dot3(x, v):
     return (x[..., 0] * v[..., 0] + x[..., 1] * v[..., 1]) + x[..., 2] * v[..., 2]
 
 
+def _row_dots(a, b):
+    """Row-wise <a, b> through the same BLAS dot as the one-row ``a @ b``,
+    so a batch reproduces its one-row results bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a):
+    """Row-wise ``np.linalg.norm``, bit for bit (it is sqrt(a @ a))."""
+    return np.sqrt(_row_dots(a, a))
+
+
 def _orthonormal_frame(pole):
     """Deterministic tangent frame (e1, e2) completing pole to a basis."""
     pole = pole / np.linalg.norm(pole)

@@ -212,8 +212,7 @@ def cmd_estimate(cfg, verbose=False):
             m = GAffine(gf, xbar, float(z_h))
             omega = rng.normal(size=gf.dim)
             omega /= np.linalg.norm(omega)
-            rec = aleksandrov_check(env, m, x_ref, omega,
-                                    diam_cap=cfg.get("diam_cap"))
+            rec = aleksandrov_check(env, m, x_ref, omega)
             rows.append({"kind": "aleksandrov", "ok": 1, **rec.to_row()})
         except GjekitError as e:
             rows.append({"kind": "aleksandrov", "ok": 0, "reason": str(e)[:120]})

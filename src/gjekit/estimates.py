@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateError, GjekitError, HypothesisError, NicenessError
 from .expmaps import p_map
-from .gconvex import Envelope, GAffine, Section
+from .gconvex import Envelope, GAffine, Section, _hull_volume
 
 __all__ = [
     "EstimateRecord", "JohnEllipsoid", "supporting_plane_distance",
@@ -220,18 +220,11 @@ def _subdiff_volume(env: Envelope, mask):
     unbiased.  Otherwise the hull of the active foci approximates the
     continuum image (convex under the standing conditions).
     """
-    from scipy.spatial import ConvexHull, QhullError
     idx = np.unique(env.cell_indices()[mask])
     cellvol = getattr(env, "focus_cell_volume", None)
     if cellvol is not None:
         return float(idx.size * cellvol), idx
-    foci = env.gf.target_chart.coords(env.xbars[idx])
-    if foci.shape[0] <= foci.shape[1]:
-        return 0.0, idx
-    try:
-        return float(ConvexHull(foci).volume), idx
-    except QhullError:
-        return 0.0, idx
+    return _hull_volume(env.gf.target_chart.coords(env.xbars[idx])), idx
 
 
 def aleksandrov_check(env: Envelope, m: GAffine, x0, omega,

@@ -120,7 +120,7 @@ def _newton(residual_and_jac, y0, project, tols):
 
     residual_and_jac(y, rows) -> (r, J) with r (k, d) and J (k, d, d) is
     evaluated for the batch rows ``rows`` only, at their iterates y (k, d);
-    ``project`` clips iterates back into chart validity (may be None).
+    ``project`` clips iterates back into chart validity.
     Each row converges to ||r||_inf <= tols.exp_residual or leaves the
     iteration with a RowStatus (singular jacobian, non-finite step, damping
     exhausted, iteration limit) and its last iterate.  A row follows exactly
@@ -148,8 +148,7 @@ def _newton(residual_and_jac, y0, project, tols):
         for _ in range(tols.newton_max_halvings):
             k = np.flatnonzero(pending)
             cand = y_now[k] - scale[k, None] * step[k]
-            if project is not None:
-                cand = project(cand)
+            cand = project(cand)
             rc, _ = _residual_safe(residual_and_jac, cand, rows[k])
             better = np.max(np.abs(rc), axis=1) < best[k]
             y[rows[k[better]]] = cand[better]
@@ -202,7 +201,7 @@ def _feasible_source_start(gf, xbar, z, m):
     """
     chart = gf.source_chart
     cands = [np.broadcast_to(chart.center, (m, chart.dim)).copy()]
-    if chart.embdim == gf.target_chart.embdim and hasattr(chart, "clip"):
+    if chart.embdim == gf.target_chart.embdim:
         cands.append(chart.clip(chart.coords(xbar)) * 0.98)
     rng = np.random.default_rng(0)
     span = chart.hi - chart.lo
@@ -262,8 +261,7 @@ def exp_source(gf: GenFun, xbar, z, p, x_guess=None, tols=None, return_status=Fa
         return r, J
 
     c = c0.copy()
-    clip = getattr(chart, "clip", None)
-    c[live], status[live] = _newton(rj, c0[live], clip, tols)
+    c[live], status[live] = _newton(rj, c0[live], chart.clip, tols)
     x = chart.embed(c)
     status[(status == 0) & ~gf._in_domain(x, xbar, z)] = RowStatus.INADMISSIBLE
     if return_status:
@@ -308,8 +306,7 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None,
 
     def project(y):
         y = y.copy()
-        if hasattr(chart, "clip"):
-            y[:, :n] = chart.clip(y[:, :n])
+        y[:, :n] = chart.clip(y[:, :n])
         return y
 
     def rj(y, rows):

@@ -6,8 +6,6 @@ everywhere in the toolkit.  Cell weights fold in the chart's metric factor
 (1/w for the orthographic sphere chart), so sums of ``weights * f`` are
 integrals against the chart's surface measure.  For sphere charts, cells
 whose center falls outside the cap are dropped.
-
-Boolean masks over grid cells serialize to run-length encoding.
 """
 
 import numpy as np

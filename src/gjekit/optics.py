@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _dot3
+from .charts import _dot3, _row_norms
 from .errors import ConfigError
 from .expmaps import exp_target
 from .gconvex import Envelope
-from .structure import _row_norms
 from . import kernels
 
 __all__ = ["Ray", "ReflectorSurface", "TraceReport", "trace_ray",
@@ -212,9 +211,7 @@ def _sample_source(env, n_rays, f, rng):
     cells = rng.choice(grid.n_cells, size=n_rays, p=p)
     jitter = rng.uniform(-0.5, 0.5, size=(n_rays, grid.chart.dim)) * grid.cell_size
     coords = grid.coords[cells] + jitter
-    if hasattr(grid.chart, "clip"):
-        coords = grid.chart.clip(coords)
-    return grid.chart.embed(coords)
+    return grid.chart.embed(grid.chart.clip(coords))
 
 
 def _active_pieces(env, pts_emb):

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .charts import _row_dots, _row_norms
 from .errors import DomainError, RowStatus
 from .expmaps import (SegmentBatch, e_matrix, exp_source, exp_target, g_segment_batch,
                       p_map, pbar_rows)
@@ -88,15 +89,20 @@ def _jsonable(obj):
     return obj
 
 
+def _draw(gf: GenFun, interval, n, seed):
+    """n seeded (x, xbar, u) draws from the declared domains, with the height
+    z = H(x, xbar, u) and the RowStatus of each."""
+    rng = np.random.default_rng(seed)
+    xs = gf.source_chart.sample(n, rng)
+    xbs = gf.target_chart.sample(n, rng)
+    us = rng.uniform(interval[0], interval[1], n)
+    return (xs, xbs, us) + gf.inverse_rows(xs, xbs, us)
+
+
 def _admissible_samples(gf: GenFun, interval, n, seed):
     """Sampled admissible (x, xbar, u, z) tuples inside the declared domains."""
-    rng = np.random.default_rng(seed)
-    xs = gf.source_chart.sample(2 * n, rng)
-    xbs = gf.target_chart.sample(2 * n, rng)
-    us = rng.uniform(interval[0], interval[1], 2 * n)
-    zs, status = gf.inverse_rows(xs, xbs, us)
-    keep = status == 0
-    return xs[keep][:n], xbs[keep][:n], us[keep][:n], zs[keep][:n]
+    *draws, status = _draw(gf, interval, 2 * n, seed)
+    return tuple(a[status == 0][:n] for a in draws)
 
 
 def _sample_pairs(gf: GenFun, interval, seeds):
@@ -138,6 +144,14 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
     margin is the smallest output/input separation ratio; a collision drives
     it to zero.
     """
+    def target_map(x, xb, z):  # (xbar, z) -> (D_x G, G) at fixed x
+        return (np.column_stack([raise_for_nan(gf.d_x(x, xb, z), f"{gf.name}: twist"),
+                                 gf.value(x, xb, z, check=False)]),
+                np.column_stack([gf.target_chart.coords(xb), z]))
+
+    def source_map(x, xb, z):  # x -> p at fixed (xbar, z)
+        return p_map(gf, xb, z, x), gf.source_chart.coords(x)
+
     worst = np.inf
     witness = {}
     total = 0
@@ -145,7 +159,7 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
         xs, xbs, us, zs = _admissible_samples(gf, interval, n_samples, seed + 17 * b + 1)
         if len(xs) < 8:
             continue
-        x0 = xs[0]
+        x0, xb0, z0 = xs[0], xbs[0], zs[0]
         # shared z-levels across the target net: collisions of the target
         # map typically need matching scalar values, which independent
         # (xbar, z) draws would miss.  The net also carries the axis
@@ -165,34 +179,22 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
         if xb_net.shape[0] > 1200:  # pairwise scan is quadratic
             xb_net = xb_net[:1200]
             z_net = z_net[:1200]
-        x0s = np.broadcast_to(x0, xb_net.shape[:1] + x0.shape).copy()
-        ok = gf._in_domain(x0s, xb_net, z_net)
-        xb_k, z_k = xb_net[ok], z_net[ok]
-        if len(xb_k) >= 8:
-            out = np.column_stack([
-                raise_for_nan(gf.d_x(x0s[ok], xb_k, z_k), f"{gf.name}: twist"),
-                gf.value(x0s[ok], xb_k, z_k, check=False)])
-            cin = np.column_stack([gf.target_chart.coords(xb_k), z_k])
-            r, wit = _min_sep_ratio(out, cin)
-            total += len(xb_k)
+        probes = [
+            ({"map": "target", "x0": x0}, target_map,
+             np.broadcast_to(x0, xb_net.shape[:1] + x0.shape).copy(), xb_net, z_net),
+            ({"map": "source", "xbar": xb0, "z": float(z0)}, source_map,
+             xs, np.broadcast_to(xb0, xs.shape[:1] + xb0.shape).copy(), np.full(len(xs), z0)),
+        ]
+        for where, coord_map, x, xb, z in probes:
+            ok = gf._in_domain(x, xb, z)
+            if np.sum(ok) < 8:
+                continue
+            out, cin = coord_map(x[ok], xb[ok], z[ok])
+            r, (i, j) = _min_sep_ratio(out, cin)
+            total += len(cin)
             if r < worst:
                 worst = r
-                witness = {"map": "target", "x0": x0,
-                           "pair_inputs": [cin[wit[0]], cin[wit[1]]]}
-        # dual: x -> p at fixed (xbar, z)
-        xb0, z0 = xbs[0], zs[0]
-        xb0s = np.broadcast_to(xb0, xs.shape[:1] + xb0.shape).copy()
-        ok = gf._in_domain(xs, xb0s, np.full(len(xs), z0))
-        x_k = xs[ok]
-        if len(x_k) >= 8:
-            p = p_map(gf, xb0s[ok], np.full(len(x_k), z0), x_k)
-            cin = gf.source_chart.coords(x_k)
-            r, wit = _min_sep_ratio(p, cin)
-            total += len(x_k)
-            if r < worst:
-                worst = r
-                witness = {"map": "source", "xbar": xb0, "z": float(z0),
-                           "pair_inputs": [cin[wit[0]], cin[wit[1]]]}
+                witness = {**where, "pair_inputs": [cin[i], cin[j]]}
     tol = gf.tols.twist_ratio
     return ConditionReport.build(
         "twist", total, worst - tol, witness, 0.0,
@@ -214,11 +216,7 @@ def _min_sep_ratio(outputs, inputs):
 
 def check_unif_lip(gf: GenFun, interval, n_samples=2000, seed=0) -> ConditionReport:
     """Uniform admissibility over the box of (x, xbar, u) plus the constant K0."""
-    rng = np.random.default_rng(seed)
-    xs = gf.source_chart.sample(n_samples, rng)
-    xbs = gf.target_chart.sample(n_samples, rng)
-    us = rng.uniform(interval[0], interval[1], n_samples)
-    zs, status = gf.inverse_rows(xs, xbs, us)
+    xs, xbs, us, zs, status = _draw(gf, interval, n_samples, seed)
     ok = status == 0
     bad = None
     if not ok.all():
@@ -327,17 +325,6 @@ def a_matrix(gf: GenFun, x, pbar, u, xbar_guess=None):
 
 # stencil points of the fourth-order form, in units of the step h
 _STENCIL = (0.0, 1.0, -1.0, 0.5, -0.5)
-
-
-def _row_dots(a, b):
-    """Row-wise <a, b> through the same BLAS dot as the one-row ``a @ b``,
-    so a batch reproduces its one-row results bit for bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _row_norms(a):
-    """Row-wise ``np.linalg.norm``, bit for bit (it is sqrt(a @ a))."""
-    return np.sqrt(_row_dots(a, a))
 
 
 def _tensor_rows(gf, base, V, eta, hessian_at, names):
@@ -571,55 +558,6 @@ def _sweep_report(gf: GenFun, rows, vals, status, dual):
 # ---------------------------------------------------------------------------
 
 
-def _qq_single(gf, x0, x1, xb0, xb1, z0, z1, pts, grid, idx_s, idx_sp, tols):
-    """Fit data for one configuration of the primal inequality, from the
-    points ``pts`` of its source segment on ``grid``.
-
-    Returns (M_required, violation_witness_or_None, skipped_flag).
-    """
-    m = pts.shape[0]
-    xb0s = np.broadcast_to(xb0, (m, xb0.shape[0])).copy()
-    xb1s = np.broadcast_to(xb1, (m, xb1.shape[0])).copy()
-    z0s = np.full(m, z0)
-    if not (np.all(gf._in_domain(pts, xb0s, z0s))):
-        return None, None, True
-    u_s = gf._value(pts, xb0s, z0s)
-    if np.any(u_s <= gf.srange.lower) or np.any(u_s >= gf.srange.upper):
-        return None, None, True
-    # LHS(s) = G(x(s), xb1, z1) - G(x(s), xb0, z0)
-    ok1 = gf._in_domain(pts, xb1s, np.full(m, z1))
-    if not np.all(ok1):
-        return None, None, True
-    lhs = gf._value(pts, xb1s, np.full(m, z1)) - u_s
-    # R(s') = G(x1, xb1, H(x(s'), xb1, G(x(s'), xb0, z0))) - G(x1, xb0, z0)
-    z_sp, status = gf.inverse_rows(pts, xb1s, u_s)
-    if status.any():
-        return None, None, True
-    x1s = np.broadcast_to(x1, (m, x1.shape[0])).copy()
-    okr = gf._in_domain(x1s, xb1s, z_sp)
-    if not np.all(okr):
-        return None, None, True
-    r_all = gf._value(x1s, xb1s, z_sp) - gf.value(x1, xb0, z0)
-
-    M_req = 1.0
-    for a in idx_s:
-        s = grid[a]
-        if s <= 0 or lhs[a] <= tols.tie:
-            continue
-        for b in idx_sp:
-            sp = grid[b]
-            r = r_all[b]
-            factor = s / (1.0 - sp)
-            if r <= tols.tie:
-                witness = {"s": float(s), "s_prime": float(sp),
-                           "lhs": float(lhs[a]), "rhs_factor": float(r),
-                           "x0": x0, "x1": x1, "xbar0": xb0, "xbar1": xb1,
-                           "z0": float(z0)}
-                return None, witness, False
-            M_req = max(M_req, float(lhs[a]) / (factor * float(r)))
-    return M_req, None, False
-
-
 def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
                  n_grid=11) -> ConditionReport:
     """Fit the smallest workable constant M >= 1 for the quasiconvexity
@@ -662,28 +600,88 @@ def _qq_samples(gf: GenFun, interval, n_samples, seed):
 def _qq_fits(gf: GenFun, samples, seg, qgrid, dual):
     """Per configuration, (M_required, violation witness or None, skipped)
     from the points of its segment ``seg`` on the grid ``qgrid`` of
-    ``_qq_grid``; a configuration whose segment or second height fails is
-    skipped."""
+    ``_qq_grid``.
+
+    Primal: LHS(s) = G(x(s), xbar1, z1) - G(x(s), xbar0, z0) and
+    R(s') = G(x1, xbar1, H(x(s'), xbar1, G(x(s'), xbar0, z0))) - G(x1, xbar0, z0).
+    Dual: LHS(t) = G(x1, xbar(t), z(t)) - G(x1, xbar(0), z(0)) and the
+    bracket G(x1, xbar(1), z(1)) - G(x1, xbar(t'), z(t')).  Each side is
+    evaluated for every configuration at once, over the grid rows of the
+    configurations still live; a configuration is skipped at the first
+    step that fails on one of its rows (segment, second height, admissible
+    triple, open scalar range, scalar inverse).
+    """
     xs, xbs, us, zs = samples
     grid, idx = qgrid
+    k, m = seg.ok.shape
+    live = (seg.status == 0) & seg.ok.all(axis=1)
+
+    def on_grid(a):  # a per-configuration array on each grid row
+        return np.broadcast_to(a[:, None], (k, m) + a.shape[1:])
+
+    def live_rows(a):  # the grid rows of the live configurations, flattened
+        return a[live].reshape((-1,) + a.shape[2:])
+
+    def value(x, xbar, z):
+        """G on the live grid rows, (k, m) with nan elsewhere; a
+        configuration with an inadmissible row stops being live."""
+        v = np.full((k, m), np.nan)
+        vals, ok = gf._value_or(live_rows(x), live_rows(xbar), live_rows(z), np.nan)
+        v[live] = vals.reshape(-1, m)
+        live[live] = ok.reshape(-1, m).all(axis=1)
+        return v
+
     if dual:
-        usable = (seg.status == 0) & seg.ok.all(axis=1)
+        f_t = value(on_grid(xs[:, 1]), seg.points, seg.z_values)
+        lhs, rhs = f_t - f_t[:, :1], f_t[:, -1:] - f_t
+        keys, anchor = ("t", "t_prime", "bracket"), ("u0", us[:, 0])
     else:
         u0 = gf.value(xs[:, 0], xbs[:, 0], zs[:, 0])
         z1, status = gf.inverse_rows(xs[:, 0], xbs[:, 1], u0)
-        usable = (status == 0) & (seg.status == 0) & seg.ok.all(axis=1)
+        live &= status == 0
+        xb0, xb1 = on_grid(xbs[:, 0]), on_grid(xbs[:, 1])
+        u_s = value(seg.points, xb0, on_grid(zs[:, 0]))
+        live &= ~np.any((u_s <= gf.srange.lower) | (u_s >= gf.srange.upper), axis=1)
+        lhs = value(seg.points, xb1, on_grid(z1)) - u_s
+        z_sp = np.full((k, m), np.nan)
+        z, status = gf.inverse_rows(live_rows(seg.points), live_rows(xb1), live_rows(u_s))
+        z_sp[live] = z.reshape(-1, m)
+        live[live] = ~status.reshape(-1, m).any(axis=1)
+        rhs = value(on_grid(xs[:, 1]), xb1, z_sp)
+        rhs[live] -= gf.value(xs[live, 1], xbs[live, 0], zs[live, 0])[:, None]
+        keys, anchor = ("s", "s_prime", "rhs_factor"), ("z0", zs[:, 0])
     fits = []
-    for i in range(xs.shape[0]):
-        conf = (xs[i, 0], xs[i, 1], xbs[i, 0], xbs[i, 1])
-        if not usable[i]:
+    for i in range(k):
+        if not live[i]:
             fits.append((None, None, True))
-        elif dual:
-            fits.append(_qq_dual_single(gf, *conf, float(us[i, 0]), seg.points[i],
-                                        seg.z_values[i], grid, *idx, gf.tols))
-        else:
-            fits.append(_qq_single(gf, *conf, float(zs[i, 0]), float(z1[i]),
-                                   seg.points[i], grid, *idx, gf.tols))
+            continue
+        M, pair = _qq_fit(lhs[i], rhs[i], grid, *idx, gf.tols.tie)
+        witness = None
+        if pair is not None:
+            a, b = pair
+            witness = {keys[0]: float(grid[a]), keys[1]: float(grid[b]),
+                       "lhs": float(lhs[i, a]), keys[2]: float(rhs[i, b]),
+                       "x0": xs[i, 0], "x1": xs[i, 1], "xbar0": xbs[i, 0],
+                       "xbar1": xbs[i, 1], anchor[0]: float(anchor[1][i])}
+        fits.append((M, witness, False))
     return fits
+
+
+def _qq_fit(lhs, rhs, grid, idx_a, idx_b, tie):
+    """The smallest M >= 1 with lhs[a] <= M * grid[a] / (1 - grid[b]) * rhs[b]
+    for every a in ``idx_a`` with grid[a] > 0 and lhs[a] not <= ``tie``
+    and every b in ``idx_b``: returns (M, None).  When such an a exists
+    and some rhs[b] <= ``tie``, returns (None, (a, b)) with the first such
+    a and the first such b.  A nan quotient does not move M.
+    """
+    a = idx_a[(grid[idx_a] > 0) & ~(lhs[idx_a] <= tie)]
+    if a.size == 0:
+        return 1.0, None
+    tied = idx_b[rhs[idx_b] <= tie]
+    if tied.size:
+        return None, (int(a[0]), int(tied[0]))
+    ratio = lhs[a, None] / ((grid[a, None] / (1.0 - grid[idx_b])) * rhs[idx_b])
+    return float(np.fmax.reduce(ratio.ravel(), initial=1.0)), None
 
 
 def _qq_report(name, fits, skipped):
@@ -708,34 +706,6 @@ def _qq_report(name, fits, skipped):
     return ConditionReport.build(
         name, used, 0.0, {}, 0.0, constants={"fitted_M": float(fitted)},
         skipped=skipped)
-
-
-def _qq_dual_single(gf, x0, x1, xb0, xb1, u0, xbt, zt, grid, idx_t, idx_tp, tols):
-    """One configuration of the dual inequality, from the points ``xbt`` and
-    heights ``zt`` of its target segment on ``grid``."""
-    m = xbt.shape[0]
-    x1s = np.broadcast_to(x1, (m, x1.shape[0])).copy()
-    if not np.all(gf._in_domain(x1s, xbt, zt)):
-        return None, None, True
-    f_t = gf._value(x1s, xbt, zt)
-    lhs_all = f_t - f_t[0]
-    M_req = 1.0
-    for a in idx_t:
-        t = grid[a]
-        if t <= 0 or lhs_all[a] <= tols.tie:
-            continue
-        for b in idx_tp:
-            tp = grid[b]
-            bracket = f_t[-1] - f_t[b]
-            factor = t / (1.0 - tp)
-            if bracket <= tols.tie:
-                witness = {"t": float(t), "t_prime": float(tp),
-                           "lhs": float(lhs_all[a]), "bracket": float(bracket),
-                           "x0": x0, "x1": x1, "xbar0": xb0, "xbar1": xb1,
-                           "u0": float(u0)}
-                return None, witness, False
-            M_req = max(M_req, float(lhs_all[a]) / (factor * float(bracket)))
-    return M_req, None, False
 
 
 def crosscheck_g3w_implies_qqconv(gf: GenFun, interval, n_base=_CROSS_BASE,

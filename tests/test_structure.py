@@ -8,10 +8,10 @@ from conftest import bent_cost, sample_admissible
 from gjekit.builtins import make_builtin
 from gjekit.demos import (TEST_INTERVALS, far_field_genfun, folded_twist_genfun,
                           violator_genfun)
-from gjekit.errors import DomainError, GjekitError
-from gjekit.expmaps import exp_target, g_segment
-from gjekit.structure import (_jsonable, _min_sep_ratio, _sweep_rows, a_matrix,
-                              check_conditions, check_domconv, check_nondeg,
+from gjekit.errors import DomainError
+from gjekit.expmaps import exp_target, g_segment_batch
+from gjekit.structure import (_jsonable, _min_sep_ratio, _qq_fit, _qq_fits, _qq_grid,
+                              _sweep_rows, a_matrix, check_conditions, check_domconv, check_nondeg,
                               check_qqconv, check_twist, check_unif_lip,
                               crosscheck_g3w_implies_qqconv, g3w_batch,
                               g3w_dual_form, g3w_form, g3w_sweep)
@@ -410,34 +410,60 @@ def test_qqconv_parallel_beam_seed_stability(intervals):
 def test_qqconv_interval_monotonicity():
     # genuinely nested constraint sets: fit M over one config pool, then
     # over the sub-pool whose scalar values stay in the narrow interval
-    from gjekit.structure import _qq_single
     gf = make_builtin("parallel_beam")
-    s_grid = np.linspace(0.0, 1.0, 11)
-    sp_grid = np.linspace(0.0, 0.9, 11)
-    grid = np.unique(np.concatenate([s_grid, sp_grid]))
-    idx = (np.searchsorted(grid, s_grid), np.searchsorted(grid, sp_grid))
+    qgrid = _qq_grid(11)
+    pool = [sample_admissible(gf, (0.6, 1.4), 4, seed=300 + t) for t in range(40)]
+    xs, xbs, us, zs = (np.array([p[i][:2] for p in pool if len(p[0]) >= 2]) for i in range(4))
+    seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
+                          s_grid=qgrid[0])
     m_wide = 1.0
     m_narrow = 1.0
-    for t in range(40):
-        xs, xbs, us, zs = sample_admissible(gf, (0.6, 1.4), 4, seed=300 + t)
-        if len(xs) < 2 or len(xbs) < 2:
-            continue
-        try:
-            z1 = gf.inverse(xs[0], xbs[1], gf.value(xs[0], xbs[0], zs[0]))
-            seg = g_segment(gf, "source", (xs[0], xs[1]), (xbs[0], float(zs[0])),
-                            s_grid=grid)
-        except GjekitError:
-            continue
-        if not seg.well_defined:
-            continue
-        fit, viol, skip = _qq_single(gf, xs[0], xs[1], xbs[0], xbs[1], float(zs[0]),
-                                     z1, seg.points, grid, *idx, gf.tols)
+    for (fit, viol, skip), u in zip(_qq_fits(gf, (xs, xbs, us, zs), seg, qgrid, False),
+                                    us[:, 0]):
         if skip or viol is not None:
             continue
         m_wide = max(m_wide, fit)
-        if 0.85 <= us[0] <= 1.15:
+        if 0.85 <= u <= 1.15:
             m_narrow = max(m_narrow, fit)
     assert m_narrow <= m_wide + 1e-12
+
+
+def _qq_fit_loops(lhs, rhs, grid, idx_a, idx_b, tie):
+    """Reference for ``_qq_fit``: the double loop over the (a, b) pairs."""
+    M_req = 1.0
+    for a in idx_a:
+        s = grid[a]
+        if s <= 0 or lhs[a] <= tie:
+            continue
+        for b in idx_b:
+            factor = s / (1.0 - grid[b])
+            if rhs[b] <= tie:
+                return None, (a, b)
+            M_req = max(M_req, float(lhs[a]) / (factor * float(rhs[b])))
+    return M_req, None
+
+
+_TIE = 1e-9
+# sides at, just around and below the tie, zero, negative and nan
+_SIDES = st.one_of(
+    st.sampled_from([_TIE, np.nextafter(_TIE, 1.0), np.nextafter(_TIE, 0.0), 0.0, -0.0,
+                     -_TIE, -0.5, float("nan")]),
+    st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_grid=st.integers(2, 12), positive_rhs=st.booleans())
+def test_qq_fit_equals_the_double_loop(data, n_grid, positive_rhs):
+    grid, idx = _qq_grid(n_grid)
+    m = grid.size
+    lhs = np.array(data.draw(st.lists(_SIDES, min_size=m, max_size=m)))
+    # half the cases keep the right side above the tie, so M is fitted
+    rhs_values = st.floats(2 * _TIE, 2.0) if positive_rhs else _SIDES
+    rhs = np.array(data.draw(st.lists(rhs_values, min_size=m, max_size=m)))
+    M, pair = _qq_fit(lhs, rhs, grid, *idx, _TIE)
+    ref_M, ref_pair = _qq_fit_loops(lhs, rhs, grid, *idx, _TIE)
+    assert pair == ref_pair
+    assert (M is None and ref_M is None) or M.hex() == ref_M.hex()
 
 
 # -- crosscheck -------------------------------------------------------------------
