@@ -26,7 +26,7 @@ from .charts import BoxChart
 from .demos import (TEST_INTERVALS, demo_problem, far_field_genfun,
                     folded_twist_genfun, violator_genfun)
 from .errors import ConfigError, GjekitError
-from .gconvex import Envelope, GAffine
+from .gconvex import Envelope
 from .grids import DomainGrid
 from .solver import SemiDiscreteProblem, solve
 from .structure import _jsonable, check_conditions
@@ -194,7 +194,7 @@ def cmd_raytrace(cfg, verbose=False):
 
 
 def cmd_estimate(cfg, verbose=False):
-    from .estimates import aleksandrov_check, engulfing_check
+    from .estimates import _raised_piece, aleksandrov_check, engulfing_check
     out = _out_dir(cfg)
     env = _load_envelope(cfg)
     gf = env.gf
@@ -204,12 +204,9 @@ def cmd_estimate(cfg, verbose=False):
     rows = []
     for k in range(n_sections):
         x_ref = env.grid.points[int(rng.integers(0, env.grid.n_cells))]
-        u_ref, active = env.eval(x_ref)
-        xbar = env.xbars[active[0]]
         h = float(rng.uniform(0.002, 0.01))
         try:
-            z_h = gf.inverse(x_ref, xbar, u_ref + h)
-            m = GAffine(gf, xbar, float(z_h))
+            m, _ = _raised_piece(env, x_ref, h)
             omega = rng.normal(size=gf.dim)
             omega /= np.linalg.norm(omega)
             rec = aleksandrov_check(env, m, x_ref, omega)

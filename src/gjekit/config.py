@@ -16,14 +16,6 @@ class Tolerances:
     # exponential-map Newton residual; well below the 1e-8 point-space
     # roundtrip contract so jacobian conditioning cannot eat the margin
     exp_residual: float = 1e-11
-    # dual roundtrip |G(x,xbar,H(x,xbar,G(x,xbar,z))) - G(x,xbar,z)|
-    dual_roundtrip: float = 1e-9
-    # analytic vs finite-difference derivative agreement (relative)
-    fd_agreement: float = 1e-5
-    # strict sign margin required of the oriented scalar derivative
-    gz_sign: float = 1e-12
-    # G-segment cache: |p(x(s)) - lerp(p0, p1, s)|
-    segment_linearity: float = 1e-8
     # envelope tie tolerance (absolute, on function values)
     tie: float = 1e-9
     # solver mass tolerance, relative to the total source mass
@@ -32,8 +24,6 @@ class Tolerances:
     snap: float = 1e-6
     # reflection-law residual
     reflect: float = 1e-12
-    # focal miss distance for exact quadric pieces
-    focal_miss: float = 1e-9
     # tensor sweeps: violation threshold for the fourth-order form
     tensor_floor: float = 1e-8
     # orthogonality required of (V, eta) pairs, relative

@@ -29,22 +29,25 @@ TEST_INTERVALS = {
 }
 
 
+def _manufactured(gf, resolution, targets, z_true, x0):
+    """The problem whose masses are the cell masses of the envelope at
+    ``z_true`` on the demo grid, anchored at x0 to its value there."""
+    grid = DomainGrid(gf.source_chart, resolution)
+    env_true = Envelope(gf, (targets, z_true), grid)
+    problem = SemiDiscreteProblem(gf, grid, targets, env_true.cell_masses(),
+                                  anchor_x=x0, anchor_u=env_true.eval(x0)[0])
+    return problem, z_true
+
+
 def classical_ma_problem(resolution=96):
     """Six-target semi-discrete problem for the bilinear-cost instance."""
     gf = make_builtin("quasilinear",
                       source_chart=BoxChart((-1.0, -1.0), (1.0, 1.0)),
                       target_chart=BoxChart((-1.0, -1.0), (1.0, 1.0)))
-    grid = DomainGrid(gf.source_chart, resolution)
     ang = 2 * np.pi * np.arange(6) / 6
     targets = np.stack([0.5 * np.cos(ang), 0.5 * np.sin(ang)], axis=1)
     z_true = 0.5 * np.sum(targets ** 2, axis=1) + 0.01 * np.cos(np.arange(6))
-    env_true = Envelope(gf, (targets, z_true), grid)
-    masses = env_true.cell_masses()
-    x0 = np.zeros(2)
-    u0 = env_true.eval(x0)[0]
-    problem = SemiDiscreteProblem(gf, grid, targets, masses,
-                                  anchor_x=x0, anchor_u=u0)
-    return problem, z_true
+    return _manufactured(gf, resolution, targets, z_true, np.zeros(2))
 
 
 def point_source_8_problem(resolution=256):
@@ -55,7 +58,6 @@ def point_source_8_problem(resolution=256):
     almost-exact gauge motion, hiding solver/tracing errors).
     """
     gf = make_builtin("point_source")
-    grid = DomainGrid(gf.source_chart, resolution)
     ang = 2 * np.pi * np.arange(8) / 8 + np.pi / 16
     radii = np.where(np.arange(8) % 2 == 0, 0.2, 0.5)
     ring = np.stack([radii * np.cos(ang), radii * np.sin(ang)], axis=1)
@@ -65,13 +67,7 @@ def point_source_8_problem(resolution=256):
     # dominate the whole cap
     u_tgt = 0.6 + 0.012 * (radii == 0.2) + 5e-4 * np.cos(3 * ang)
     x0s = np.broadcast_to(x0, (8, 3)).copy()
-    z_true = gf.inverse(x0s, targets, u_tgt)
-    env_true = Envelope(gf, (targets, z_true), grid)
-    masses = env_true.cell_masses()
-    u0 = env_true.eval(x0)[0]
-    problem = SemiDiscreteProblem(gf, grid, targets, masses,
-                                  anchor_x=x0, anchor_u=u0)
-    return problem, z_true
+    return _manufactured(gf, resolution, targets, gf.inverse(x0s, targets, u_tgt), x0)
 
 
 def parallel_beam_5_problem(resolution=128):
@@ -79,19 +75,12 @@ def parallel_beam_5_problem(resolution=128):
     gf = make_builtin("parallel_beam",
                       source_chart=BoxChart((-0.4, -0.4), (0.4, 0.4)),
                       target_chart=BoxChart((-0.35, -0.35), (0.35, 0.35)))
-    grid = DomainGrid(gf.source_chart, resolution)
     targets = np.array([[0.0, 0.0], [0.22, 0.22], [-0.22, 0.22],
                         [-0.22, -0.22], [0.22, -0.22]])
     x0 = np.zeros(2)
     u_tgt = 0.9 + np.array([4e-3, 2e-3, -1e-3, 1e-3, -2e-3])
     x0s = np.broadcast_to(x0, (5, 2)).copy()
-    z_true = gf.inverse(x0s, targets, u_tgt)
-    env_true = Envelope(gf, (targets, z_true), grid)
-    masses = env_true.cell_masses()
-    u0 = env_true.eval(x0)[0]
-    problem = SemiDiscreteProblem(gf, grid, targets, masses,
-                                  anchor_x=x0, anchor_u=u0)
-    return problem, z_true
+    return _manufactured(gf, resolution, targets, gf.inverse(x0s, targets, u_tgt), x0)
 
 
 def paraboloid_envelope(half=0.9, cell=0.0075, focus_extent=0.62,
@@ -144,14 +133,15 @@ def violator_genfun(eps=12.0, half=1.0):
                         target_chart=BoxChart((-half, -half), (half, half)))
 
 
-def violator_envelope(eps=12.0, half=1.0, resolution=150):
-    """Tangent-field envelope of the violator; develops genuine kinks
-    (a third of its foci never win a cell), which is where the engulfing
-    diagnostic degenerates."""
-    gf = violator_genfun(eps, half)
-    grid = DomainGrid(gf.source_chart, resolution)
-    s = half / 75
-    k = int(np.floor((half - 0.01) / s))
+def violator_envelope():
+    """Tangent-field envelope of the default violator on a 150 x 150 grid;
+    develops genuine kinks (a third of its foci never win a cell), which is
+    where the engulfing diagnostic degenerates."""
+    eps = 12.0
+    gf = violator_genfun(eps)
+    grid = DomainGrid(gf.source_chart, 150)
+    s = 1.0 / 75
+    k = int(np.floor(0.99 / s))
     ax = np.arange(-k, k + 1) * s
     P, Q = np.meshgrid(ax, ax, indexing="ij")
     foci = np.stack([P.ravel(), Q.ravel()], axis=1)

@@ -49,13 +49,14 @@ class JohnEllipsoid:
     inner_ok: bool
     outer_ok: bool
 
-    def contains(self, pts, scale=1.0):
+    def contains(self, pts):
         d = np.atleast_2d(pts) - self.center
         q = np.einsum("ij,jk,ik->i", d, np.linalg.inv(self.shape), d)
-        return q <= scale ** 2 + 1e-8
+        return q <= 1.0 + 1e-8
 
-    def boundary_points(self, n=256, seed=0):
-        rng = np.random.default_rng(seed)
+    def boundary_points(self, n=256):
+        """n boundary points along directions drawn from a fixed seed."""
+        rng = np.random.default_rng(0)
         dim = self.center.shape[0]
         dirs = rng.normal(size=(n, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -157,13 +158,14 @@ def _hull_centroid(points):
     return centroid / total
 
 
-def john_ellipsoid(cloud, tol=1e-7, max_iter=20_000) -> JohnEllipsoid:
+def john_ellipsoid(cloud) -> JohnEllipsoid:
     """Minimum-volume ellipsoid about the hull centroid enclosing the cloud.
 
-    Khachiyan-style multiplicative weight updates at fixed center; the
-    containment convention alpha(n) = 1/n is verified by membership tests
-    on the result (boundary samples of the shrunken ellipsoid must lie in
-    the hull).
+    Khachiyan-style multiplicative weight updates at fixed center, at most
+    20,000 of them, until every point's weighted norm is within a relative
+    1e-7 of the dimension; the containment convention alpha(n) = 1/n is
+    verified by membership tests on the result (boundary samples of the
+    shrunken ellipsoid must lie in the hull).
     """
     from scipy.spatial import Delaunay
 
@@ -175,7 +177,7 @@ def john_ellipsoid(cloud, tol=1e-7, max_iter=20_000) -> JohnEllipsoid:
     Q = P - c
     m = Q.shape[0]
     u = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
+    for _ in range(20_000):
         V = Q.T @ (u[:, None] * Q)
         try:
             Vi = np.linalg.inv(V)
@@ -184,7 +186,7 @@ def john_ellipsoid(cloud, tol=1e-7, max_iter=20_000) -> JohnEllipsoid:
         M = np.einsum("ij,jk,ik->i", Q, Vi, Q)
         j = int(np.argmax(M))
         maxM = M[j]
-        if maxM <= d * (1.0 + tol):
+        if maxM <= d * (1.0 + 1e-7):
             break
         step = (maxM - d) / (d * (maxM - 1.0))
         u *= (1.0 - step)
@@ -350,13 +352,17 @@ def sharp_growth_check(env: Envelope, m: GAffine, set_mask, K=2.0) -> EstimateRe
 # ---------------------------------------------------------------------------
 
 
+def _raised_piece(env: Envelope, x, h):
+    """(m, u(x)): m is the active piece at x (lowest index) raised by h at x."""
+    x = np.asarray(x, dtype=float)
+    u, active = env.eval(x)
+    xbar = env.xbars[active[0]]
+    return GAffine(env.gf, xbar, float(env.gf.inverse(x, xbar, u + h))), u
+
+
 def section_at_height(env: Envelope, x, h) -> Section:
     """Section S(x, xbar, h) through the active focus at x raised by h."""
-    gf = env.gf
-    u, active = env.eval(np.asarray(x, dtype=float))
-    xbar = env.xbars[active[0]]
-    z_h = gf.inverse(x, xbar, u + h)
-    return env.section(GAffine(gf, xbar, float(z_h)))
+    return env.section(_raised_piece(env, x, h)[0])
 
 
 def _ridge_cells(env: Envelope):
@@ -407,7 +413,8 @@ def engulfing_check(env: Envelope, h_grid, n_pairs=24, seed=0):
             k0 = int(rng.choice(idx_inner))
             x0 = env.grid.points[k0]
             try:
-                sec = section_at_height(env, x0, h)
+                m, u0 = _raised_piece(env, x0, h)
+                sec = env.section(m)
             except NicenessError:
                 continue
             pool = sec.mask & inner
@@ -419,7 +426,6 @@ def engulfing_check(env: Envelope, h_grid, n_pairs=24, seed=0):
                 continue
             k1 = int(rng.choice(cand))
             x1 = env.grid.points[k1]
-            u0, _ = env.eval(x0)
             u1, a1 = env.eval(x1)
             xbar1 = env.xbars[a1[0]]
             try:

@@ -55,16 +55,15 @@ def _e_from(Gxb, Gxz, Gb, Gz):
     return Gxb - Gxz[:, :, None] * Gb[:, None, :] / Gz[:, None, None]
 
 
-def e_matrix(gf: GenFun, x, xbar, z, adjoint=False, check=True):
+def e_matrix(gf: GenFun, x, xbar, z, adjoint=False):
     """Nondegeneracy matrix E (or its adjoint E^T) at an admissible triple."""
     single = np.asarray(x).ndim == 1
     x, xbar, z, _ = gf._batch(x, xbar, z)
-    if check and not np.all(gf._in_domain(x, xbar, z)):
+    if not np.all(gf._in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: e_matrix at inadmissible triple")
     E = _e_from(gf.d_x_xbar(x, xbar, z), gf.d_x_z(x, xbar, z), gf.d_xbar(x, xbar, z),
                 gf.g_z(x, xbar, z))
-    if check:
-        raise_for_nan(E, f"{gf.name}: e_matrix")
+    raise_for_nan(E, f"{gf.name}: e_matrix")
     if adjoint:
         E = np.swapaxes(E, 1, 2)
     return E[0] if single else E
@@ -423,7 +422,7 @@ class SegmentBatch:
     ok: np.ndarray              # (k, m) bool
 
 
-def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> SegmentBatch:
+def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None) -> SegmentBatch:
     """Segments between the endpoint rows ``a`` and ``b``, batched over rows.
 
     For ``kind="source"`` the endpoints are (k, embdim) source points and
@@ -438,7 +437,6 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
     one-row segment: a finite-difference derivative is nan on the rows whose
     own stencil leaves the domain, so only those rows see it.
     """
-    tols = tols or gf.tols
     if s_grid is None:
         s_grid = np.linspace(0.0, 1.0, 33)
     s_grid = np.asarray(s_grid, dtype=float)
@@ -490,10 +488,10 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
         p = (1.0 - s) * p0[now] + s * p1[now]
         if kind == "source":
             x, st = exp_source(gf, fixed[now], scalar[now], p, x_guess=prev[now],
-                               tols=tols, return_status=True)
+                               return_status=True)
         else:
             x, zz, st = exp_target(gf, fixed[now], scalar[now], p, xbar_guess=prev[now],
-                                   z_guess=prev_z[now], tols=tols, return_status=True)
+                                   z_guess=prev_z[now], return_status=True)
         done = st == 0
         rows = now[done]
         prev[rows] = pts[rows, j] = x[done]
@@ -503,7 +501,7 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None, tols=None) -> S
     return batch
 
 
-def g_segment(gf: GenFun, kind, endpoints, anchor, s_grid=None, tols=None) -> GSegment:
+def g_segment(gf: GenFun, kind, endpoints, anchor, s_grid=None) -> GSegment:
     """Build a segment between two admissible endpoints.
 
     For ``kind="source"`` the endpoints are source points and the anchor is
@@ -516,8 +514,7 @@ def g_segment(gf: GenFun, kind, endpoints, anchor, s_grid=None, tols=None) -> GS
     ``g_segment_batch``.
     """
     fixed, scalar = anchor
-    batch = g_segment_batch(gf, kind, *endpoints, ([fixed], [scalar]), s_grid=s_grid,
-                            tols=tols)
+    batch = g_segment_batch(gf, kind, *endpoints, ([fixed], [scalar]), s_grid=s_grid)
     if batch.status[0] == RowStatus.INADMISSIBLE:
         raise DomainError(f"{gf.name}: segment endpoint not admissible")
     raise_for_status(batch.status, f"{gf.name}: segment endpoint")

@@ -1,10 +1,12 @@
 """Semi-discrete convex envelopes, subdifferentials, sections, and duals.
 
 A solution candidate is a finite pointwise maximum of pieces
-x -> G(x, xbar_i, z_i).  The envelope caches a full scan (value + winning
-piece index) over its evaluation grid; ties within the tie tolerance
+x -> G(x, xbar_i, z_i), given as the arrays of foci xbar_i and heights z_i.
+The envelope caches a full scan (value + winning piece index) over its
+evaluation grid; ties within the generating function's tie tolerance
 resolve to the lowest piece index, so the induced cells partition the grid
-exactly and cell masses sum to the total source mass bit-for-bit.
+exactly.  The source measure is the grid's cell weights, and the cell
+masses sum to the total source mass bit-for-bit.
 
 The generalized Monge-Ampere measure of a set A is the target-chart volume
 of the set of foci supporting the envelope somewhere in A.  For genuinely
@@ -50,17 +52,13 @@ class GAffine:
 class Envelope:
     """Finite max of G-affine pieces over a gridded domain."""
 
-    def __init__(self, gf, pieces, grid: DomainGrid, tols=None):
+    def __init__(self, gf, pieces, grid: DomainGrid):
+        """``pieces`` is the pair (foci, heights) of arrays."""
         self.gf = gf
-        self.tols = tols or gf.tols
-        if isinstance(pieces, tuple) and len(pieces) == 2:
-            # own copies: callers (the solver) go on mutating their arrays
-            xbars, zs = pieces
-            self.xbars = np.atleast_2d(np.array(xbars, dtype=float))
-            self.zs = np.array(zs, dtype=float)
-        else:
-            self.xbars = np.array([p.xbar for p in pieces], dtype=float)
-            self.zs = np.array([p.z for p in pieces], dtype=float)
+        # own copies: callers (the solver) go on mutating their arrays
+        xbars, zs = pieces
+        self.xbars = np.atleast_2d(np.array(xbars, dtype=float))
+        self.zs = np.array(zs, dtype=float)
         if self.xbars.shape[0] != self.zs.shape[0] or self.xbars.shape[0] == 0:
             raise ValueError("envelope needs matching, nonempty piece arrays")
         self.grid = grid
@@ -82,6 +80,11 @@ class Envelope:
             self._values = v
             self._argmax = idx
         return self._values, self._argmax
+
+    @property
+    def tols(self):
+        """The generating function's tolerances."""
+        return self.gf.tols
 
     @property
     def n_pieces(self):
@@ -149,37 +152,30 @@ class Envelope:
         """Winning piece index per grid cell (lowest index on ties)."""
         return self._scan()[1]
 
-    def cell_mask(self, i):
-        return self.cell_indices() == i
+    def cell_mass(self, i):
+        """Midpoint-rule source mass of cell i: ``cell_masses()[i]``."""
+        return float(self.cell_masses()[i])
 
-    def cell_mass(self, i, f=None):
-        """Midpoint-rule f-mass of cell i."""
-        fv = self.grid.density_from(f)
-        return float(np.sum((self.grid.weights * fv)[self.cell_mask(i)]))
-
-    def cell_masses(self, f=None):
-        """All cell masses at once; they partition the total mass exactly."""
-        fv = self.grid.density_from(f)
-        w = self.grid.weights * fv
-        idx = self.cell_indices()
-        return np.bincount(idx, weights=w, minlength=self.n_pieces)
+    def cell_masses(self):
+        """All cell masses at once: the grid weights summed per winning
+        piece, so they partition the total mass exactly."""
+        return np.bincount(self.cell_indices(), weights=self.grid.weights,
+                           minlength=self.n_pieces)
 
     # -- measure ------------------------------------------------------------------
 
-    def gma_measure(self, mask, estimator="auto", f=None, masses=None,
-                    n_mc=4000, seed=0):
+    def gma_measure(self, mask, estimator, masses=None, n_mc=4000, seed=0):
         """Generalized Monge-Ampere measure report for the masked set.
 
-        ``estimator`` is "auto", "hit" (semi-discrete conventions only) or
+        ``estimator`` is "hit" (semi-discrete conventions only) or
         "monte_carlo" (dense-envelope volume of the mapped set, Monte-Carlo
         subsample of the masked cells, convex-hull volume with a bootstrap
         standard error).
         """
+        if estimator not in ("hit", "monte_carlo"):
+            raise ValueError(f"unknown estimator {estimator!r}")
         mask = np.asarray(mask, dtype=bool)
-        fv = self.grid.density_from(f)
-        w = self.grid.weights * fv
-        idx = self.cell_indices()
-        hit = np.unique(idx[mask & (w > 0)]) if np.any(mask) else np.array([], int)
+        hit = np.unique(self.cell_indices()[mask])
         report = {
             "set_cells": int(np.sum(mask)),
             "estimator": "hit",
@@ -193,15 +189,13 @@ class Envelope:
         if masses is not None:
             masses = np.asarray(masses, dtype=float)
             report["hit_mass"] = float(np.sum(masses[hit]))
-        if estimator == "hit" or (estimator == "auto" and self.n_pieces < 64):
-            return report
-        if not np.any(mask):
+        if estimator == "hit" or not np.any(mask):
             return report
         # dense-envelope volume: map cells through the target exponential map
         # with one-sided grid gradients, then take the hull volume of the cloud
         cloud = self._mapped_cloud(mask)
         rng = np.random.default_rng(seed)
-        if estimator == "monte_carlo" and cloud.shape[0] > n_mc:
+        if cloud.shape[0] > n_mc:
             sel = rng.choice(cloud.shape[0], size=n_mc, replace=False)
             cloud_used = cloud[sel]
         else:
@@ -280,7 +274,7 @@ class Envelope:
             fh.write("\n")
 
     @staticmethod
-    def load(path, gf=None, grid=None):
+    def load(path):
         from .builtins import genfun_from_descriptor
         with open(path) as fh:
             doc = json.load(fh)
@@ -290,8 +284,8 @@ class Envelope:
         missing = sorted({"genfun", "grid_resolution", "pieces"} - set(doc))
         if missing:
             raise ConfigError(f"envelope file {path} lacks {missing}")
-        gf = gf or genfun_from_descriptor(doc["genfun"])
-        grid = grid or DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
+        gf = genfun_from_descriptor(doc["genfun"])
+        grid = DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
         xbars = np.array([p[0] for p in doc["pieces"]])
         zs = np.array([p[1] for p in doc["pieces"]])
         return Envelope(gf, (xbars, zs), grid)
@@ -345,10 +339,10 @@ class Section:
         boundary = mk & ~interior
         return self.env.grid.points[boundary.reshape(-1)]
 
-    def convexity_score(self, n_probe=512, seed=0):
+    def convexity_score(self, seed=0):
         """How far the coordinate image is from filling its convex hull.
 
-        Probes points uniform in the hull of the image cloud and measures
+        Probes 512 points uniform in the hull of the image cloud and measures
         the distance to the nearest cloud point; the score is normalized by
         the cloud's own spacing (max nearest-neighbor gap), so values near 1
         mean "convex at grid resolution" and large values flag holes.
@@ -370,6 +364,7 @@ class Section:
         spacing = float(np.max(tree.query(cloud, k=2)[0][:, 1]))
         rng = np.random.default_rng(seed)
         lo, hi = snapped.min(axis=0), snapped.max(axis=0)
+        n_probe = 512
         probes = []
         attempts = 0
         while len(probes) < n_probe and attempts < 50 * n_probe:
@@ -443,15 +438,13 @@ def g_cone_subdiff(env: Envelope, section: Section, x0, n_candidates=10_000,
                       section.m.values_on(ys), env.tols.tie)
 
 
-def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0,
-           tols=None):
+def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0):
     """Sampled dual body of a source set at height ``lam``.
 
     Accepts the target candidates xbar whose piece matching m at x stays
     below m + lam on every sampled point of the set.  Raises NicenessError
     when the shifted values leave the scalar range.
     """
-    tols = tols or gf.tols
     set_points = np.atleast_2d(np.asarray(set_points, dtype=float))
     x = np.asarray(x, dtype=float)
     mx = m.value(x)
@@ -459,7 +452,7 @@ def g_dual(gf, set_points, x, m: GAffine, lam, n_candidates=10_000, seed=0,
     if np.max(mv) + lam >= gf.srange.upper or mx <= gf.srange.lower:
         raise NicenessError("dual height pushes values outside the scalar range")
     return _net_below(gf, _target_net(gf, n_candidates, seed), x, mx, set_points,
-                      mv + lam, tols.tie)
+                      mv + lam, gf.tols.tie)
 
 
 def _net_below(gf, cands, x, u, ys, bounds, tie):

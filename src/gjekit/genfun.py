@@ -158,18 +158,18 @@ class GenFun:
         v = self._value(x, xbar, z)
         return float(v[0]) if single else v
 
-    def inverse(self, x, xbar, u, z_guess=None):
+    def inverse(self, x, xbar, u):
         """Scalar inverse H(x, xbar, u): the z with G(x, xbar, z) = u.
 
         Raises RangeError when some row has no admissible z and
         ConvergenceError when some residual exceeds ``tols.h_inverse``.
         """
-        z, status = self.inverse_rows(x, xbar, u, z_guess)
+        z, status = self.inverse_rows(x, xbar, u)
         raise_for_status(status, f"{self.name}: inverse")
         single = np.ndim(x) == 1 and np.ndim(xbar) == 1 and np.ndim(u) == 0
         return float(z[0]) if single else z
 
-    def inverse_rows(self, x, xbar, u, z_guess=None):
+    def inverse_rows(self, x, xbar, u):
         """Scalar inverse with a RowStatus per row instead of raising.
 
         Returns (z, status): status is OK, NO_ADMISSIBLE_Z (the triple is
@@ -184,7 +184,7 @@ class GenFun:
             z = np.full(x.shape[0], np.nan)
             for i in range(x.shape[0]):
                 try:
-                    z[i] = self._invert_scalar(x[i], xbar[i], float(u[i]), z_guess)
+                    z[i] = self._invert_scalar(x[i], xbar[i], float(u[i]))
                 except ConvergenceError:
                     status[i] = RowStatus.INVERSE_RESIDUAL
                 except (RangeError, DomainError):
@@ -203,8 +203,8 @@ class GenFun:
             z = np.where(status == 0, z, np.nan)
         return z, status
 
-    def _invert_scalar(self, x, xbar, u, z_guess):
-        """Safeguarded bracketing + Brent solve on the monotone fiber."""
+    def _invert_scalar(self, x, xbar, u):
+        """Safeguarded bracketing from z = 0 + Brent solve on the monotone fiber."""
         from scipy.optimize import brentq
 
         x2 = x[None, :]
@@ -216,7 +216,7 @@ class GenFun:
                 raise DomainError(f"{self.name}: left admissible z-range during inversion")
             return float(self._value(x2, xb2, za)[0]) - u
 
-        z0 = 0.0 if z_guess is None else float(z_guess)
+        z0 = 0.0
         try:
             f0 = f(z0)
         except DomainError:
@@ -225,7 +225,7 @@ class GenFun:
             return z0
         # G moves opposite to orientation * z; walk z toward the root
         walk = self.orientation if f0 > 0.0 else -self.orientation
-        step = max(1.0, abs(z0))
+        step = 1.0
         lo, flo = z0, f0
         hi = None
         for _ in range(self.tols.bracket_max_doublings):

@@ -1,10 +1,11 @@
-"""Regular evaluation grids over chart domains, with masks and densities.
+"""Regular evaluation grids over chart domains, with cell weights and masks.
 
 A ``DomainGrid`` covers a chart's coordinate box with an axis-aligned grid
 of cells; midpoint quadrature over cell centers is the integration rule
 everywhere in the toolkit.  Cell weights fold in the chart's metric factor
 (1/w for the orthographic sphere chart), so sums of ``weights * f`` are
-integrals against the chart's surface measure.  For sphere charts, cells
+integrals against the chart's surface measure; the weights are also the
+source measure of every solve and ray trace.  For sphere charts, cells
 whose center falls outside the cap are dropped.
 """
 
@@ -44,20 +45,6 @@ class DomainGrid:
     def width(self):
         """Characteristic cell width (max over axes)."""
         return float(np.max(self.cell_size))
-
-    def density_from(self, f):
-        """Evaluate a density spec on cell centers: None = uniform 1."""
-        if f is None:
-            return np.ones(self.n_cells)
-        if callable(f):
-            vals = np.asarray(f(self.points), dtype=float)
-        else:
-            vals = np.asarray(f, dtype=float)
-        if vals.shape != (self.n_cells,):
-            raise ValueError(f"density must have one value per cell ({self.n_cells})")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("density must be finite and nonnegative")
-        return vals
 
     def ball_mask(self, center_coords, radius):
         d = self.coords - np.asarray(center_coords, float)

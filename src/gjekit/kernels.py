@@ -387,7 +387,7 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
 
 def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None,
                sel=None):
-    """f-mass of the cells piece (xbar, z) wins against the frozen other rows.
+    """Summed ``weights`` of the cells piece (xbar, z) wins against the frozen rows.
 
     The cells are those the chained rule of :func:`scan_rows` gives the
     piece: ``lo_tie`` is the chained best of the rows before it plus

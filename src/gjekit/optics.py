@@ -180,7 +180,7 @@ def _nearest_target(targets, P, d_out):
     return j, best
 
 
-def trace_ray(surface: ReflectorSurface, ray: Ray, snap=None):
+def trace_ray(surface: ReflectorSurface, ray: Ray):
     """Trace one ray; returns (hit point, reflected Ray, target index or None, miss).
 
     The one-row call of :func:`trace_ensemble`'s geometry: the active piece
@@ -189,25 +189,24 @@ def trace_ray(surface: ReflectorSurface, ray: Ray, snap=None):
     point-source ray leaves the origin along ``ray.direction``; a
     parallel-beam ray is the ascending vertical ray through the chart point
     under ``ray.origin``.  A reflected ray that misses every target by more
-    than the snap distance records an escape (target index None).
+    than the snap distance ``tols.snap`` records an escape (target index
+    None).
     """
     env = surface.env
-    snap = snap if snap is not None else env.tols.snap
     if surface.kind == "point_source":
         pts = ray.direction[None, :]
     else:
         pts = ray.origin[None, :2]
     _, P, _, d_out = _reflector_geometry(surface, pts, _active_pieces(env, pts))
     j, miss = _nearest_target(surface.targets_3d, P, d_out)
-    target = int(j[0]) if miss[0] <= snap else None
+    target = int(j[0]) if miss[0] <= env.tols.snap else None
     return P[0], Ray(P[0], d_out[0]), target, float(miss[0])
 
 
-def _sample_source(env, n_rays, f, rng):
-    """Draw grid cells proportional to the density mass, jitter within cells."""
+def _sample_source(env, n_rays, rng):
+    """Draw grid cells proportional to their weights, jitter within cells."""
     grid = env.grid
-    w = grid.weights * grid.density_from(f)
-    p = w / w.sum()
+    p = grid.weights / grid.weights.sum()
     cells = rng.choice(grid.n_cells, size=n_rays, p=p)
     jitter = rng.uniform(-0.5, 0.5, size=(n_rays, grid.chart.dim)) * grid.cell_size
     coords = grid.coords[cells] + jitter
@@ -223,14 +222,15 @@ def _active_pieces(env, pts_emb):
     return idx
 
 
-def trace_ensemble(surface: ReflectorSurface, n_rays, f=None, seed=0,
+def trace_ensemble(surface: ReflectorSurface, n_rays, seed=0,
                    csv_path=None) -> TraceReport:
     """Trace an importance-sampled ray ensemble and tally target energies.
 
-    Rays are sampled from the source density with a counter-based Philox
-    stream fixed by ``seed`` (deterministic independent of threading), so
-    each ray carries weight T_f / n_rays and the per-target energies
-    estimate the prescribed masses.  The whole ensemble is sampled and
+    Rays are sampled from the source measure (the grid's cell weights) with
+    a counter-based Philox stream fixed by ``seed`` (deterministic
+    independent of threading), so each ray carries weight T / n_rays, T the
+    total source mass, and the per-target energies estimate the prescribed
+    masses.  The whole ensemble is sampled and
     assigned its active pieces at once; the geometry of ``trace_ray``, the
     residuals and the nearest target then stream over fixed blocks of rays,
     so the trace's memory beyond O(n_rays) per-ray records is bounded by
@@ -240,9 +240,9 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, f=None, seed=0,
     env = surface.env
     snap = env.tols.snap
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = _sample_source(env, n_rays, f, rng)
+    pts = _sample_source(env, n_rays, rng)
     idx = _active_pieces(env, pts)
-    total = float(np.sum(env.grid.weights * env.grid.density_from(f)))
+    total = float(np.sum(env.grid.weights))
     n_t = surface.targets_3d.shape[0]
 
     j = np.empty(n_rays, dtype=np.int64)
@@ -265,7 +265,7 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, f=None, seed=0,
                    comments="", fmt=["%d", "%d", "%.12e"])
 
     energies = hits * (total / n_rays)
-    expect = env.cell_masses(f)
+    expect = env.cell_masses()
     p = np.clip(expect / total, 1e-12, None)
     chi2 = float(np.sum((hits - n_rays * p) ** 2 / (n_rays * p)))
     return TraceReport(n_rays=n_rays, hits=hits, energies=energies,

@@ -1,8 +1,9 @@
 """Semi-discrete solver: height adjustment until every target gets its mass.
 
-Given a gridded source density f and discrete targets (xbar_i, g_i) with
-matching total mass, the solver adjusts the scalar heights z_i of the
-envelope pieces until the f-mass of each piece's cell matches g_i.  The
+Given the source measure of a grid (its cell weights, the chart's surface
+measure) and discrete targets (xbar_i, g_i) with matching total mass, the
+solver adjusts the scalar heights z_i of the envelope pieces until the mass
+of each piece's cell matches g_i.  The
 update rule is coordinate bisection: raising a piece (moving its height
 along the direction in which the generating function grows) can only grow
 its cell, so each underfilled piece is raised until its cell mass reaches
@@ -42,7 +43,6 @@ class SemiDiscreteProblem:
     grid: DomainGrid
     targets: np.ndarray          # (N, embdim) target points
     masses: np.ndarray           # (N,) prescribed masses, > 0
-    density: object = None       # density spec over grid cells (None = uniform)
     anchor_x: np.ndarray = None  # normalization point x0
     anchor_u: float = None       # normalization value u0 (in the nice interval)
     tol_mass: float = None       # relative mass tolerance (default from tols)
@@ -59,8 +59,7 @@ class SemiDiscreteProblem:
         np.fill_diagonal(sep, np.inf)
         if np.min(sep) <= 0:
             raise ConfigError("target points must be distinct")
-        self.f_values = self.grid.density_from(self.density)
-        self.cell_weights = self.grid.weights * self.f_values
+        self.cell_weights = self.grid.weights
         self.total_mass = float(np.sum(self.cell_weights))
         gap = abs(float(np.sum(self.masses)) - self.total_mass)
         if gap > 1e-12 * self.total_mass:
@@ -392,7 +391,7 @@ def solve(problem: SemiDiscreteProblem):
                 # every underfilled piece is parked at the staircase floor
                 break
 
-        env = Envelope(gf, (problem.targets, z), problem.grid, tols=tols)
+        env = Envelope(gf, (problem.targets, z), problem.grid)
         u_at_anchor, _ = env.eval(x0)
         delta = u_at_anchor - problem.anchor_u
         if abs(delta) <= 1e-9:
@@ -423,11 +422,11 @@ def solve(problem: SemiDiscreteProblem):
                 sweeps += 1
                 if not changed:
                     break
-            env = Envelope(gf, (problem.targets, z), problem.grid, tols=tols)
+            env = Envelope(gf, (problem.targets, z), problem.grid)
             u_at_anchor, _ = env.eval(x0)
             delta = u_at_anchor - problem.anchor_u
             if repaired and abs(delta) <= 1e-9:
-                masses = env.cell_masses(problem.density)
+                masses = env.cell_masses()
                 res_inf = float(np.max(np.abs(masses - problem.masses)))
                 converged = res_inf <= tol_abs
                 if converged:
@@ -449,7 +448,7 @@ def solve(problem: SemiDiscreteProblem):
     else:
         raise StallError("normalization/mass cycle did not converge in 100 rounds")
 
-    masses = env.cell_masses(problem.density)
+    masses = env.cell_masses()
     res = masses - problem.masses
     state = SolverState(
         heights=z.copy(),
@@ -477,7 +476,7 @@ def _masses_of(idx, weights, n):
 
 def mass_residual(env: Envelope, problem: SemiDiscreteProblem):
     """Cell-mass residual vector r_i = cellmass_i - g_i for a given envelope."""
-    masses = env.cell_masses(problem.density)
+    masses = env.cell_masses()
     return masses - problem.masses
 
 

@@ -35,6 +35,8 @@ _EPS4 = np.finfo(float).eps ** 0.25
 # sample counts of the smooth-case cross-check: sweep base points, direction
 # pairs per base point, quasiconvexity configurations
 _CROSS_BASE, _CROSS_PAIRS, _CROSS_QQ = 32, 8, 24
+# points per axis of the quasiconvexity (s, s') grid
+_QQ_N_GRID = 11
 
 
 @dataclass
@@ -136,7 +138,7 @@ def check_nondeg(gf: GenFun, interval, n_samples=500, seed=0) -> ConditionReport
         0.0, constants={"min_abs_det": float(dets[k])})
 
 
-def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> ConditionReport:
+def check_twist(gf: GenFun, interval, n_samples=400, seed=0) -> ConditionReport:
     """Injectivity probe of the two coordinate maps.
 
     For fixed x0, the map (xbar, z) -> (D_x G, G) over a sampled net must
@@ -155,7 +157,7 @@ def check_twist(gf: GenFun, interval, n_samples=400, n_base=4, seed=0) -> Condit
     worst = np.inf
     witness = {}
     total = 0
-    for b in range(n_base):
+    for b in range(4):  # four seeded draws of base samples
         xs, xbs, us, zs = _admissible_samples(gf, interval, n_samples, seed + 17 * b + 1)
         if len(xs) < 8:
             continue
@@ -558,8 +560,7 @@ def _sweep_report(gf: GenFun, rows, vals, status, dual):
 # ---------------------------------------------------------------------------
 
 
-def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
-                 n_grid=11) -> ConditionReport:
+def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False) -> ConditionReport:
     """Fit the smallest workable constant M >= 1 for the quasiconvexity
     inequality along sampled segments.
 
@@ -570,7 +571,7 @@ def check_qqconv(gf: GenFun, interval, n_samples=40, seed=0, dual=False,
     nonpositive right side is a violation witness (M = infinity).  Every
     configuration is sampled first; their segments are one batched call.
     """
-    qgrid = _qq_grid(n_grid)
+    qgrid = _qq_grid(_QQ_N_GRID)
     grid = qgrid[0]
     (xs, xbs, us, zs), kept = _qq_samples(gf, interval, n_samples, seed)
     if dual:
@@ -758,8 +759,8 @@ def check_conditions(gf: GenFun, interval, n_samples=400, seed=0):
     qq, qq_kept = _qq_samples(gf, interval, max(n_qq, _CROSS_QQ), seed)
     sweeps = [_sweep_inputs(gf, interval, max(16, n // 16), 8, seed, False),
               _sweep_inputs(gf, interval, _CROSS_BASE, _CROSS_PAIRS, seed, False)]
-    # the public checks' default grids: 17 domconv points, n_grid 11 for qqconv
-    qgrid = _qq_grid(11)
+    qgrid = _qq_grid(_QQ_N_GRID)
+    # 17 points: check_domconv's default segment grid
     dom_seg, qq_seg = _source_segments(gf, [(dom, np.linspace(0, 1, 17)), (qq, qgrid[0])])
     fits = _qq_fits(gf, qq, qq_seg, qgrid, False)
 

@@ -1,13 +1,18 @@
+import dataclasses
 import hashlib
 import json
 import os
+import pathlib
+import re
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
+import gjekit
 from gjekit.cli import _load_config, main
+from gjekit.config import Tolerances
 from gjekit.errors import ConfigError
 
 
@@ -183,17 +188,28 @@ def test_raytrace_without_envelope_exit_2(tmp_path):
 
 
 def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
-    cfg = _write(tmp_path, {
-        "genfun": {"kind": "quasilinear"},
-        "resolution": 16,
-        "targets": [{"point": [0.4, 0.0], "mass": 2.0},
-                    {"point": [-0.4, 0.0], "mass": 2.0}],
-        "tolerances": {"mass_rel": 1e-3, "no_such_tol": 1.0},
-        "output_dir": str(tmp_path / "out"),
-    })
-    assert main(["solve", "--config", cfg]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: unknown tolerance overrides: ['no_such_tol']")
+    # focal_miss: a plausible tolerance name that no field carries
+    for key in ("no_such_tol", "focal_miss"):
+        cfg = _write(tmp_path, {
+            "genfun": {"kind": "quasilinear"},
+            "resolution": 16,
+            "targets": [{"point": [0.4, 0.0], "mass": 2.0},
+                        {"point": [-0.4, 0.0], "mass": 2.0}],
+            "tolerances": {"mass_rel": 1e-3, key: 1.0},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["solve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown tolerance overrides: ['{key}']")
+
+
+def test_every_tolerance_field_is_read():
+    # a field no code reads would accept an override and ignore it
+    pkg = pathlib.Path(gjekit.__file__).parent
+    text = "".join(p.read_text() for p in sorted(pkg.glob("*.py")) if p.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(Tolerances)
+              if not re.search(rf"tols\.{f.name}\b", text)]
+    assert unread == []
 
 
 @pytest.mark.parametrize("doc, message", [

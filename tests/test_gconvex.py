@@ -9,7 +9,7 @@ from gjekit import kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
 from gjekit.config import DEFAULT_TOLS
-from gjekit.demos import ball_measure_envelope, paraboloid_envelope
+from gjekit.demos import DEMO_NAMES, ball_measure_envelope, demo_problem, paraboloid_envelope
 from gjekit.errors import EmptyEnvelopeError, NicenessError
 from gjekit.gconvex import Envelope, GAffine, g_cone_subdiff, g_dual, polar_dual
 from gjekit.grids import DomainGrid
@@ -121,6 +121,16 @@ def test_cell_masses_partition_and_symmetry():
     assert abs(masses[0] - masses[1]) <= 1e-12 * masses.sum()
 
 
+def test_cell_mass_is_its_entry_of_cell_masses():
+    # one rule for a cell's mass: the per-cell call returns the partition's
+    # entry bit for bit, here on every piece of the three demo envelopes
+    for name in DEMO_NAMES:
+        problem, z_true = demo_problem(name)
+        env = Envelope(problem.gf, (problem.targets, z_true), problem.grid)
+        masses = env.cell_masses()
+        assert [env.cell_mass(i) for i in range(env.n_pieces)] == masses.tolist()
+
+
 def test_cell_mass_grid_refinement_first_order():
     gf, _ = _ql()
     foci = np.array([[0.31, 0.17], [-0.12, -0.4], [0.05, 0.33]])
@@ -146,6 +156,8 @@ def test_gma_measure_hit_conventions(solved_point_source_small):
     half = env.grid.coords[:, 0] > 0
     rep_half = env.gma_measure(half, estimator="hit")
     assert rep_half["hit_count"] <= rep["hit_count"]
+    with pytest.raises(ValueError, match="unknown estimator"):
+        env.gma_measure(full, estimator="auto")
 
 
 def test_gma_measure_dense_ball():

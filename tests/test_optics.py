@@ -176,7 +176,7 @@ def test_trace_ray_is_the_one_row_ensemble(tmp_path, request, fixture):
     path = tmp_path / "rays.csv"
     rep = trace_ensemble(surf, n, seed=seed, csv_path=path)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    pts = optics._sample_source(env, n, None, rng)
+    pts = optics._sample_source(env, n, rng)
     rows = path.read_text().splitlines()[1:]
     misses = []
     for k, p in enumerate(pts):

@@ -115,7 +115,7 @@ def test_conservation_along_history(solved_point_source_small):
     problem, env, state, _ = solved_point_source_small
     # every recorded sweep conserves the total mass by construction of the
     # cell partition; verify the endpoint and a re-evaluated partition
-    masses = env.cell_masses(problem.density)
+    masses = env.cell_masses()
     assert abs(masses.sum() - problem.total_mass) <= 1e-12 * problem.total_mass
 
 
