@@ -542,16 +542,31 @@ class ParallelBeamGF(GenFun):
         D = np.sum((x - xb) ** 2, axis=1)
         return 0.5 * (1.0 / z - z * D) + self.surface.value(xb)
 
-    def _in_domain(self, x, xb, z):
-        # z > 0 alone leaves x -> p two-to-one (the radial factor
-        # 2 z r / (1/z^2 + |r|^2) folds at |r| = 1/z); restricting the value
-        # to the closed upper branch G >= lower keeps the injective side,
-        # fold circle included
+    def _branch_values(self, x, xb, z):
+        """(G, admissible mask), G evaluated once on the rows that pass the
+        focus and source checks (-inf on the others).
+
+        z > 0 alone leaves x -> p two-to-one (the radial factor
+        2 z r / (1/z^2 + |r|^2) folds at |r| = 1/z); restricting the value
+        to the closed upper branch G >= lower keeps the injective side,
+        fold circle included.
+        """
         ok = self._focus_ok(xb, z) & self.source_chart.contains(x)
+        v = np.full(x.shape[0], -np.inf)
         if np.any(ok):
-            v = np.where(ok, self._value(x, xb, np.where(ok, z, 1.0)), -1.0)
-            ok = ok & (v >= self.srange.lower)
-        return ok
+            rows = slice(None) if ok.all() else ok
+            v[rows] = self._value(x[rows], xb[rows], z[rows])
+            ok &= v >= self.srange.lower
+        return v, ok
+
+    def _in_domain(self, x, xb, z):
+        return self._branch_values(x, xb, z)[1]
+
+    def _value_or(self, x, xb, z, fill):
+        # the branch cut's values are the values: one evaluation per row
+        v, ok = self._branch_values(x, xb, z)
+        v[~ok] = fill
+        return v, ok
 
     def _focus_ok(self, xb, z):
         return (z > 0.0) & self.target_chart.contains(xb)

@@ -196,10 +196,20 @@ class SphereChart:
         self.embdim = 3
 
     def embed(self, c):
+        # column by column into one buffer: each entry is
+        # (c1 e1_j + c2 e2_j) + w pole_j and r^2 is c1 c1 + c2 c2, the
+        # operations (and so the bits) of the broadcast formula
         c = np.atleast_2d(np.asarray(c, dtype=float))
-        r2 = np.sum(c * c, axis=1)
-        w = np.sqrt(np.clip(1.0 - r2, 0.0, None))
-        return c[:, 0:1] * self.e1 + c[:, 1:2] * self.e2 + w[:, None] * self.pole
+        c1, c2 = c[:, 0], c[:, 1]
+        w = np.sqrt(np.maximum(1.0 - (c1 * c1 + c2 * c2), 0.0))
+        out = np.empty((c.shape[0], 3))
+        tmp = np.empty(c.shape[0])
+        for j in range(3):
+            col = out[:, j]
+            np.multiply(c1, self.e1[j], out=col)
+            col += np.multiply(c2, self.e2[j], out=tmp)
+            col += np.multiply(w, self.pole[j], out=tmp)
+        return out
 
     def coords(self, x):
         x = np.asarray(x, dtype=float)

@@ -60,8 +60,23 @@ def np_piece_basis(tag, xs, xbar):
     are fixed computes it once and passes it to the value kernels.
     """
     if tag == "pb_zero":
-        return np.sum((xs - xbar) ** 2, axis=1)
+        return _sq_dist(xs.T, xbar)
     return xs @ xbar
+
+
+def _sq_dist(p, f):
+    """|p - f|^2 accumulated column by column: ``p[0]``, ``f[0]``, ... are
+    the coordinate columns (or scalars) of the points and the foci.
+
+    ``(p0 - f0)**2 + (p1 - f1)**2 + ...`` in that order is
+    ``np.sum((p - f)**2, axis=1)`` bit for bit, because a square is never
+    -0.0; it runs column passes instead of numpy's slow reduction over a
+    short row.
+    """
+    b = (p[0] - f[0]) ** 2
+    for k in range(1, len(f)):
+        b += (p[k] - f[k]) ** 2
+    return b
 
 
 def np_basis_values(tag, params, b, t2, z, out=None):
@@ -324,9 +339,7 @@ class PointValues:
             return np.full(self.z.shape[0], -np.inf)
         xt = self.xt
         if self.tag == "pb_zero":
-            b = (x[0] - xt[0]) ** 2
-            for k in range(1, x.shape[0]):
-                b += (x[k] - xt[k]) ** 2
+            b = _sq_dist(x, xt)
         else:
             b = xt[0] * x[0]
             for k in range(1, x.shape[0]):

@@ -19,6 +19,14 @@ through its focus.
 
 Intersections use the closed-form quadrics of the active piece, so the only
 noise in an ensemble trace is Monte-Carlo sampling.
+
+An ensemble draws its source cells by replaying ``Generator.choice(p=)``
+(:func:`_choice`: the same cdf, the same ``rng.random`` draws and the same
+right-sided search, found through a guide table), and finds each ray's
+nearest target by running the exact miss formula on candidate targets only
+(:func:`_candidates`: a GEMM screen of every squared miss with a stated
+rounding bound).  Both give the bits of the plain ``choice`` call and of the
+loop over every target.
 """
 
 from dataclasses import dataclass
@@ -159,24 +167,85 @@ def _reflection_residual(d_in, n_hat, d_out):
     return np.maximum(refl.max(initial=0.0), copl.max(initial=0.0))
 
 
+# the screen's bound on a rounding difference between two squared misses,
+# in units of the row scale (|P| + max_k |T_k|)^2: about 90 ulps cover the
+# screen's own rounding and the exact formula's (see _candidates)
+_SCREEN_SLACK = 2.0 ** -40
+
+
+def _candidates(targets, P, d_out):
+    """(n_targets, m) mask of the targets that can be each ray's nearest.
+
+    The screen evaluates every squared miss |w|^2 - max(<w, d>, 0)^2,
+    w = T - P, at once through two small GEMMs (T P^T and T d^T).  Each dot
+    of three terms is within 3 ulps of its magnitude however BLAS orders
+    it, so the screened value is within about 20 ulps of L^2 of the exact
+    squared miss, L = |P| + max_k |T_k|, and the exact formula of
+    :func:`_nearest_target` is within about 12 ulps of L of the exact miss.
+    A target whose computed miss is the row's smallest therefore screens
+    within about 90 ulps of L^2 of the row's smallest screened value, and
+    every target within ``_SCREEN_SLACK L^2`` (8192 ulps) of it is a
+    candidate.  A row with a non-finite screen keeps every target.  The
+    mask only selects rows: no screened bit reaches a miss.
+    """
+    t_sq = _dot3(targets, targets)
+    p_sq = _dot3(P, P)
+    s = targets @ P.T
+    s *= -2.0
+    s += p_sq
+    s += t_sq[:, None]
+    t = targets @ d_out.T
+    t -= _dot3(d_out, P)
+    np.maximum(t, 0.0, out=t)
+    t *= t
+    s -= t
+    scale = np.sqrt(p_sq)
+    scale += np.sqrt(t_sq.max(initial=0.0))
+    cut = s.min(axis=0)
+    cut += _SCREEN_SLACK * (scale * scale)
+    cand = s <= cut
+    cand[:, ~np.isfinite(cut)] = True
+    return cand
+
+
 def _nearest_target(targets, P, d_out):
     """(index, miss) of the target nearest each forward ray {P + t d_out, t >= 0}.
 
-    Ties go to the lowest target index.  One ``md,md->m`` einsum per target
-    rounds each row as a column of the ``mtd,md->mt`` einsum does.
+    Ties go to the lowest target index.  Each row runs the exact miss over
+    its candidates (:func:`_candidates`) in ascending target order and
+    takes a candidate when it is the first or strictly closer; pass r
+    handles the r-th candidate of every row that has one.  With every
+    target a candidate this is the loop over all targets, and the screen
+    keeps each row's lowest-index exact minimizer, so the result is that
+    loop's bit for bit.  The ``md,md->m`` einsum rounds each row as a
+    column of the ``mtd,md->mt`` einsum does, and every row's bits are
+    independent of the rows beside it.
     """
-    for k, target in enumerate(targets):
-        w = target - P
-        t = np.einsum("md,md->m", w, d_out)
+    todo = _candidates(targets, P, d_out)
+    n_t, m = todo.shape
+    j = np.empty(m, dtype=np.int64)
+    best = np.empty(m)
+    rows = np.arange(m)
+    first = True
+    while rows.size:
+        # each row's lowest candidate left; pass 0 covers every row
+        k = np.empty(rows.size, dtype=np.int64)
+        for c in range(n_t - 1, -1, -1):
+            np.copyto(k, c, where=todo[c])
+        d = d_out.take(rows, axis=0)
+        w = targets.take(k, axis=0)
+        w -= P.take(rows, axis=0)
+        t = np.einsum("md,md->m", w, d)
         np.clip(t, 0.0, None, out=t)
-        res = w - t[:, None] * d_out
+        res = w - t[:, None] * d
         miss = np.sqrt(_dot3(res, res))
-        if k == 0:
-            j, best = np.zeros(miss.shape[0], dtype=np.int64), miss
-        else:
-            closer = miss < best
-            np.copyto(best, miss, where=closer)
-            j[closer] = k
+        take = np.ones(rows.size, dtype=bool) if first else miss < best[rows]
+        j[rows[take]] = k[take]
+        best[rows[take]] = miss[take]
+        first = False
+        todo[k, np.arange(rows.size)] = False
+        more = todo.any(axis=0)
+        rows, todo = rows[more], todo[:, more]
     return j, best
 
 
@@ -203,11 +272,48 @@ def trace_ray(surface: ReflectorSurface, ray: Ray):
     return P[0], Ray(P[0], d_out[0]), target, float(miss[0])
 
 
+def _choice(p, n, rng):
+    """``rng.choice(p.size, size=n, p=p)``: the same indices and the same
+    generator state afterwards.
+
+    ``choice`` checks ``p``, draws ``rng.random(n)`` and returns
+    ``searchsorted(cdf, u, side="right")`` with ``cdf = p.cumsum()``
+    divided by its last entry; this replays those steps.  The search runs
+    through a guide table of K = ``p.size`` buckets: a draw u in bucket
+    k = floor(u K) starts at the count of cdf entries <= (k - 1)/K, a lower
+    bound of its answer, and every row steps up while its cdf entry is
+    <= u.  ``cdf[-1]`` is 1 and u < 1, so no row steps past the last cell,
+    and the number of steps is bounded by the fullest pair of buckets.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if np.isnan(p).any():
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(p.sum() - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    K = p.size
+    guide = np.searchsorted(cdf, (np.arange(K) - 1.0) / K, side="right")
+    k = (u * K).astype(np.int64)
+    np.minimum(k, K - 1, out=k)
+    idx = guide[k]
+    while True:
+        step = cdf[idx] <= u
+        if not step.any():
+            return idx
+        idx += step
+
+
 def _sample_source(env, n_rays, rng):
     """Draw grid cells proportional to their weights, jitter within cells."""
     grid = env.grid
     p = grid.weights / grid.weights.sum()
-    cells = rng.choice(grid.n_cells, size=n_rays, p=p)
+    cells = _choice(p, n_rays, rng)
     jitter = rng.uniform(-0.5, 0.5, size=(n_rays, grid.chart.dim)) * grid.cell_size
     coords = grid.coords[cells] + jitter
     return grid.chart.embed(grid.chart.clip(coords))
@@ -230,12 +336,16 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, seed=0,
     a counter-based Philox stream fixed by ``seed`` (deterministic
     independent of threading), so each ray carries weight T / n_rays, T the
     total source mass, and the per-target energies estimate the prescribed
-    masses.  The whole ensemble is sampled and
-    assigned its active pieces at once; the geometry of ``trace_ray``, the
-    residuals and the nearest target then stream over fixed blocks of rays,
-    so the trace's memory beyond O(n_rays) per-ray records is bounded by
-    the block size, not by ``n_rays``.  Every row's bits are independent of
-    the block it sits in.
+    masses.  The cells come from the replayed inverse cdf of
+    ``Generator.choice`` (:func:`_choice`), then a uniform jitter within
+    each cell.  The whole ensemble is sampled and assigned its active
+    pieces at once; the geometry of ``trace_ray``, the residuals and the
+    nearest target (exact misses on the screened candidates only) then
+    stream over fixed blocks of rays, so the trace's memory beyond
+    O(n_rays) per-ray records is bounded by the block size, not by
+    ``n_rays``.  Every row's bits are independent of the block it sits in,
+    and every report and CSV byte is that of ``choice`` and the loop over
+    all targets.
     """
     env = surface.env
     snap = env.tols.snap

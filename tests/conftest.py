@@ -3,7 +3,7 @@ import pytest
 
 from gjekit import expmaps
 from gjekit.builtins import make_builtin
-from gjekit.demos import TEST_INTERVALS
+from gjekit.demos import TEST_INTERVALS, engulfing_envelope, violator_envelope
 from gjekit.errors import GjekitError
 
 
@@ -88,3 +88,25 @@ def solved_classical_ma_small():
     problem, z_true = classical_ma_problem(resolution=96)
     env, state = solve(problem)
     return problem, env, state, z_true
+
+
+def _read_only(env):
+    """The envelope with its scan done and every array it holds read-only,
+    so that no test can change an envelope other tests share."""
+    env._scan()
+    for a in (env.xbars, env.zs, env._values, env._argmax, env.grid.coords,
+              env.grid.points, env.grid.weights):
+        a.setflags(write=False)
+    return env
+
+
+@pytest.fixture(scope="session")
+def engulfing_env():
+    """``demos.engulfing_envelope()``, built once per session."""
+    return _read_only(engulfing_envelope())
+
+
+@pytest.fixture(scope="session")
+def violator_env():
+    """``demos.violator_envelope()``, built once per session."""
+    return _read_only(violator_envelope())

@@ -14,9 +14,8 @@ import pytest
 
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
-from gjekit.demos import (TEST_INTERVALS, engulfing_envelope, far_field_genfun,
-                          paraboloid_envelope, point_source_8_problem,
-                          violator_envelope, violator_genfun)
+from gjekit.demos import (TEST_INTERVALS, far_field_genfun, paraboloid_envelope,
+                          point_source_8_problem, violator_genfun)
 from gjekit.errors import GjekitError, RowStatus
 from gjekit.expmaps import e_matrix, exp_source, exp_target
 from gjekit.gconvex import Envelope, GAffine
@@ -442,10 +441,10 @@ def test_criterion_9_section_convexity(calibration_envelope,
 # -- criterion 10 -------------------------------------------------------------------
 
 
-def test_criterion_10_engulfing():
+def test_criterion_10_engulfing(engulfing_env, violator_env):
     heights = [0.01, 0.005, 0.0025]
-    stable = engulfing_check(engulfing_envelope(), heights, n_pairs=30, seed=3)
-    bad = engulfing_check(violator_envelope(), heights, n_pairs=40, seed=3)
+    stable = engulfing_check(engulfing_env, heights, n_pairs=30, seed=3)
+    bad = engulfing_check(violator_env, heights, n_pairs=40, seed=3)
     lams = bad["lambda_values"]
     ok = (stable["stable_within_20pct"]
           and not bad["stable_within_20pct"]

@@ -116,3 +116,22 @@ def test_sphere_contains_and_coords_do_not_depend_on_the_batch(pole, cap, seed, 
         many = np.repeat(x[None], copies, axis=0)
         assert np.all(ch.contains(many) == inside[i])
         assert np.array_equal(ch.coords(many), np.repeat(coords[i][None], copies, axis=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pole=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+           lambda p: np.linalg.norm(p) > 0.1),
+       cap=st.floats(5.0, 80.0), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 300))
+def test_sphere_embed_is_the_broadcast_formula(pole, cap, seed, m):
+    # the column-by-column embedding against the broadcast one, bit for bit,
+    # past the unit disc (w clipped to 0) and at signed zeros too
+    ch = SphereChart(pole=pole, cap_deg=cap)
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-1.1, 1.1, (m, 2))
+    c[rng.random((m, 2)) < 0.1] = -0.0
+    w = np.sqrt(np.clip(1.0 - np.sum(c * c, axis=1), 0.0, None))
+    expect = c[:, 0:1] * ch.e1 + c[:, 1:2] * ch.e2 + w[:, None] * ch.pole
+    got = ch.embed(c)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.array_equal(ch.embed(c[0]), expect[:1])

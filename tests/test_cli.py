@@ -14,6 +14,8 @@ import gjekit
 from gjekit.cli import _load_config, main
 from gjekit.config import Tolerances
 from gjekit.errors import ConfigError
+from gjekit.gconvex import Envelope
+from gjekit.optics import ReflectorSurface, trace_ensemble
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -155,6 +157,23 @@ def test_trace_report_is_pinned(solved_optics_demos, label, seed):
     report.pop("provenance")
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert (rc, digest) == _TRACE_PINS[label, seed]
+
+
+# sha256 of the per-ray trace CSV (ray, target, miss) at 20,000 rays, one
+# seed per reflector: every ray's target and printed miss, not only the
+# report's aggregates
+_TRACE_CSV_PINS = {
+    ("point-source-8", 0): "bd10f1f4f36011e49cab68bba975dc5680b63be55a40399e48d977966ced19e2",
+    ("parallel-beam-5", 1): "681cc7f8cab5cd1fc688b7210e119f0aa3bea61c3c0a679877a4e1bbe8a13877",
+}
+
+
+@pytest.mark.parametrize("label, seed", sorted(_TRACE_CSV_PINS))
+def test_trace_csv_is_pinned(solved_optics_demos, tmp_path, label, seed):
+    env = Envelope.load(str(solved_optics_demos / label / "envelope.json"))
+    path = tmp_path / "rays.csv"
+    trace_ensemble(ReflectorSurface(env), 20_000, seed=seed, csv_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _TRACE_CSV_PINS[label, seed]
 
 
 def test_solve_deterministic_byte_identical(tmp_path):

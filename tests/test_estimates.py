@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gjekit.builtins import make_builtin
-from gjekit.demos import engulfing_envelope, paraboloid_envelope, violator_envelope
+from gjekit.demos import paraboloid_envelope
 from gjekit.errors import DegenerateError, HypothesisError
 from gjekit.gconvex import GAffine
 from gjekit.estimates import (aleksandrov_check, engulfing_check,
@@ -138,17 +138,16 @@ def test_sharp_growth_hypothesis_error(parab):
     assert err.value.clause == "dilation_containment"
 
 
-def test_engulfing_reflexive_floor():
-    env = engulfing_envelope()
-    rep = engulfing_check(env, [0.01], n_pairs=4, seed=0)
+def test_engulfing_reflexive_floor(engulfing_env):
+    rep = engulfing_check(engulfing_env, [0.01], n_pairs=4, seed=0)
     assert rep["lambda_values"][0] >= 1.0
 
 
-def test_engulfing_stability_contrast():
-    stable = engulfing_check(engulfing_envelope(), [0.01, 0.005, 0.0025],
+def test_engulfing_stability_contrast(engulfing_env, violator_env):
+    stable = engulfing_check(engulfing_env, [0.01, 0.005, 0.0025],
                              n_pairs=30, seed=3)
     assert stable["stable_within_20pct"]
-    unstable = engulfing_check(violator_envelope(), [0.01, 0.005, 0.0025],
+    unstable = engulfing_check(violator_env, [0.01, 0.005, 0.0025],
                                n_pairs=40, seed=3)
     assert not unstable["stable_within_20pct"]
     # blows up under refinement: the smallest height carries the largest factor

@@ -401,6 +401,45 @@ def test_grid_cost_matches_table_source():
     assert np.allclose(gf.d_x(x, xb, 0.4), fd, atol=1e-5)
 
 
+def _two_step_value_or(pb, x, xb, z, fill):
+    """The branch cut and the values as two evaluations: ``_value`` over
+    every row for the ``v >= lower`` cut, then again on the admissible
+    rows."""
+    ok = pb._focus_ok(xb, z) & pb.source_chart.contains(x)
+    if np.any(ok):
+        v = np.where(ok, pb._value(x, xb, np.where(ok, z, 1.0)), -1.0)
+        ok = ok & (v >= pb.srange.lower)
+    out = np.full(x.shape[0], fill)
+    if np.any(ok):
+        out[ok] = pb._value(x[ok], xb[ok], z[ok])
+    return out, ok
+
+
+@pytest.mark.parametrize("lower", [0.0, 0.3])
+def test_parallel_beam_evaluates_each_row_once(monkeypatch, lower):
+    # a GridSurface instance has no kernel tag, so every grid row runs the
+    # evaluator; one _value call gives the two-step reference's bits
+    xn = np.linspace(-1, 1, 25)
+    pb = make_builtin("parallel_beam", srange=ScalarRange(lower, np.inf, lower + 0.05, 20.0),
+                      surface={"x_nodes": xn, "y_nodes": xn,
+                               "values": 0.1 * np.add.outer(xn ** 2, xn ** 2)})
+    rng = np.random.default_rng(3)
+    m = 4000
+    x = rng.uniform(-1.2, 1.2, (m, 2))      # some rows leave the source box
+    xb = rng.uniform(-1.1, 1.1, (m, 2))     # some foci leave the target box
+    z = rng.uniform(-0.5, 3.0, m)           # z <= 0 and the fold side included
+    expect, ok_ref = _two_step_value_or(pb, x, xb, z, -np.inf)
+    assert 0 < ok_ref.sum() < m
+    calls = []
+    value = pb._value
+    monkeypatch.setattr(pb, "_value", lambda *a: calls.append(a[0].shape[0]) or value(*a))
+    got, ok = pb._value_or(x, xb, z, -np.inf)
+    assert len(calls) == 1
+    assert np.array_equal(ok, ok_ref)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+    assert np.array_equal(pb._in_domain(x, xb, z), ok_ref)
+
+
 def test_grid_surface_parallel_beam():
     xn = np.linspace(-1, 1, 25)
     table = 0.1 * np.add.outer(xn ** 2, xn ** 2)

@@ -401,3 +401,19 @@ def test_scan_chain_is_the_scan_of_every_prefix(seed, n, tie):
             assert np.array_equal(solver._rows_after(V, i),
                                   np.max(V[i + 1:], axis=0, initial=-np.inf))
             chain.push(V[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 3), m=st.integers(1, 400),
+       scale=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_pb_zero_column_basis_is_the_row_sum(seed, d, m, scale):
+    # (x0 - f0)^2 + (x1 - f1)^2 + ... in column passes is numpy's row sum
+    # bit for bit, zero rows and signed zeros included
+    rng = np.random.default_rng(seed)
+    xs = scale * rng.normal(size=(m, d))
+    xbar = scale * rng.normal(size=d)
+    xs[rng.random(m) < 0.2] = xbar
+    xs[rng.random((m, d)) < 0.1] = -0.0
+    expect = np.sum((xs - xbar) ** 2, axis=1)
+    got = kernels.np_piece_basis("pb_zero", xs, xbar)
+    assert np.array_equal(got.view(np.int64), expect.view(np.int64))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gjekit import optics
 from gjekit.builtins import make_builtin
-from gjekit.charts import BoxChart
+from gjekit.charts import BoxChart, _dot3
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
 from gjekit.grids import DomainGrid
@@ -188,3 +190,103 @@ def test_trace_ray_is_the_one_row_ensemble(tmp_path, request, fixture):
         assert rows[k] == f"{k},{-1 if tgt is None else tgt},{miss:.12e}"
         misses.append(miss)
     assert max(misses).hex() == rep.max_miss.hex()
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_cells=st.integers(1, 400),
+       n=st.integers(0, 3000), weights=st.sampled_from(["uniform", "wide", "dominant"]))
+@example(seed=0, n_cells=1, n=500, weights="uniform")
+def test_choice_replays_generator_choice(seed, n_cells, n, weights):
+    # the same indices as Generator.choice(p=) and the same stream after it
+    rng = np.random.default_rng(seed)
+    if weights == "uniform":
+        w = rng.uniform(1e-3, 1.0, n_cells)
+    elif weights == "wide":
+        w = np.exp(rng.normal(0.0, 4.0, n_cells))
+    else:
+        w = rng.uniform(1e-6, 1e-5, n_cells)
+        w[rng.integers(n_cells)] = 1.0
+    p = w / w.sum()
+    ref, new = _philox(seed), _philox(seed)
+    expect = ref.choice(n_cells, size=n, p=p)
+    assert np.array_equal(optics._choice(p, n, new), expect)
+    assert repr(new.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(new.random(4), ref.random(4))
+
+
+def test_choice_draw_on_a_cdf_entry_goes_right():
+    # a draw equal to a cdf entry takes the next cell, as
+    # searchsorted(side="right") in Generator.choice does
+    p = np.array([0.25, 0.25, 0.0, 0.125, 0.375])
+    cdf = np.cumsum(p)
+    u = np.concatenate(([0.0], cdf[:-1], cdf[:-1] - 2.0 ** -53))
+    rng = type("Draws", (), {"random": lambda self, n: u.copy()})()
+    expect = np.searchsorted(cdf, u, side="right")
+    assert np.array_equal(optics._choice(p, u.size, rng), expect)
+
+
+def test_choice_keeps_the_checks_of_generator_choice():
+    rng = _philox(0)
+    for p in ([0.5, 0.6, -0.1], [0.5, np.nan, 0.5], [0.5, 0.4, 0.0], [[0.5, 0.5]]):
+        with pytest.raises(ValueError):
+            rng.choice(np.size(p), size=3, p=p)
+        with pytest.raises(ValueError):
+            optics._choice(np.array(p), 3, rng)
+
+
+def _all_target_loop(targets, P, d_out):
+    """The nearest target over every target, in ascending order with the
+    strict < tie rule: the reference of optics._nearest_target."""
+    for k, target in enumerate(targets):
+        w = target - P
+        t = np.einsum("md,md->m", w, d_out)
+        np.clip(t, 0.0, None, out=t)
+        res = w - t[:, None] * d_out
+        miss = np.sqrt(_dot3(res, res))
+        if k == 0:
+            j, best = np.zeros(miss.shape[0], dtype=np.int64), miss
+        else:
+            closer = miss < best
+            np.copyto(best, miss, where=closer)
+            j[closer] = k
+    return j, best
+
+
+def _unit(v):
+    return v / np.sqrt(_dot3(v, v))[:, None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_t=st.integers(1, 12), m=st.integers(1, 300),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_nearest_target_is_the_all_target_loop(seed, n_t, m, scale):
+    rng = np.random.default_rng(seed)
+    targets = scale * rng.uniform(-1.0, 1.0, (n_t, 3))
+    if n_t > 2:
+        # an exact tie: a repeated target goes to its lower index
+        targets[n_t - 1] = targets[rng.integers(n_t - 1)]
+    P = scale * rng.uniform(-2.0, 2.0, (m, 3))
+    own = rng.integers(n_t, size=m)
+    # most rays pass through a target, as a reflected ray passes through
+    # its piece's focus; the rest point anywhere, backward rays included
+    d_out = _unit(np.where(rng.random(m)[:, None] < 0.7, targets[own] - P,
+                           rng.normal(size=(m, 3))))
+    kind = rng.integers(0, 4, size=m)
+    if n_t > 1:
+        # two targets on one ray: start behind target a on the line through b
+        a, b = rng.choice(n_t - 1 if n_t > 2 else n_t, size=2, replace=False)
+        two = kind == 0
+        ab = targets[b] - targets[a]
+        P[two] = targets[a] - rng.uniform(0.1, 2.0, (int(two.sum()), 1)) * ab
+        d_out[two] = _unit(np.broadcast_to(ab, (int(two.sum()), 3)))
+    # degenerate rows: a non-finite row keeps every target
+    P[kind == 1] = np.nan
+    j, best = optics._nearest_target(targets, P, d_out)
+    j_ref, best_ref = _all_target_loop(targets, P, d_out)
+    assert np.array_equal(j, j_ref)
+    assert np.array_equal(best.view(np.int64), best_ref.view(np.int64))
+    assert np.all(optics._candidates(targets, P, d_out)[:, kind == 1])
