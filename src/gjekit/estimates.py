@@ -1,5 +1,5 @@
 """Pointwise estimate evaluation: Aleksandrov-type bound, sharp growth,
-John ellipsoids, and the engulfing diagnostic.
+and the engulfing diagnostic.
 
 Both pointwise checks compute every constituent of their inequality on a
 solved/constructed envelope and report the implied constant
@@ -15,14 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateError, GjekitError, HypothesisError, NicenessError
+from .errors import GjekitError, HypothesisError, NicenessError
 from .expmaps import p_map
 from .gconvex import Envelope, GAffine, Section, _hull_volume
 
 __all__ = [
-    "EstimateRecord", "JohnEllipsoid", "supporting_plane_distance",
-    "max_segment_length", "john_ellipsoid", "aleksandrov_check",
-    "sharp_growth_check", "engulfing_check", "section_at_height",
+    "EstimateRecord", "supporting_plane_distance", "max_segment_length",
+    "aleksandrov_check", "sharp_growth_check", "engulfing_check", "section_at_height",
 ]
 
 
@@ -39,29 +38,6 @@ class EstimateRecord:
                "implied_constant": self.implied_constant}
         row.update({k: v for k, v in self.factors.items() if np.isscalar(v)})
         return row
-
-
-@dataclass
-class JohnEllipsoid:
-    center: np.ndarray
-    shape: np.ndarray    # E = {x : (x-c)^T shape^{-1} (x-c) <= 1}
-    alpha: float
-    inner_ok: bool
-    outer_ok: bool
-
-    def contains(self, pts):
-        d = np.atleast_2d(pts) - self.center
-        q = np.einsum("ij,jk,ik->i", d, np.linalg.inv(self.shape), d)
-        return q <= 1.0 + 1e-8
-
-    def boundary_points(self, n=256):
-        """n boundary points along directions drawn from a fixed seed."""
-        rng = np.random.default_rng(0)
-        dim = self.center.shape[0]
-        dirs = rng.normal(size=(n, dim))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        L = np.linalg.cholesky(self.shape)
-        return self.center + dirs @ L.T
 
 
 def supporting_plane_distance(cloud, p0, omega):
@@ -133,80 +109,6 @@ def _orth_complement(omega):
         if len(basis) == d - 1:
             break
     return basis
-
-
-# ---------------------------------------------------------------------------
-# John ellipsoid (fixed center at the hull's center of mass)
-# ---------------------------------------------------------------------------
-
-
-def _hull_centroid(points):
-    """Area/volume centroid of the convex hull of a cloud."""
-    from scipy.spatial import ConvexHull, Delaunay
-    hull = ConvexHull(points)
-    verts = points[hull.vertices]
-    tri = Delaunay(verts)
-    centroid = np.zeros(points.shape[1])
-    total = 0.0
-    for simplex in tri.simplices:
-        sp = verts[simplex]
-        vol = abs(np.linalg.det(sp[1:] - sp[0]))  # simplex volume up to a common factor
-        centroid += vol * sp.mean(axis=0)
-        total += vol
-    if total <= 0:
-        raise DegenerateError("hull has no volume")
-    return centroid / total
-
-
-def john_ellipsoid(cloud) -> JohnEllipsoid:
-    """Minimum-volume ellipsoid about the hull centroid enclosing the cloud.
-
-    Khachiyan-style multiplicative weight updates at fixed center, at most
-    20,000 of them, until every point's weighted norm is within a relative
-    1e-7 of the dimension; the containment convention alpha(n) = 1/n is
-    verified by membership tests on the result (boundary samples of the
-    shrunken ellipsoid must lie in the hull).
-    """
-    from scipy.spatial import Delaunay
-
-    P = np.atleast_2d(np.asarray(cloud, dtype=float))
-    n, d = P.shape
-    if n <= d or np.linalg.matrix_rank(P - P[0]) < d:
-        raise DegenerateError("cloud must affinely span the space")
-    c = _hull_centroid(P)
-    Q = P - c
-    m = Q.shape[0]
-    u = np.full(m, 1.0 / m)
-    for _ in range(20_000):
-        V = Q.T @ (u[:, None] * Q)
-        try:
-            Vi = np.linalg.inv(V)
-        except np.linalg.LinAlgError as e:
-            raise DegenerateError("degenerate weight matrix") from e
-        M = np.einsum("ij,jk,ik->i", Q, Vi, Q)
-        j = int(np.argmax(M))
-        maxM = M[j]
-        if maxM <= d * (1.0 + 1e-7):
-            break
-        step = (maxM - d) / (d * (maxM - 1.0))
-        u *= (1.0 - step)
-        u[j] += step
-    V = Q.T @ (u[:, None] * Q)
-    # scale to the worst point so outer containment holds exactly even when
-    # the multiplicative updates stop at finite tolerance
-    M = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(V), Q)
-    shape = float(np.max(M)) * V
-    ell = JohnEllipsoid(center=c, shape=shape, alpha=1.0 / d,
-                        inner_ok=False, outer_ok=False)
-    # outer containment: every point inside E (tolerance 1e-8 scaled)
-    dq = np.einsum("ij,jk,ik->i", Q, np.linalg.inv(shape), Q)
-    ell.outer_ok = bool(np.max(dq) <= 1.0 + 1e-6)
-    # inner containment: boundary of alpha E inside the hull
-    tri = Delaunay(P)
-    bnd = ell.boundary_points(256)
-    shrunk = c + ell.alpha * (bnd - c) * (1.0 - 1e-9)
-    ell.inner_ok = bool(np.all(tri.find_simplex(shrunk) >= 0))
-    return ell
 
 
 # ---------------------------------------------------------------------------

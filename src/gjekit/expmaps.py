@@ -31,7 +31,7 @@ continuation along s stays sequential, and each step is one batched solve
 over every segment that has a point there.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,9 +39,8 @@ from .errors import DomainError, RowStatus, raise_for_status
 from .genfun import GenFun, raise_for_nan
 
 __all__ = [
-    "e_matrix", "p_map", "pbar_map", "pbar_rows", "exp_source", "exp_target",
-    "g_segment", "g_segment_batch", "segment_velocity", "GSegment", "SegmentBatch",
-    "comparability_report",
+    "e_matrix", "p_map", "pbar_rows", "exp_source", "exp_target",
+    "g_segment_batch", "SegmentBatch",
 ]
 
 
@@ -55,8 +54,8 @@ def _e_from(Gxb, Gxz, Gb, Gz):
     return Gxb - Gxz[:, :, None] * Gb[:, None, :] / Gz[:, None, None]
 
 
-def e_matrix(gf: GenFun, x, xbar, z, adjoint=False):
-    """Nondegeneracy matrix E (or its adjoint E^T) at an admissible triple."""
+def e_matrix(gf: GenFun, x, xbar, z):
+    """Nondegeneracy matrix E at an admissible triple."""
     single = np.asarray(x).ndim == 1
     x, xbar, z, _ = gf._batch(x, xbar, z)
     if not np.all(gf._in_domain(x, xbar, z)):
@@ -64,8 +63,6 @@ def e_matrix(gf: GenFun, x, xbar, z, adjoint=False):
     E = _e_from(gf.d_x_xbar(x, xbar, z), gf.d_x_z(x, xbar, z), gf.d_xbar(x, xbar, z),
                 gf.g_z(x, xbar, z))
     raise_for_nan(E, f"{gf.name}: e_matrix")
-    if adjoint:
-        E = np.swapaxes(E, 1, 2)
     return E[0] if single else E
 
 
@@ -79,17 +76,6 @@ def p_map(gf: GenFun, xbar, z, x, check=True):
     if check:
         raise_for_nan(p, f"{gf.name}: p_map")
     return p[0] if single else p
-
-
-def pbar_map(gf: GenFun, x, u, xbar):
-    """Target coordinate map pbar = dG/dx at z = H(x, xbar, u).
-
-    Raising call of ``pbar_rows``.
-    """
-    single = np.asarray(x).ndim == 1
-    pb, _, status = pbar_rows(gf, x, u, xbar)
-    raise_for_status(status, f"{gf.name}: pbar_map")
-    return pb[0] if single else pb
 
 
 def pbar_rows(gf: GenFun, x, u, xbar):
@@ -350,56 +336,6 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None,
 
 
 @dataclass
-class GSegment:
-    """A sampled straight line in cotangent coordinates.
-
-    ``kind`` is "source" (x(s) with respect to a fixed (xbar, z)) or
-    "target" ((xbar(t), z(t)) with respect to a fixed (x, u)).  Caches are
-    immutable after construction; ``well_defined`` is False when some
-    interior sample failed to invert, with the failing parameters listed in
-    ``failures``.
-    """
-
-    gf: GenFun
-    kind: str
-    anchor: tuple
-    s_grid: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    points: np.ndarray          # (k, embdim) source points or target points
-    z_values: np.ndarray | None  # (k,) for target kind
-    well_defined: bool
-    failures: list = field(default_factory=list)
-
-    def p_at(self, s):
-        s = np.asarray(s, dtype=float)
-        return (1.0 - s)[..., None] * self.p0 + s[..., None] * self.p1
-
-    def point_at(self, s):
-        """Re-invert at arbitrary s, warm-started from the nearest cache."""
-        i = int(np.argmin(np.abs(self.s_grid - s)))
-        p = self.p_at(np.atleast_1d(float(s)))
-        if self.kind == "source":
-            xbar, z = self.anchor
-            return exp_source(self.gf, xbar, z, p, x_guess=self.points[i])[0]
-        x, u = self.anchor
-        xb, z = exp_target(self.gf, x, u, p, xbar_guess=self.points[i],
-                           z_guess=self.z_values[i])
-        return xb[0], float(z[0])
-
-    def to_csv(self, path):
-        p = self.p_at(self.s_grid)
-        cols = [self.s_grid] + list(self.points.T) + list(p.T)
-        header = ["s"] + [f"x{i}" for i in range(self.points.shape[1])] \
-            + [f"p{i}" for i in range(p.shape[1])]
-        if self.z_values is not None:
-            cols.append(self.z_values)
-            header.append("z")
-        np.savetxt(path, np.column_stack(cols), delimiter=",",
-                   header=",".join(header), comments="")
-
-
-@dataclass
 class SegmentBatch:
     """Segments of one kind, one row per segment, sampled on a shared grid
     ``s_grid`` (m,) or on a grid per row (k, m).
@@ -499,80 +435,3 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None) -> SegmentBatch
             prev_z[rows] = zs[rows, j] = zz[done]
         ok[rows, j] = True
     return batch
-
-
-def g_segment(gf: GenFun, kind, endpoints, anchor, s_grid=None) -> GSegment:
-    """Build a segment between two admissible endpoints.
-
-    For ``kind="source"`` the endpoints are source points and the anchor is
-    (xbar, z); for ``kind="target"`` the endpoints are target points and the
-    anchor is (x, u).  An inadmissible source endpoint raises DomainError, a
-    target endpoint whose height does not invert the error of
-    ``GenFun.inverse``, and an endpoint whose finite-difference coordinate
-    map leaves the domain DomainError; an interior sample that fails to
-    invert flags well_defined=False instead.  One-row call of
-    ``g_segment_batch``.
-    """
-    fixed, scalar = anchor
-    batch = g_segment_batch(gf, kind, *endpoints, ([fixed], [scalar]), s_grid=s_grid)
-    if batch.status[0] == RowStatus.INADMISSIBLE:
-        raise DomainError(f"{gf.name}: segment endpoint not admissible")
-    raise_for_status(batch.status, f"{gf.name}: segment endpoint")
-    ok = batch.ok[0]
-    return GSegment(gf, kind, (np.asarray(fixed, dtype=float), float(scalar)), batch.s_grid,
-                    batch.p0[0], batch.p1[0], batch.points[0],
-                    None if batch.z_values is None else batch.z_values[0],
-                    bool(ok.all()), batch.s_grid[~ok].tolist())
-
-
-def segment_velocity(seg: GSegment, s):
-    """Closed-form segment velocity at parameter s.
-
-    Source kind returns xdot(s) in source chart coordinates; target kind
-    returns (xbardot(t), zdot(t)) with xbardot in target chart coordinates.
-    """
-    gf = seg.gf
-    dp = seg.p1 - seg.p0
-    if seg.kind == "source":
-        xbar, z = seg.anchor
-        x = seg.point_at(s)
-        Gz = gf.g_z(x, xbar, z)
-        Et = e_matrix(gf, x, xbar, z, adjoint=True)
-        return -Gz * np.linalg.solve(Et, dp)
-    x, u = seg.anchor
-    xb, z = seg.point_at(s)
-    E = e_matrix(gf, x, xb, z)
-    xbdot = np.linalg.solve(E, dp)
-    p = p_map(gf, xb, z, x)
-    return xbdot, float(p @ xbdot)
-
-
-# ---------------------------------------------------------------------------
-# comparability diagnostic
-# ---------------------------------------------------------------------------
-
-
-def comparability_report(gf: GenFun, xbar, z, n_pairs=400, seed=0):
-    """Bi-Lipschitz spread of the source coordinate map at a fixed (xbar, z).
-
-    Samples point pairs in the source domain and returns the min/max of
-    |p(x1) - p(x2)| / dist(x1, x2) together with the implied two-sided
-    constant C = sqrt(max/min).
-    """
-    rng = np.random.default_rng(seed)
-    xs1 = gf.source_chart.sample(n_pairs, rng)
-    xs2 = gf.source_chart.sample(n_pairs, rng)
-    xbar = np.asarray(xbar, dtype=float)
-    keep = (gf.in_domain(xs1, np.broadcast_to(xbar, xs1.shape[:1] + xbar.shape), z)
-            & gf.in_domain(xs2, np.broadcast_to(xbar, xs2.shape[:1] + xbar.shape), z))
-    xs1, xs2 = xs1[keep], xs2[keep]
-    d = np.linalg.norm(gf.source_chart.coords(xs1) - gf.source_chart.coords(xs2), axis=1)
-    good = d > 1e-9
-    xs1, xs2, d = xs1[good], xs2[good], d[good]
-    p1 = p_map(gf, xbar, z, xs1)
-    p2 = p_map(gf, xbar, z, xs2)
-    ratio = np.linalg.norm(p1 - p2, axis=1) / d
-    return {"n_pairs": int(ratio.size),
-            "ratio_min": float(ratio.min()),
-            "ratio_max": float(ratio.max()),
-            "two_sided_constant": float(np.sqrt(ratio.max() / ratio.min()))}

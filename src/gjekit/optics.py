@@ -33,27 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _dot3, _row_norms
+from .charts import _dot3
 from .errors import ConfigError
-from .expmaps import exp_target
 from .gconvex import Envelope
 from . import kernels
 
-__all__ = ["Ray", "ReflectorSurface", "TraceReport", "trace_ray",
-           "trace_ensemble", "consistency_with_exp_target"]
-
-
-@dataclass
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float)
-        self.direction = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(self.direction)
-        if abs(n - 1.0) > 1e-12:
-            self.direction = self.direction / n
+__all__ = ["ReflectorSurface", "TraceReport", "trace_ensemble"]
 
 
 class ReflectorSurface:
@@ -79,16 +64,6 @@ class ReflectorSurface:
         # flat parallel-beam targets sit on the zero plane
         return np.column_stack([self.env.xbars,
                                 np.zeros(self.env.n_pieces)])
-
-    def quadric_residual(self, P, i):
-        """Signed defect of P from piece i's exact quadric."""
-        if self.kind == "point_source":
-            xbar = self.env.xbars[i]
-            a = 1.0 / self.env.zs[i]
-            return np.linalg.norm(P) + np.linalg.norm(P - xbar) - 2.0 * a
-        xbar = self.env.xbars[i]
-        z = self.env.zs[i]
-        return P[2] - 0.5 * (1.0 / z - z * np.sum((P[:2] - xbar) ** 2))
 
 
 @dataclass
@@ -249,29 +224,6 @@ def _nearest_target(targets, P, d_out):
     return j, best
 
 
-def trace_ray(surface: ReflectorSurface, ray: Ray):
-    """Trace one ray; returns (hit point, reflected Ray, target index or None, miss).
-
-    The one-row call of :func:`trace_ensemble`'s geometry: the active piece
-    is the envelope's winner at the ray's source point, and the hit point,
-    normal and reflection come from that piece's exact quadric.  A
-    point-source ray leaves the origin along ``ray.direction``; a
-    parallel-beam ray is the ascending vertical ray through the chart point
-    under ``ray.origin``.  A reflected ray that misses every target by more
-    than the snap distance ``tols.snap`` records an escape (target index
-    None).
-    """
-    env = surface.env
-    if surface.kind == "point_source":
-        pts = ray.direction[None, :]
-    else:
-        pts = ray.origin[None, :2]
-    _, P, _, d_out = _reflector_geometry(surface, pts, _active_pieces(env, pts))
-    j, miss = _nearest_target(surface.targets_3d, P, d_out)
-    target = int(j[0]) if miss[0] <= env.tols.snap else None
-    return P[0], Ray(P[0], d_out[0]), target, float(miss[0])
-
-
 def _choice(p, n, rng):
     """``rng.choice(p.size, size=n, p=p)``: the same indices and the same
     generator state afterwards.
@@ -339,8 +291,8 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, seed=0,
     masses.  The cells come from the replayed inverse cdf of
     ``Generator.choice`` (:func:`_choice`), then a uniform jitter within
     each cell.  The whole ensemble is sampled and assigned its active
-    pieces at once; the geometry of ``trace_ray``, the residuals and the
-    nearest target (exact misses on the screened candidates only) then
+    pieces at once; the exact-quadric geometry
+    (:func:`_reflector_geometry`), the residuals and the nearest target (exact misses on the screened candidates only) then
     stream over fixed blocks of rays, so the trace's memory beyond
     O(n_rays) per-ray records is bounded by the block size, not by
     ``n_rays``.  Every row's bits are independent of the block it sits in,
@@ -381,30 +333,3 @@ def trace_ensemble(surface: ReflectorSurface, n_rays, seed=0,
     return TraceReport(n_rays=n_rays, hits=hits, energies=energies,
                        escapes=escapes, chi_square=chi2, max_miss=max_miss,
                        max_reflection_residual=float(max_refl), seed=seed)
-
-
-def consistency_with_exp_target(surface_or_env, x_samples, tol_chart=1e-4):
-    """Deviation between the traced/active target and the map-based target.
-
-    For a reflector surface at smooth (single active piece) sample points,
-    the traced target is the active piece's focus, which must agree with
-    the target exponential map applied to (x, u(x), Du(x)) when the
-    envelope densely approximates a smooth solution.  Du comes from the
-    one-sided grid differences.  Returns the max chart deviation and the
-    per-sample table.
-    """
-    env = surface_or_env.env if isinstance(surface_or_env, ReflectorSurface) else surface_or_env
-    gf = env.gf
-    grads = env.grid_gradients()
-    u, cells = env._scan()
-    ks = np.array([int(np.argmin(np.sum((env.grid.points - x) ** 2, axis=1)))
-                   for x in np.atleast_2d(np.asarray(x_samples, dtype=float))])
-    foci = env.xbars[cells[ks]]  # each grid cell's winner, as representative gives
-    xb, _, status = exp_target(gf, env.grid.points[ks], u[ks], grads[ks],
-                               xbar_guess=foci, return_status=True)
-    devs = _row_norms(gf.target_chart.coords(xb) - gf.target_chart.coords(foci))
-    devs[status != 0] = np.inf
-    return {"max_deviation": float(np.max(devs)),
-            "n_samples": int(devs.size),
-            "n_within_tol": int(np.sum(devs <= tol_chart)),
-            "tol": tol_chart}

@@ -472,37 +472,3 @@ def _masses_from(V, problem):
 def _masses_of(idx, weights, n):
     won = idx >= 0
     return np.bincount(idx[won], weights=weights[won], minlength=n)
-
-
-def mass_residual(env: Envelope, problem: SemiDiscreteProblem):
-    """Cell-mass residual vector r_i = cellmass_i - g_i for a given envelope."""
-    masses = env.cell_masses()
-    return masses - problem.masses
-
-
-def monotonicity_probe(problem: SemiDiscreteProblem, heights, i, z_grid):
-    """Tabulate the cell mass of piece i against its height, others fixed.
-
-    Asserts the mass is monotone along the raising direction to within one
-    grid-cell mass; raises MonotonicityError with a witness otherwise.
-    Returns the (z, mass) table.
-    """
-    heights = np.asarray(heights, dtype=float)
-    bases = _target_bases(problem)
-    oracle = _MassOracle(problem, _piece_rows(problem, bases, heights), i,
-                         bases[i])
-    z_grid = np.asarray(z_grid, dtype=float)
-    masses = np.array([oracle(zz) for zz in z_grid])
-    raise_dir = -problem.gf.orientation
-    order = np.argsort(raise_dir * z_grid)
-    quantum = float(np.max(problem.cell_weights))
-    sorted_masses = masses[order]
-    drops = np.diff(sorted_masses)
-    if np.any(drops < -quantum):
-        k = int(np.argmin(drops))
-        raise MonotonicityError(
-            f"piece {i} mass decreased along the raising direction",
-            witness={"z": float(z_grid[order][k + 1]),
-                     "mass_before": float(sorted_masses[k]),
-                     "mass_after": float(sorted_masses[k + 1])})
-    return np.column_stack([z_grid, masses])

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import _row_dots, _row_norms
-from .errors import DomainError, RowStatus
+from .errors import RowStatus
 from .expmaps import (SegmentBatch, e_matrix, exp_source, exp_target, g_segment_batch,
                       p_map, pbar_rows)
 from .genfun import GenFun, raise_for_nan
 
 __all__ = [
-    "ConditionReport", "a_matrix", "g3w_form", "g3w_dual_form", "g3w_batch",
-    "g3w_dual_batch",
+    "ConditionReport", "g3w_batch", "g3w_dual_batch",
     "check_nondeg", "check_twist", "check_unif_lip", "check_domconv",
     "check_qqconv", "g3w_sweep", "crosscheck_g3w_implies_qqconv", "check_conditions",
 ]
@@ -319,12 +318,6 @@ def _snap_dir(v, snap=1e-12):
     return np.round(v / snap) * snap
 
 
-def a_matrix(gf: GenFun, x, pbar, u, xbar_guess=None):
-    """Second x-derivative of G composed with the target exponential map."""
-    xbar, z = exp_target(gf, x, u, pbar, xbar_guess=xbar_guess)
-    return raise_for_nan(gf.d2_x(x, xbar, z), f"{gf.name}: a_matrix")
-
-
 # stencil points of the fourth-order form, in units of the step h
 _STENCIL = (0.0, 1.0, -1.0, 0.5, -0.5)
 
@@ -409,19 +402,6 @@ def g3w_batch(gf: GenFun, x, pbar, u, V, eta, xbar_guess=None):
     return _tensor_rows(gf, pbar, V, eta, hessian_at, "eta, V")
 
 
-def g3w_form(gf: GenFun, x, pbar, u, V, eta, xbar_guess=None):
-    """Second difference of s -> <A(x, pbar + s eta, u) V, V> at s = 0.
-
-    One-row call of ``g3w_batch``.  Raises DomainError when the stencil
-    leaves the image set.
-    """
-    vals, status = g3w_batch(gf, x, pbar, [u], V, eta, xbar_guess=xbar_guess)
-    if status[0]:
-        raise DomainError("tensor stencil leaves the image set: "
-                          f"{RowStatus(status[0]).error(gf.name)}")
-    return float(vals[0])
-
-
 def _h_xbar_xbar(gf: GenFun, x, xbar, z):
     """Second target-derivative of the scalar inverse at (x, xbar, G(x, xbar, z)).
 
@@ -458,19 +438,6 @@ def g3w_dual_batch(gf: GenFun, p, xbar, z, Vbar, etabar, x_guess=None):
                              z[rows], status)
 
     return _tensor_rows(gf, p, Vbar, etabar, hessian_at, "etabar, Vbar")
-
-
-def g3w_dual_form(gf: GenFun, p, xbar, z, Vbar, etabar, x_guess=None):
-    """Mirror of the primal form with source/target roles swapped.
-
-    One-row call of ``g3w_dual_batch``.  Raises DomainError when the
-    stencil leaves the image set.
-    """
-    vals, status = g3w_dual_batch(gf, p, xbar, [z], Vbar, etabar, x_guess=x_guess)
-    if status[0]:
-        raise DomainError("dual tensor stencil leaves the image set: "
-                          f"{RowStatus(status[0]).error(gf.name)}")
-    return float(vals[0])
 
 
 def _orthogonal_pairs(n, n_random, rng):

@@ -3,7 +3,8 @@ import pytest
 
 from gjekit import expmaps
 from gjekit.builtins import make_builtin
-from gjekit.demos import TEST_INTERVALS, engulfing_envelope, violator_envelope
+from gjekit.demos import (TEST_INTERVALS, engulfing_envelope, paraboloid_envelope,
+                          violator_envelope)
 from gjekit.errors import GjekitError
 
 
@@ -110,3 +111,10 @@ def engulfing_env():
 def violator_env():
     """``demos.violator_envelope()``, built once per session."""
     return _read_only(violator_envelope())
+
+
+@pytest.fixture(scope="session")
+def parab_env():
+    """``demos.paraboloid_envelope(half=0.45, ...)``, built once per session."""
+    return _read_only(paraboloid_envelope(half=0.45, cell=0.0075, focus_extent=0.4,
+                                          focus_spacing=0.0075))

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -13,6 +15,7 @@ import pytest
 import gjekit
 from gjekit.cli import _load_config, main
 from gjekit.config import Tolerances
+from gjekit.demos import paraboloid_envelope
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
 from gjekit.optics import ReflectorSurface, trace_ensemble
@@ -259,6 +262,26 @@ def test_demo_pipeline_point_source(tmp_path):
     trace = json.loads(open(os.path.join(out, "trace_report.json")).read())
     assert trace["escapes"] <= trace["n_rays"] * 1e-3
     assert trace["max_reflection_residual"] <= 1e-12
+
+
+def test_estimate_on_a_saved_dense_envelope(tmp_path):
+    # a dense paraboloid has sections small enough for the Aleksandrov
+    # check: at seed 0, 5 of the 10 sections evaluate, each a ledger row
+    # with a finite implied constant, and a rerun writes the same ledger
+    env = paraboloid_envelope(half=0.9, cell=0.015, focus_extent=0.62, focus_spacing=0.015)
+    env.save(tmp_path / "envelope.json")
+    ledgers = []
+    for run in ("first", "again"):
+        cfg = _write(tmp_path, {"genfun": {"kind": "quasilinear"},
+                                "envelope": str(tmp_path / "envelope.json"), "seed": 0,
+                                "counts": {"n_sections": 10},
+                                "output_dir": str(tmp_path / run)}, f"{run}.json")
+        assert main(["estimate", "--config", cfg]) == 0
+        ledgers.append((tmp_path / run / "estimate_ledger.csv").read_bytes())
+    assert ledgers[0] == ledgers[1]
+    ok = [r for r in csv.DictReader(io.StringIO(ledgers[0].decode())) if r["ok"] == "1"]
+    assert len(ok) >= 1
+    assert all(np.isfinite(float(r["implied_constant"])) for r in ok)
 
 
 def test_custom_solve_config(tmp_path):

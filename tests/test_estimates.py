@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from gjekit.builtins import make_builtin
-from gjekit.demos import paraboloid_envelope
-from gjekit.errors import DegenerateError, HypothesisError
+from gjekit.errors import HypothesisError
 from gjekit.gconvex import GAffine
-from gjekit.estimates import (aleksandrov_check, engulfing_check,
-                              john_ellipsoid, max_segment_length,
+from gjekit.estimates import (aleksandrov_check, engulfing_check, max_segment_length,
                               section_at_height, sharp_growth_check,
                               supporting_plane_distance)
 
@@ -39,56 +36,11 @@ def test_slab_width_identity():
         assert abs(slab - (proj.max() - proj.min())) <= 1e-10
 
 
-# -- John ellipsoids ---------------------------------------------------------------
-
-
-def test_john_unit_ball():
-    rng = np.random.default_rng(1)
-    th = rng.uniform(0, 2 * np.pi, 600)
-    r = np.sqrt(rng.uniform(0, 1, 600))
-    cloud = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
-    ell = john_ellipsoid(cloud)
-    assert np.linalg.norm(ell.center) < 0.05
-    w = np.linalg.eigvalsh(ell.shape)
-    assert np.all(np.abs(np.sqrt(w) - 1.0) < 0.02)
-    assert ell.inner_ok and ell.outer_ok
-
-
-def test_john_unit_square():
-    sq = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], float)
-    ell = john_ellipsoid(sq)
-    # circumscribed circle about the center, radius sqrt(2)/2
-    assert np.allclose(ell.center, [0.5, 0.5], atol=1e-9)
-    assert np.allclose(ell.shape, 0.5 * np.eye(2), atol=1e-6)
-    assert ell.inner_ok and ell.outer_ok
-
-
-def test_john_triangle_steiner():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.8]])
-    ell = john_ellipsoid(tri)
-    assert np.allclose(ell.center, tri.mean(axis=0), atol=1e-8)
-    Qi = np.linalg.inv(ell.shape)
-    for v in tri:  # Steiner circumellipse passes through the vertices
-        assert np.isclose((v - ell.center) @ Qi @ (v - ell.center), 1.0, atol=1e-5)
-
-
-def test_john_degenerate():
-    flat = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
-    with pytest.raises(DegenerateError):
-        john_ellipsoid(flat)
-
-
 # -- pointwise checks on the calibration family -------------------------------------
 
 
-@pytest.fixture(scope="module")
-def parab():
-    return paraboloid_envelope(half=0.45, cell=0.0075, focus_extent=0.4,
-                               focus_spacing=0.0075)
-
-
-def test_aleksandrov_boundary_point_degenerates(parab):
-    env = parab
+def test_aleksandrov_boundary_point_degenerates(parab_env):
+    env = parab_env
     gf = env.gf
     h = 0.005
     m = GAffine(gf, np.zeros(2), -h)
@@ -103,8 +55,8 @@ def test_aleksandrov_boundary_point_degenerates(parab):
     assert rec.implied_constant <= 0.05 * center.implied_constant
 
 
-def test_aleksandrov_hypothesis_errors(parab):
-    env = parab
+def test_aleksandrov_hypothesis_errors(parab_env):
+    env = parab_env
     gf = env.gf
     m = GAffine(gf, np.zeros(2), -0.005)
     with pytest.raises(HypothesisError) as err:
@@ -116,8 +68,8 @@ def test_aleksandrov_hypothesis_errors(parab):
     assert err2.value.clause == "section_too_large"
 
 
-def test_sharp_growth_single_cell_slack(parab):
-    env = parab
+def test_sharp_growth_single_cell_slack(parab_env):
+    env = parab_env
     gf = env.gf
     m = GAffine(gf, np.zeros(2), -0.01)
     mask = np.zeros(env.grid.n_cells, dtype=bool)
@@ -128,8 +80,8 @@ def test_sharp_growth_single_cell_slack(parab):
     assert rec.implied_constant > 10.0
 
 
-def test_sharp_growth_hypothesis_error(parab):
-    env = parab
+def test_sharp_growth_hypothesis_error(parab_env):
+    env = parab_env
     gf = env.gf
     m = GAffine(gf, np.zeros(2), -0.01)
     sec = env.section(m)

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gjekit import kernels, solver
@@ -80,6 +80,34 @@ def test_cached_piece_mass_is_bit_identical(name, seed, z, tie):
     assert cached == ref
     again = kernels.piece_values(gf, xs, xbar, z, basis=basis)
     assert np.array_equal(again, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(_CASES)), seed=st.integers(0, 2 ** 32 - 1),
+       zs=st.lists(st.floats(-1.0, 3.0), min_size=2, max_size=6),
+       tie=st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_piece_mass_is_monotone_in_the_height(name, seed, zs, tie):
+    # against frozen other rows (planted near one of the heights), raising
+    # a piece within its admissible heights only adds cells and mass
+    gf, grid = _CASES[name], _GRIDS[name]
+    rng = np.random.default_rng(seed)
+    xbar = gf.target_chart.sample(1, rng)[0]
+    lo, hi = gf.z_limits(xbar)
+    zs = sorted(zs, key=lambda z: -gf.orientation * z)  # the raising order
+    assume(lo < min(zs) and max(zs) < hi)
+    xs, w = grid.points, grid.weights
+    v = kernels.piece_values(gf, xs, xbar, zs[rng.integers(len(zs))])
+    lo_tie, hi_best = _near(rng, v, tie) + tie, _near(rng, v, tie)
+    pos = np.arange(grid.n_cells)
+    won, masses = [], []
+    for z in zs:
+        mask = np.zeros(grid.n_cells, dtype=bool)
+        masses.append(kernels.piece_mass(gf, xs, w, lo_tie, hi_best, xbar, z, tie,
+                                         sel=(mask, pos)))
+        won.append(mask)
+    for k in range(len(zs) - 1):
+        assert not np.any(won[k] & ~won[k + 1])
+        assert masses[k] <= masses[k + 1]
 
 
 def _oracle_masses(V, tie, weights):

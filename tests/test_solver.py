@@ -10,8 +10,8 @@ from gjekit.demos import demo_problem, point_source_8_problem
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
 from gjekit.grids import DomainGrid
-from gjekit.solver import (SemiDiscreteProblem, mass_residual,
-                           monotonicity_probe, solve)
+from gjekit.estimates import _subdiff_volume
+from gjekit.solver import SemiDiscreteProblem, solve
 
 
 def _ql_problem(targets, masses=None, res=64, anchor_u=0.0, tol_mass=None):
@@ -59,33 +59,17 @@ def test_two_symmetric_targets_equal_heights():
 def test_mass_residual_properties():
     prob = _ql_problem([[0.4, 0.0], [-0.3, 0.2], [0.0, -0.35]])
     env, state = solve(prob)
-    r = mass_residual(env, prob)
+    r = env.cell_masses() - prob.masses
     assert np.max(np.abs(r)) <= prob.tol_mass * prob.total_mass
     # all-equal heights on asymmetric targets: residuals sum to zero exactly
     env_eq = Envelope(prob.gf, (prob.targets, np.zeros(3)), prob.grid)
-    r_eq = mass_residual(env_eq, prob)
+    r_eq = env_eq.cell_masses() - prob.masses
     assert abs(np.sum(r_eq)) <= 1e-12 * prob.total_mass
     assert np.max(np.abs(r_eq)) > 0
     # single target: residual identically zero
     prob1 = _ql_problem([[0.1, 0.4]])
     env1, _ = solve(prob1)
-    assert mass_residual(env1, prob1)[0] == 0.0
-
-
-def test_monotonicity_probe_staircase():
-    prob = _ql_problem([[0.4, 0.0], [-0.4, 0.0]])
-    env, state = solve(prob)
-    z0 = state.heights[0]
-    table = monotonicity_probe(prob, state.heights, 0,
-                               np.linspace(z0 - 0.8, z0 + 0.8, 17))
-    z, m = table[:, 0], table[:, 1]
-    # bilinear cost: raising direction is decreasing z, so mass is
-    # nonincreasing in z
-    assert np.all(np.diff(m) <= 1e-12)
-    # plateaus: piece inactive for large z, dominant for small z
-    assert m[-1] == 0.0
-    tlow = monotonicity_probe(prob, state.heights, 0, np.array([z0 - 30.0]))
-    assert np.isclose(tlow[0, 1], prob.total_mass)
+    assert (env1.cell_masses() - prob1.masses)[0] == 0.0
 
 
 def test_point_source_demo_solves(solved_point_source_small):
@@ -95,12 +79,14 @@ def test_point_source_demo_solves(solved_point_source_small):
     assert np.max(np.abs(state.residual)) <= tol
     assert abs(env.eval(problem.anchor_x)[0] - problem.anchor_u) <= 1e-9
     assert state.conservation_gap <= 1e-12 * problem.total_mass
-    # discrete measure identity: on any union of cells, the hit-mass equals
-    # the sum of the prescribed masses of the pieces the cells belong to
+    # discrete measure identity: on any union of cells, the prescribed
+    # masses of the foci active there are those of the pieces the cells
+    # belong to
     idx = env.cell_indices()
     chosen = (idx == 2) | (idx == 5)
-    rep = env.gma_measure(chosen, estimator="hit", masses=problem.masses)
-    assert np.isclose(rep["hit_mass"], problem.masses[2] + problem.masses[5],
+    _, hit = _subdiff_volume(env, chosen)
+    assert hit.tolist() == [2, 5]
+    assert np.isclose(problem.masses[hit].sum(), problem.masses[2] + problem.masses[5],
                       rtol=1e-12)
 
 

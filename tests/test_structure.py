@@ -8,13 +8,12 @@ from conftest import bent_cost, sample_admissible
 from gjekit.builtins import make_builtin
 from gjekit.demos import (TEST_INTERVALS, far_field_genfun, folded_twist_genfun,
                           violator_genfun)
-from gjekit.errors import DomainError
 from gjekit.expmaps import exp_target, g_segment_batch
 from gjekit.structure import (_jsonable, _min_sep_ratio, _qq_fit, _qq_fits, _qq_grid,
-                              _sweep_rows, a_matrix, check_conditions, check_domconv, check_nondeg,
+                              _sweep_rows, check_conditions, check_domconv, check_nondeg,
                               check_qqconv, check_twist, check_unif_lip,
                               crosscheck_g3w_implies_qqconv, g3w_batch,
-                              g3w_dual_form, g3w_form, g3w_sweep)
+                              g3w_dual_batch, g3w_sweep)
 
 IV = (-0.5, 0.5)
 
@@ -110,10 +109,20 @@ def test_domconv_quasilinear():
 # -- tensor -----------------------------------------------------------------------
 
 
+def _one_row(form, gf, *row, **guess):
+    """Value of the batched form on one row, whose status must be OK."""
+    vals, status = form(gf, *([a] for a in row),
+                        **{k: [v] for k, v in guess.items()})
+    assert status.tolist() == [0]
+    return float(vals[0])
+
+
 def test_a_matrix_quasilinear_zero():
+    # A = D2x G composed with the target exponential map, as the forms take it
     gf = make_builtin("quasilinear")
-    A = a_matrix(gf, np.array([0.1, 0.2]), np.array([0.3, -0.1]), 0.05)
-    assert np.allclose(A, 0.0, atol=1e-12)
+    x = np.array([0.1, 0.2])
+    xb, z = exp_target(gf, x, 0.05, np.array([0.3, -0.1]))
+    assert np.allclose(gf.d2_x(x, xb, z), 0.0, atol=1e-12)
 
 
 def test_a_matrix_parallel_beam():
@@ -123,9 +132,8 @@ def test_a_matrix_parallel_beam():
     z = 0.9
     pbar = gf.d_x(x, xb, z)
     u = gf.value(x, xb, z)
-    A = a_matrix(gf, x, pbar, u, xbar_guess=xb)
-    zz = exp_target(gf, x, u, pbar, xbar_guess=xb)[1]
-    assert np.allclose(A, -zz * np.eye(2), atol=1e-8)
+    xx, zz = exp_target(gf, x, u, pbar, xbar_guess=xb)
+    assert np.allclose(gf.d2_x(x, xx, zz), -zz * np.eye(2), atol=1e-8)
 
 
 def test_a_matrix_far_field_matches_fd(intervals):
@@ -133,7 +141,7 @@ def test_a_matrix_far_field_matches_fd(intervals):
     xs, xbs, us, zs = sample_admissible(gf, intervals["far_field"], 4, seed=1)
     x, xb, u = xs[0], xbs[0], float(us[0])
     pbar = gf.d_x(x, xb, zs[0])
-    A = a_matrix(gf, x, pbar, u, xbar_guess=xb)
+    A = gf.d2_x(x, *exp_target(gf, x, u, pbar, xbar_guess=xb))
     from gjekit.genfun import finite_diff_derivatives
     fd = finite_diff_derivatives(gf, "d2_x", x, xb, float(zs[0]))
     assert np.allclose(A, fd, rtol=1e-4, atol=1e-6)
@@ -145,9 +153,9 @@ def test_g3w_form_quasilinear_zero_and_symmetry():
     pbar = np.array([0.3, -0.1])
     V = np.array([1.0, 0.0])
     eta = np.array([0.0, 1.0])
-    assert abs(g3w_form(gf, x, pbar, 0.05, V, eta)) <= 1e-10
+    assert abs(_one_row(g3w_batch, gf, x, pbar, 0.05, V, eta)) <= 1e-10
     with pytest.raises(ValueError):
-        g3w_form(gf, x, pbar, 0.05, V, V)  # not orthogonal
+        g3w_batch(gf, [x], [pbar], [0.05], [V], [V])  # not orthogonal
 
 
 def test_g3w_symmetry_and_homogeneity(intervals):
@@ -158,13 +166,13 @@ def test_g3w_symmetry_and_homogeneity(intervals):
     rng = np.random.default_rng(2)
     V = rng.normal(size=2); V /= np.linalg.norm(V)
     eta = np.array([-V[1], V[0]])
-    v1 = g3w_form(gf, x, pbar, u, V, eta, xbar_guess=xbs[0])
-    v2 = g3w_form(gf, x, pbar, u, V, -eta, xbar_guess=xbs[0])
+    v1 = _one_row(g3w_batch, gf, x, pbar, u, V, eta, xbar_guess=xbs[0])
+    v2 = _one_row(g3w_batch, gf, x, pbar, u, V, -eta, xbar_guess=xbs[0])
     assert abs(v1 - v2) <= 1e-9 * max(1, abs(v1))
     lam = 1.7
-    v3 = g3w_form(gf, x, pbar, u, lam * V, eta, xbar_guess=xbs[0])
+    v3 = _one_row(g3w_batch, gf, x, pbar, u, lam * V, eta, xbar_guess=xbs[0])
     assert abs(v3 - lam ** 2 * v1) <= 1e-8 * max(1.0, abs(v3))
-    v4 = g3w_form(gf, x, pbar, u, V, lam * eta, xbar_guess=xbs[0])
+    v4 = _one_row(g3w_batch, gf, x, pbar, u, V, lam * eta, xbar_guess=xbs[0])
     assert abs(v4 - lam ** 2 * v1) <= 1e-8 * max(1.0, abs(v4))
 
 
@@ -184,7 +192,7 @@ def test_g3w_self_oracle_coarser_stencil(intervals):
     pbar = gf.d_x(xs[0], xbs[0], zs[0])
     V = np.array([1.0, 0.0])
     eta = np.array([0.0, 1.0])
-    fine = g3w_form(gf, x, pbar, u, V, eta, xbar_guess=xbs[0])
+    fine = _one_row(g3w_batch, gf, x, pbar, u, V, eta, xbar_guess=xbs[0])
 
     def phi(s):
         xb, z = exp_target(gf, x, u, pbar + s * eta, xbar_guess=xbs[0])
@@ -212,7 +220,7 @@ def test_g3w_dual_quasilinear_zero():
     gf = make_builtin("quasilinear")
     p = np.array([0.1, -0.2])
     xb = np.array([0.3, 0.2])
-    v = g3w_dual_form(gf, p, xb, 0.4, np.array([1.0, 0]), np.array([0, 1.0]))
+    v = _one_row(g3w_dual_batch, gf, p, xb, 0.4, np.array([1.0, 0]), np.array([0, 1.0]))
     assert abs(v) <= 1e-8
 
 
@@ -231,14 +239,12 @@ _SWEEP_CASES = {
 def test_g3w_sweep_rows_equal_one_row_forms(case, seed, n_base, n_pairs, dual):
     gf = _SWEEP_CASES[case]()
     rows, vals, status = _sweep_rows(gf, TEST_INTERVALS[case], n_base, n_pairs, seed, dual)
-    form = g3w_dual_form if dual else g3w_form
+    form = g3w_dual_batch if dual else g3w_batch
     for k in range(vals.size):
-        row = {key: col[k] for key, col in rows.items()}
-        if status[k]:
-            with pytest.raises(DomainError):
-                form(gf, **row)
-        else:
-            assert float(vals[k]).hex() == form(gf, **row).hex()
+        one, one_status = form(gf, **{key: col[k:k + 1] for key, col in rows.items()})
+        assert one_status.tolist() == [status[k]]
+        if not status[k]:
+            assert float(vals[k]).hex() == float(one[0]).hex()
     rep = g3w_sweep(gf, TEST_INTERVALS[case], n_base=n_base, n_pairs=n_pairs, seed=seed,
                     dual=dual)
     ok = status == 0
