@@ -249,8 +249,10 @@ class SphereChart:
     def clip(self, c):
         # pull strictly inside so the embedded point stays within the cap
         # despite rounding in sqrt(1 - |c|^2)
+        # r as c1 c1 + c2 c2, the operations (and bits) of np.linalg.norm
         c = np.asarray(c, dtype=float)
-        r = np.linalg.norm(c, axis=-1, keepdims=True)
+        c1, c2 = c[..., :1], c[..., 1:]
+        r = np.sqrt(c1 * c1 + c2 * c2)
         rmax = self.chart_radius * (1.0 - 1e-9)
         scale = np.where(r > rmax, rmax / np.maximum(r, 1e-300), 1.0)
         return c * scale

@@ -125,9 +125,8 @@ def _subdiff_volume(env: Envelope, mask):
     continuum image (convex under the standing conditions).
     """
     idx = np.unique(env.cell_indices()[mask])
-    cellvol = getattr(env, "focus_cell_volume", None)
-    if cellvol is not None:
-        return float(idx.size * cellvol), idx
+    if env.focus_cell_volume is not None:
+        return float(idx.size * env.focus_cell_volume), idx
     return _hull_volume(env.gf.target_chart.coords(env.xbars[idx])), idx
 
 

@@ -60,6 +60,9 @@ class Envelope:
         if self.xbars.shape[0] != self.zs.shape[0] or self.xbars.shape[0] == 0:
             raise ValueError("envelope needs matching, nonempty piece arrays")
         self.grid = grid
+        # target-chart volume per focus of a regular focus lattice, or None
+        # (see estimates._subdiff_volume)
+        self.focus_cell_volume = None
         self._values = None
         self._argmax = None
         self._point_values = None
@@ -161,6 +164,8 @@ class Envelope:
             "pieces": [[self.xbars[i].tolist(), float(self.zs[i])]
                        for i in range(self.n_pieces)],
         }
+        if self.focus_cell_volume is not None:
+            doc["focus_cell_volume"] = float(self.focus_cell_volume)
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -180,7 +185,9 @@ class Envelope:
         grid = DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
         xbars = np.array([p[0] for p in doc["pieces"]])
         zs = np.array([p[1] for p in doc["pieces"]])
-        return Envelope(gf, (xbars, zs), grid)
+        env = Envelope(gf, (xbars, zs), grid)
+        env.focus_cell_volume = doc.get("focus_cell_volume")
+        return env
 
 
 @dataclass

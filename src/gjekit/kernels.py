@@ -42,6 +42,22 @@ the cells still open over the interval.  A narrowed :func:`piece_mass` call
 (``sel=``) evaluates the open cells only and sums the weights of every won
 cell in cell order: the same array as a full-grid call, so the same mass
 bit for bit.
+
+A dense ``ql_bilinear`` envelope is scanned per tile of about 64 cells
+(:func:`_tiled_bilinear_scan`), evaluating only the pieces that can take
+a cell of the tile.  Against the tile's leader w (the argmax at its box
+centre) the gap of piece p, x . (xbar_p - xbar_w) - (z_p - z_w), has the
+exact max sum_k max(lo_k D_k, hi_k D_k) - (z_p - z_w) over the box [lo, hi],
+D = xbar_p - xbar_w; a piece whose computed max is below -3 tie is culled.
+One rounding bound per scan, E = 4 (d + 3) eps (d X Xbar + Z) from the
+largest |x_k|, |xbar_k| and |z|, covers that computed max and the kernel's
+own values; the scan culls only when E <= tie / 4, which puts every culled
+value below M - 2.75 tie, M the cell's max.  With theta = fl(M - tie), a
+cell at which every survivor has v >= theta or fl(v + tie) < theta is
+decided by :func:`scan_rows` over the rows with v >= theta, in index
+order; any other cell runs the scan over all rows.  The survivors are
+evaluated as one batched matrix-vector product per piece, the full-grid
+row's rounding, so the result equals the per-piece loop bit for bit.
 """
 
 import numpy as np
@@ -389,13 +405,149 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
 
     Ties within ``tie`` go to the lowest index (:func:`scan_rows`); cells no
     piece covers get index -1.
+
+    A ``ql_bilinear`` envelope with at least ``_TILED_MIN_PIECES`` pieces
+    on two or more cells is scanned tile by tile
+    (:func:`_tiled_bilinear_scan`): per tile of about ``_TILE`` cells, a
+    piece whose gap to the tile's leader w, max over the tile's box of
+    x . (xbar_p - xbar_w) - (z_p - z_w), is below -3 tie is never
+    evaluated.  A cell whose surviving values each lie at or above
+    theta = fl(M - tie), M their max, or have fl(v + tie) < theta is
+    decided by ``scan_rows`` over the rows at or above theta; every other
+    cell runs the scan over all rows.  The tiled path runs only when the
+    scan's rounding bound E (:func:`_rounding_bound`) is at most tie / 4
+    and every input is finite, and it returns the per-piece loop's values
+    and indices bit for bit.  Every other tag runs the per-piece loop.
     """
     kernel = gf._kernel
     xs = np.ascontiguousarray(xs_emb, dtype=float)
     xbars = np.ascontiguousarray(xbars, dtype=float)
     zs = np.ascontiguousarray(zs, dtype=float)
+    # on a single cell the loop's own rows are one-row products, which the
+    # batched products do not reproduce (see _bilinear_block)
+    if (kernel is not None and kernel[0] == "ql_bilinear"
+            and xbars.shape[0] >= _TILED_MIN_PIECES and xs.shape[0] >= 2):
+        scanned = _tiled_bilinear_scan(xs, xbars, zs, tie)
+        if scanned is not None:
+            return scanned
     rows = (_row(gf, kernel, xs, xbar, z) for xbar, z in zip(xbars, zs))
     return scan_rows(rows, xs.shape[0], tie)
+
+
+# ---------------------------------------------------------------------------
+# the tiled bilinear scan
+# ---------------------------------------------------------------------------
+
+_TILE = 64                        # cells per tile, about
+_TILED_MIN_PIECES = 16 * _TILE    # below this the per-tile overhead loses
+_BLOCK = 1 << 20                  # largest pieces x cells block evaluated
+
+
+def _cell_tiles(xs):
+    """Cell indices of spatial tiles of about ``_TILE`` cells each: the
+    cells' bounding box cut into equal bins along every axis it spans."""
+    m = xs.shape[0]
+    lo, hi = xs.min(axis=0), xs.max(axis=0)
+    spans = np.flatnonzero(hi > lo)
+    bins = int(np.ceil((m / _TILE) ** (1.0 / max(spans.size, 1))))
+    tile = np.zeros(m, dtype=np.int64)
+    for k in spans:
+        t = ((xs[:, k] - lo[k]) * (bins / (hi[k] - lo[k]))).astype(np.int64)
+        tile *= bins
+        tile += np.minimum(t, bins - 1)
+    order = np.argsort(tile, kind="stable")
+    cuts = np.flatnonzero(np.diff(tile[order])) + 1
+    return np.split(order, cuts)
+
+
+def _rounding_bound(xs, xbars, zs):
+    """The scan's rounding bound E = 4 (d + 3) eps P, P = d X Xbar + Z.
+
+    X, Xbar and Z are the largest |x_k|, |xbar_k| and |z|.  E covers, with
+    room to spare, the rounding of two kernel values fl(fl(x . xbar) - z)
+    ((d + 1) u P each, u = eps / 2), of a computed tile gap against the
+    exact max over the box ((2 d + 6) u P) and of the sums fl(v + tie) and
+    fl(M - tie) (u P each).  It is nan or inf when an input is not finite.
+    """
+    d = xs.shape[1]
+    p = d * np.max(np.abs(xs)) * np.max(np.abs(xbars)) + np.max(np.abs(zs))
+    return 4 * (d + 3) * np.finfo(float).eps * p
+
+
+def _bilinear_block(xs, xbars, zs):
+    """Values of the pieces (xbars, zs) at the points xs, a row per piece.
+
+    The products run as one batched ``(1, B, d) @ (K, d, 1)``: a
+    matrix-vector product per piece, which rounds each point as the
+    full-grid ``xs @ xbar`` of :func:`np_piece_basis` does.  A single point
+    is doubled, because a one-row product takes numpy's dot path, which
+    can round differently.
+    """
+    b = xs.shape[0]
+    if b == 1:
+        xs = np.concatenate((xs, xs))
+    v = (xs[None] @ xbars[:, :, None])[:, :b, 0]
+    v -= zs[:, None]
+    return v
+
+
+def _tiled_bilinear_scan(xs, xbars, zs, tie):
+    """``scan_rows`` over the ``ql_bilinear`` rows of every piece, evaluating
+    per tile of cells only the pieces that can take one of its cells.
+
+    Per tile with box [lo, hi], the leader w is the argmax at the box's
+    centre, and piece p is culled when its gap bound, computed as
+    (z_w - z_p) + sum_k max(lo_k D_k, hi_k D_k) with D = xbar_p - xbar_w,
+    is below -3 tie.  With E <= tie / 4 that leaves a culled value v_p
+    below M - 2.75 tie at every cell of the tile, M the survivors' max
+    (the leader survives with gap 0), so fl(v_p + tie) < theta =
+    fl(M - tie).  If every row has v >= theta or fl(v + tie) < theta,
+    ``scan_rows`` over all rows equals ``scan_rows`` over the rows with
+    v >= theta in index order: the first of them takes the cell from any
+    lower row, and no lower row can take it back.  A cell with a survivor
+    between the two conditions, and every cell of a tile whose survivors
+    would exceed ``_BLOCK`` values, runs the chain over all rows.
+    Returns None when E > tie / 4 or an input is not finite.
+    """
+    if not (np.isfinite(tie) and _rounding_bound(xs, xbars, zs) <= tie / 4):
+        return None
+    m, n = xs.shape[0], xbars.shape[0]
+    xt = np.ascontiguousarray(xbars.T)
+    best = np.empty(m)
+    idx = np.empty(m, dtype=np.int64)
+    rest = []
+    for cells in _cell_tiles(xs):
+        x = xs[cells]
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        w = int(np.argmax(xbars @ (0.5 * (lo + hi)) - zs))
+        gap = zs[w] - zs
+        for k in range(xs.shape[1]):
+            dk = xt[k] - xt[k, w]
+            gap += np.maximum(lo[k] * dk, hi[k] * dk)
+        keep = np.flatnonzero(gap >= -3.0 * tie)
+        if keep.size * cells.size > _BLOCK:
+            rest.append(cells)
+            continue
+        v = _bilinear_block(x, xbars[keep], zs[keep])
+        theta = v.max(axis=0) - tie
+        top = v >= theta
+        open_ = np.any(~top & (v + tie >= theta), axis=0)
+        if open_.any():
+            rest.append(cells[open_])
+            cells, v, top = cells[~open_], v[:, ~open_], top[:, ~open_]
+        rows = np.flatnonzero(top.any(axis=1))
+        b, i = scan_rows(np.where(top[rows], v[rows], -np.inf), cells.size, tie)
+        best[cells], idx[cells] = b, keep[rows[i]]
+    if rest:
+        cells = np.concatenate(rest)
+        x = xs[cells]
+        chain = ScanChain(cells.size, tie)
+        step = max(1, _BLOCK // cells.size)
+        for s in range(0, n, step):
+            for v in _bilinear_block(x, xbars[s:s + step], zs[s:s + step]):
+                chain.push(v)
+        best[cells], idx[cells] = chain.best, chain.idx
+    return best, idx
 
 
 def piece_mass(gf, xs_emb, weights, lo_tie, hi_best, xbar, z, tie, basis=None,

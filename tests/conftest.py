@@ -3,8 +3,8 @@ import pytest
 
 from gjekit import expmaps
 from gjekit.builtins import make_builtin
-from gjekit.demos import (TEST_INTERVALS, engulfing_envelope, paraboloid_envelope,
-                          violator_envelope)
+from gjekit.demos import (TEST_INTERVALS, ball_measure_envelope, engulfing_envelope,
+                          paraboloid_envelope, violator_envelope)
 from gjekit.errors import GjekitError
 
 
@@ -118,3 +118,15 @@ def parab_env():
     """``demos.paraboloid_envelope(half=0.45, ...)``, built once per session."""
     return _read_only(paraboloid_envelope(half=0.45, cell=0.0075, focus_extent=0.4,
                                           focus_spacing=0.0075))
+
+
+@pytest.fixture(scope="session")
+def calibration_envelope():
+    """``demos.paraboloid_envelope()``, built once per session."""
+    return _read_only(paraboloid_envelope())
+
+
+@pytest.fixture(scope="session")
+def ball_env():
+    """``demos.ball_measure_envelope()``, built once per session."""
+    return _read_only(ball_measure_envelope())

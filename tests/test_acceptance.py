@@ -14,8 +14,8 @@ import pytest
 
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
-from gjekit.demos import (TEST_INTERVALS, far_field_genfun, paraboloid_envelope,
-                          point_source_8_problem, violator_genfun)
+from gjekit.demos import (TEST_INTERVALS, far_field_genfun, point_source_8_problem,
+                          violator_genfun)
 from gjekit.errors import GjekitError, RowStatus
 from gjekit.expmaps import e_matrix, exp_source, exp_target
 from gjekit.gconvex import Envelope, GAffine
@@ -284,11 +284,6 @@ def test_criterion_7_ray_tracing(solved_full_demo):
 # -- criterion 8 --------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def calibration_envelope():
-    return paraboloid_envelope()
-
-
 def test_criterion_8_classical_estimates(calibration_envelope):
     env = calibration_envelope
     gf = env.gf
@@ -331,11 +326,10 @@ def test_criterion_8_classical_estimates(calibration_envelope):
 
 def test_criterion_8b_demo_envelope_sections(solved_point_source_small,
                                              solved_parallel_beam_small,
-                                             solved_classical_ma_small):
+                                             solved_classical_ma_small, ball_env):
     """Random sections of the solved demo envelopes: no violations among the
     sections whose hypotheses hold (coarse envelopes mostly fail the
     diameter/containment gates, which is expected and counted)."""
-    from gjekit.demos import ball_measure_envelope
     total_eval = 0
     violations = 0
     skipped = 0
@@ -363,7 +357,7 @@ def test_criterion_8b_demo_envelope_sections(solved_point_source_small,
                 violations += 1
     # the dense measure-calibration envelope admits theorem-shaped sections,
     # so the criterion is exercised non-vacuously
-    env = ball_measure_envelope()
+    env = ball_env
     rng = np.random.default_rng(9)
     for _ in range(100):
         xb = rng.uniform(-0.3, 0.3, 2)

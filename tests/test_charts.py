@@ -135,3 +135,22 @@ def test_sphere_embed_is_the_broadcast_formula(pole, cap, seed, m):
     got = ch.embed(c)
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
     assert np.array_equal(ch.embed(c[0]), expect[:1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 300),
+       cap=st.floats(5.0, 80.0))
+def test_sphere_clip_is_the_norm_form_bit_for_bit(seed, m, cap):
+    # the column-sum radius against np.linalg.norm over the row, on rows
+    # inside and beyond rmax, batched and single
+    ch = SphereChart(pole=(0.3, -0.2, 0.9), cap_deg=cap)
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(m, 2)) * ch.chart_radius * rng.uniform(0.0, 1.5, size=(m, 1))
+    c[0] *= 1.5 * ch.chart_radius / np.linalg.norm(c[0])
+    rmax = ch.chart_radius * (1.0 - 1e-9)
+    for rows in (c, c[0], c[-1]):
+        r = np.linalg.norm(rows, axis=-1, keepdims=True)
+        want = rows * np.where(r > rmax, rmax / np.maximum(r, 1e-300), 1.0)
+        got = ch.clip(rows)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -9,6 +9,7 @@ from gjekit import cli, estimates, kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
 from gjekit.config import DEFAULT_TOLS
+from gjekit.demos import paraboloid_envelope
 from gjekit.errors import EmptyEnvelopeError, NicenessError
 from gjekit.gconvex import Envelope, GAffine
 from gjekit.grids import DomainGrid
@@ -208,6 +209,24 @@ def test_envelope_serialization_roundtrip(tmp_path):
     assert np.allclose(env2.zs, zs)
     x = np.array([0.11, -0.07])
     assert np.isclose(env2.eval(x)[0], env.eval(x)[0])
+
+
+def test_saved_lattice_envelope_keeps_its_focus_cell_volume(tmp_path):
+    # the focus count, not the hull of the active foci, measures the
+    # section {u <= 0.01} after a round trip too (0.06210, hull 0.05693);
+    # an envelope without a lattice volume saves no key for it
+    env = paraboloid_envelope(half=0.9, cell=0.015, focus_extent=0.62,
+                              focus_spacing=0.015)
+    m = GAffine(env.gf, np.zeros(2), -0.01)
+    want = estimates._subdiff_volume(env, env.section(m).mask)[0]
+    env.save(tmp_path / "lattice.json")
+    back = Envelope.load(tmp_path / "lattice.json")
+    assert back.focus_cell_volume == env.focus_cell_volume
+    assert estimates._subdiff_volume(back, back.section(m).mask)[0] == want
+    plain = Envelope(env.gf, (env.xbars[:3], env.zs[:3]), env.grid)
+    plain.save(tmp_path / "plain.json")
+    assert "focus_cell_volume" not in (tmp_path / "plain.json").read_text()
+    assert Envelope.load(tmp_path / "plain.json").focus_cell_volume is None
 
 
 @pytest.mark.parametrize("kind", ["far_field", "violator", "folded_twist", "minkowski",

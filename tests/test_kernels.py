@@ -445,3 +445,136 @@ def test_pb_zero_column_basis_is_the_row_sum(seed, d, m, scale):
     expect = np.sum((xs - xbar) ** 2, axis=1)
     got = kernels.np_piece_basis("pb_zero", xs, xbar)
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+
+
+# -- the tiled bilinear scan --------------------------------------------------------
+
+
+def _loop_scan(gf, xs, xbars, zs, tie):
+    """The per-piece scan: ``scan_rows`` over every piece's own row."""
+    rows = (kernels._row(gf, gf._kernel, xs, xbar, z) for xbar, z in zip(xbars, zs))
+    return kernels.scan_rows(rows, xs.shape[0], tie)
+
+
+def _assert_same_scan(got, want):
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("name", ["engulfing_env", "parab_env", "calibration_envelope",
+                                  "ball_env"])
+def test_dense_bilinear_envelopes_scan_as_the_per_piece_loop(name, request):
+    # the session envelopes were scanned by envelope_scan on the tiled path;
+    # each parab_env cell inside the focus lattice's box is equidistant from
+    # four lattice foci, an exact tie
+    env = request.getfixturevalue(name)
+    assert env.gf._kernel[0] == "ql_bilinear"
+    assert env.n_pieces >= kernels._TILED_MIN_PIECES
+    want = _loop_scan(env.gf, env.grid.points, env.xbars, env.zs, env.tols.tie)
+    _assert_same_scan((env.grid_values(), env.cell_indices()), want)
+    if name == "parab_env":
+        inside = np.all(np.abs(env.grid.coords) < 0.4, axis=1)
+        assert all(len(env.eval(x)[1]) == 4 for x in env.grid.points[inside][::97])
+
+
+_QL = make_builtin("quasilinear")
+
+
+def _tiled_case(rng, shape, lattice, n_dup, n_stair, lone_cell, tie):
+    """Cells of an r0 x r1 grid at spacing h, the lone cell far out when
+    asked (a tile of its own), and at least _TILED_MIN_PIECES bilinear
+    pieces: random, or tangent to |x|^2 / 2 on a focus lattice of spacing
+    h / 3, which puts every grid cell inside the lattice's box midway
+    between four foci (an exact tie); then copies of random pieces, and
+    near-tie staircases on pieces that win a cell: heights z - 0.6 tie and
+    z - 1.2 tie after z, the chain (0, 0.6 tie, 1.2 tie) whose cell the
+    scan runs over all rows."""
+    h = 0.1
+    a0 = (np.arange(shape[0]) - shape[0] // 2 + 0.5) * h
+    a1 = (np.arange(shape[1]) - shape[1] // 2 + 0.5) * h
+    P, Q = np.meshgrid(a0, a1, indexing="ij")
+    xs = np.stack([P.ravel(), Q.ravel()], axis=1)
+    if lone_cell:
+        xs = np.concatenate((xs, [[25.0 * h, 30.5 * h]]))
+    if lattice:
+        ax = np.arange(-21, 22) * (h / 3)
+        P, Q = np.meshgrid(ax, ax, indexing="ij")
+        xbars = np.stack([P.ravel(), Q.ravel()], axis=1)
+        zs = 0.5 * np.sum(xbars ** 2, axis=1)
+    else:
+        xbars = rng.uniform(-1.0, 1.0, size=(kernels._TILED_MIN_PIECES, 2))
+        zs = 0.5 * np.sum(xbars ** 2, axis=1) + rng.uniform(0.0, 0.05, size=xbars.shape[0])
+    order = rng.permutation(xbars.shape[0])
+    xbars, zs = xbars[order], zs[order]
+    dup = rng.integers(0, xbars.shape[0], size=n_dup)
+    win = np.argmax(xs @ xbars.T - zs, axis=1)[rng.integers(0, xs.shape[0], size=n_stair)]
+    stair_x = np.repeat(xbars[win], 2, axis=0)
+    stair_z = np.repeat(zs[win], 2) - np.tile([0.6 * tie, 1.2 * tie], n_stair)
+    return (xs, np.concatenate((xbars, xbars[dup], stair_x)),
+            np.concatenate((zs, zs[dup], stair_z)))
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=0, shape=(9, 9), lattice=True, n_dup=0, n_stair=0, lone_cell=True, tie=1e-9)
+@example(seed=1, shape=(12, 7), lattice=False, n_dup=40, n_stair=30, lone_cell=True,
+         tie=1e-9)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.tuples(st.integers(1, 20), st.integers(1, 20)), lattice=st.booleans(),
+       n_dup=st.integers(0, 60), n_stair=st.integers(0, 30), lone_cell=st.booleans(),
+       tie=st.sampled_from([1e-9, 1e-3]))
+def test_tiled_bilinear_scan_is_the_per_piece_scan(seed, shape, lattice, n_dup, n_stair,
+                                                   lone_cell, tie):
+    # one tie rule everywhere: duplicated pieces, near-tie staircases,
+    # exact ties in every cell and a one-cell tile
+    assume(shape[0] * shape[1] + lone_cell >= 2)
+    rng = np.random.default_rng(seed)
+    xs, xbars, zs = _tiled_case(rng, shape, lattice, n_dup, n_stair, lone_cell, tie)
+    if lone_cell and xs.shape[0] > kernels._TILE:
+        assert min(t.size for t in kernels._cell_tiles(xs)) == 1
+    want = _loop_scan(_QL, xs, xbars, zs, tie)
+    got = kernels._tiled_bilinear_scan(xs, xbars, zs, tie)
+    assert got is not None
+    _assert_same_scan(got, want)
+    _assert_same_scan(kernels.envelope_scan(_QL, xs, xbars, zs, tie), want)
+
+
+def test_tiles_too_big_to_evaluate_run_the_full_chain(monkeypatch):
+    # a survivors x cells block over the cap sends the tile's cells to the
+    # chain over every row, evaluated a capped block of pieces at a time
+    rng = np.random.default_rng(5)
+    xs, xbars, zs = _tiled_case(rng, (16, 11), False, 20, 10, True, 1e-9)
+    want = _loop_scan(_QL, xs, xbars, zs, 1e-9)
+    for block in (1, 3000):
+        monkeypatch.setattr(kernels, "_BLOCK", block)
+        _assert_same_scan(kernels._tiled_bilinear_scan(xs, xbars, zs, 1e-9), want)
+
+
+def test_tiled_scan_needs_finite_inputs_and_a_fine_rounding_bound():
+    # culling is sound only while the rounding bound E is at most tie / 4
+    rng = np.random.default_rng(6)
+    xs, xbars, zs = _tiled_case(rng, (10, 10), False, 0, 0, False, 1e-9)
+    assert kernels._tiled_bilinear_scan(xs, xbars, zs, 1e-9) is not None
+    far = zs + 1e8  # E about 4e-7
+    inf = zs.copy()
+    inf[7] = np.inf
+    for heights in (far, inf):
+        assert kernels._tiled_bilinear_scan(xs, xbars, heights, 1e-9) is None
+        _assert_same_scan(kernels.envelope_scan(_QL, xs, xbars, heights, 1e-9),
+                          _loop_scan(_QL, xs, xbars, heights, 1e-9))
+
+
+def test_only_dense_bilinear_envelopes_take_the_tiled_path(monkeypatch):
+    calls = []
+    tiled = kernels._tiled_bilinear_scan
+    monkeypatch.setattr(kernels, "_tiled_bilinear_scan",
+                        lambda *a: calls.append(a[1].shape[0]) or tiled(*a))
+    rng = np.random.default_rng(7)
+    xs, xbars, zs = _tiled_case(rng, (8, 8), False, 0, 0, False, 1e-9)
+    n = kernels._TILED_MIN_PIECES
+    cubic = violator_genfun(eps=2.0, half=1.0)
+    kernels.envelope_scan(_QL, xs, xbars[:n - 1], zs[:n - 1], 1e-9)
+    kernels.envelope_scan(_QL, xs[:1], xbars, zs, 1e-9)
+    kernels.envelope_scan(cubic, xs, xbars, zs, 1e-9)
+    assert calls == []
+    kernels.envelope_scan(_QL, xs, xbars, zs, 1e-9)
+    assert calls == [n]
