@@ -11,14 +11,13 @@ __version__ = "0.1.0"
 from .builtins import make_builtin
 from .charts import BoxChart, PlaneChart, SphereChart
 from .config import DEFAULT_TOLS, Tolerances
-from .genfun import GenFun, ScalarRange, eval_G, eval_H, finite_diff_derivatives
+from .genfun import GenFun, ScalarRange, finite_diff_derivatives
 from .gconvex import Envelope, GAffine
 from .grids import DomainGrid
 from .solver import SemiDiscreteProblem, solve
 
 __all__ = [
     "__version__", "make_builtin", "BoxChart", "PlaneChart", "SphereChart",
-    "DEFAULT_TOLS", "Tolerances", "GenFun", "ScalarRange", "eval_G", "eval_H",
-    "finite_diff_derivatives", "Envelope", "GAffine",
-    "DomainGrid", "SemiDiscreteProblem", "solve",
+    "DEFAULT_TOLS", "Tolerances", "GenFun", "ScalarRange", "finite_diff_derivatives",
+    "Envelope", "GAffine", "DomainGrid", "SemiDiscreteProblem", "solve",
 ]

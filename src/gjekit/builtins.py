@@ -34,7 +34,7 @@ from .genfun import GenFun, ScalarRange
 __all__ = [
     "QuasilinearGF", "PointSourceGF", "ParallelBeamGF", "MinkowskiGF",
     "make_builtin", "BilinearCost", "NegLogCost", "CubicPerturbedCost",
-    "FoldedTargetCost", "GridCost", "GridSurface", "ZeroSurface",
+    "FoldedTargetCost", "GridSurface", "ZeroSurface",
 ]
 
 
@@ -227,50 +227,6 @@ class FoldedTargetCost:
         return {"cost": self.name}
 
 
-class GridCost:
-    """Tabulated cost c(x, xbar) for 1-d source/target, bicubic interpolated."""
-
-    name = "grid"
-
-    def __init__(self, x_nodes, xbar_nodes, values):
-        from scipy.interpolate import RectBivariateSpline
-        x_nodes = np.asarray(x_nodes, dtype=float)
-        xbar_nodes = np.asarray(xbar_nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if values.shape != (x_nodes.size, xbar_nodes.size):
-            raise ConfigError("grid cost table shape must be (len(x_nodes), len(xbar_nodes))")
-        if x_nodes.size < 4 or xbar_nodes.size < 4:
-            raise ConfigError("bicubic interpolation needs at least 4 nodes per axis")
-        self._spl = RectBivariateSpline(x_nodes, xbar_nodes, values, kx=3, ky=3)
-        self._nodes = (x_nodes, xbar_nodes)
-
-    def value(self, x, xb):
-        return self._spl.ev(x[:, 0], xb[:, 0])
-
-    def d_x(self, x, xb):
-        return self._spl.ev(x[:, 0], xb[:, 0], dx=1)[:, None]
-
-    def d_xbar(self, x, xb):
-        return self._spl.ev(x[:, 0], xb[:, 0], dy=1)[:, None]
-
-    def d_x_xbar(self, x, xb):
-        return self._spl.ev(x[:, 0], xb[:, 0], dx=1, dy=1)[:, None, None]
-
-    def d2_x(self, x, xb):
-        return self._spl.ev(x[:, 0], xb[:, 0], dx=2)[:, None, None]
-
-    def d2_xbar(self, x, xb):
-        return self._spl.ev(x[:, 0], xb[:, 0], dy=2)[:, None, None]
-
-    def domain_ok(self, x, xb):
-        xn, bn = self._nodes
-        return ((x[:, 0] >= xn[0]) & (x[:, 0] <= xn[-1])
-                & (xb[:, 0] >= bn[0]) & (xb[:, 0] <= bn[-1]))
-
-    def descriptor(self):
-        return {"cost": self.name}
-
-
 class CallableCost:
     """Wrap a plain python cost function; derivatives via finite differences."""
 
@@ -403,14 +359,13 @@ class PointSourceGF(GenFun):
 
     orientation = -1  # dG/dz > 0 on the admissible set
 
-    def __init__(self, source_chart=None, target_chart=None, target_height=-1.0,
-                 srange=None, tols=DEFAULT_TOLS):
+    def __init__(self, source_chart=None, target_chart=None, srange=None,
+                 tols=DEFAULT_TOLS):
         # default geometry: source directions in an upward cap, target plane
         # below the source so source and target direction cones are disjoint
         # (injectivity of the coordinate maps fails when they overlap)
         source_chart = source_chart or SphereChart(pole=(0, 0, 1), cap_deg=45.0)
-        target_chart = target_chart or PlaneChart((-0.6, -0.6), (0.6, 0.6),
-                                                  height=target_height)
+        target_chart = target_chart or PlaneChart((-0.6, -0.6), (0.6, 0.6), height=-1.0)
         srange = srange or ScalarRange(0.0, np.inf, 0.05, 20.0)
         super().__init__(source_chart, target_chart, srange, tols)
         self.name = "point_source"

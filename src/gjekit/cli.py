@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
+# the dyadic section heights of the engulfing check in ``estimate``
+ENGULFING_HEIGHTS = (0.01, 0.005, 0.0025)
+
 
 @functools.cache
 def _config_validator():
@@ -77,18 +80,18 @@ def _genfun_from_config(cfg):
     kind = spec["kind"]
     params = dict(spec.get("params", {}))
     if kind == "far_field":
-        return far_field_genfun(**params), TEST_INTERVALS["far_field"]
-    if kind == "violator":
-        return violator_genfun(**params), TEST_INTERVALS["violator"]
-    if kind == "folded_twist":
-        return folded_twist_genfun(), TEST_INTERVALS["quasilinear"]
-    for box_key in ("source_box", "target_box"):
-        if box_key in params:
-            lo, hi = params.pop(box_key)
-            params[box_key.replace("_box", "_chart")] = BoxChart(lo, hi)
-    gf = make_builtin(kind, **params)
-    interval = TEST_INTERVALS.get(kind, (-0.5, 0.5))
-    return gf, tuple(cfg.get("interval", interval))
+        gf = far_field_genfun(**params)
+    elif kind == "violator":
+        gf = violator_genfun(**params)
+    elif kind == "folded_twist":
+        gf = folded_twist_genfun()
+    else:
+        for box_key in ("source_box", "target_box"):
+            if box_key in params:
+                lo, hi = params.pop(box_key)
+                params[box_key.replace("_box", "_chart")] = BoxChart(lo, hi)
+        gf = make_builtin(kind, **params)
+    return gf, tuple(cfg.get("interval", TEST_INTERVALS.get(kind, (-0.5, 0.5))))
 
 
 def _out_dir(cfg):
@@ -135,8 +138,6 @@ def _problem_from_config(cfg):
     anchor = cfg.get("anchor", {})
     ax = np.asarray(anchor["x"], dtype=float) if "x" in anchor else None
     au = float(anchor["u"]) if "u" in anchor else None
-    tols = gf.tols.with_overrides(**cfg.get("tolerances", {}))
-    gf.tols = tols
     return SemiDiscreteProblem(gf, grid, pts, masses, anchor_x=ax, anchor_u=au)
 
 
@@ -213,8 +214,7 @@ def cmd_estimate(cfg, verbose=False):
             rows.append({"kind": "aleksandrov", "ok": 1, **rec.to_row()})
         except GjekitError as e:
             rows.append({"kind": "aleksandrov", "ok": 0, "reason": str(e)[:120]})
-    heights = cfg.get("engulfing_heights", [0.01, 0.005, 0.0025])
-    eng = engulfing_check(env, heights, n_pairs=24, seed=seed)
+    eng = engulfing_check(env, ENGULFING_HEIGHTS, n_pairs=24, seed=seed)
     with open(os.path.join(out, "estimate_ledger.csv"), "w", newline="") as fh:
         fieldnames = sorted({k for r in rows for k in r})
         w = csv.DictWriter(fh, fieldnames=fieldnames)

@@ -1,7 +1,7 @@
 """Central tolerance and iteration-budget record.
 
-All modules read their numerical tolerances from one immutable record so
-that a run can override them in a single place (CLI ``tolerances`` block).
+All modules read their numerical tolerances from one immutable record, the
+generating function's ``tols`` (the defaults unless set from Python).
 """
 
 from dataclasses import dataclass, replace, fields

@@ -50,10 +50,6 @@ class HypothesisError(GjekitError):
         super().__init__(f"hypothesis violated: {clause}" + (f" ({detail})" if detail else ""))
 
 
-class DegenerateError(GjekitError):
-    """Input point cloud does not affinely span the ambient space."""
-
-
 class InfeasibleError(GjekitError):
     """A required bisection bracket could not be established inside the
     admissible scalar range."""

@@ -19,6 +19,9 @@ from .errors import GjekitError, HypothesisError, NicenessError
 from .expmaps import p_map
 from .gconvex import Envelope, GAffine, Section, _hull_volume
 
+# sharp growth: the factors of the containment K M [A] in [S]
+_K, _M = 2.0, 1.0
+
 __all__ = [
     "EstimateRecord", "supporting_plane_distance", "max_segment_length",
     "aleksandrov_check", "sharp_growth_check", "engulfing_check", "section_at_height",
@@ -197,12 +200,11 @@ def _dist_to_cloud_boundary(cloud, center):
     return float(np.min(-(A @ center + b)))
 
 
-def sharp_growth_check(env: Envelope, m: GAffine, set_mask, K=2.0) -> EstimateRecord:
+def sharp_growth_check(env: Envelope, m: GAffine, set_mask) -> EstimateRecord:
     """Evaluate the sharp growth bound on a masked subset of a section.
 
     Verifies the dilation condition K M [A] inside [S] (dilation about the
-    center of mass of [A]; M = 1 unless a fitted constant is supplied via
-    ``env.gf`` attributes) and the depth condition
+    center of mass of [A], K = 2 and M = 1) and the depth condition
     sup_A m + sup_A (m - u) < upper scalar bound.
     """
     gf = env.gf
@@ -214,12 +216,11 @@ def sharp_growth_check(env: Envelope, m: GAffine, set_mask, K=2.0) -> EstimateRe
         raise HypothesisError("empty_set")
     if np.any(set_mask & ~section.mask):
         raise HypothesisError("set_not_in_section")
-    M_const = getattr(gf, "qq_constant", 1.0)
     pts_a = env.grid.points[set_mask]
     cloud_a = p_map(gf, m.xbar, m.z, pts_a)
     cloud_s = section.coord_image()
     cm = cloud_a.mean(axis=0)
-    dilated = cm + K * M_const * (cloud_a - cm)
+    dilated = cm + _K * _M * (cloud_a - cm)
     from scipy.spatial import Delaunay, QhullError
     try:
         tri = Delaunay(np.round(cloud_s / gf.tols.hull_snap) * gf.tols.hull_snap)
@@ -243,7 +244,7 @@ def sharp_growth_check(env: Envelope, m: GAffine, set_mask, K=2.0) -> EstimateRe
         lhs=float(lhs),
         factors={"sup_gap": gap, "set_volume": vol_a,
                  "subdiff_volume": vol_sub, "n_active_foci": int(idx.size),
-                 "K": K, "M": M_const},
+                 "K": _K, "M": _M},
         implied_constant=float(implied),
         witness={"m_xbar": m.xbar.tolist(), "m_z": float(m.z)})
 

@@ -173,18 +173,21 @@ class Envelope:
     @staticmethod
     def load(path):
         from .builtins import genfun_from_descriptor
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("format_version") != ENVELOPE_FORMAT_VERSION:
-            raise ConfigError(f"unsupported envelope format in {path}: "
-                              f"{doc.get('format_version')}")
-        missing = sorted({"genfun", "grid_resolution", "pieces"} - set(doc))
-        if missing:
-            raise ConfigError(f"envelope file {path} lacks {missing}")
-        gf = genfun_from_descriptor(doc["genfun"])
-        grid = DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
-        xbars = np.array([p[0] for p in doc["pieces"]])
-        zs = np.array([p[1] for p in doc["pieces"]])
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            if doc.get("format_version") != ENVELOPE_FORMAT_VERSION:
+                raise ConfigError(f"unsupported envelope format in {path}: "
+                                  f"{doc.get('format_version')}")
+            missing = sorted({"genfun", "grid_resolution", "pieces"} - set(doc))
+            if missing:
+                raise ConfigError(f"envelope file {path} lacks {missing}")
+            gf = genfun_from_descriptor(doc["genfun"])
+            grid = DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
+            xbars = np.array([p[0] for p in doc["pieces"]])
+            zs = np.array([p[1] for p in doc["pieces"]])
+        except (IndexError, KeyError, ValueError) as e:
+            raise ConfigError(f"malformed envelope file {path}: {e!r}") from e
         env = Envelope(gf, (xbars, zs), grid)
         env.focus_cell_volume = doc.get("focus_cell_volume")
         return env

@@ -42,19 +42,12 @@ class ScalarRange:
         self.nice_lower = float(nice_lower)
         self.nice_upper = float(nice_upper)
 
-    def contains(self, u):
-        return (self.lower < u) & (u < self.upper)
-
     def nice_contains(self, u):
         return (self.nice_lower < u) & (u < self.nice_upper)
 
     def descriptor(self):
         return {"lower": self.lower, "upper": self.upper,
                 "nice_lower": self.nice_lower, "nice_upper": self.nice_upper}
-
-    def __repr__(self):
-        return (f"ScalarRange({self.lower}, {self.upper}, "
-                f"nice=({self.nice_lower}, {self.nice_upper}))")
 
 
 def _broadcast(x, xbar, z, se, te):
@@ -131,10 +124,6 @@ class GenFun:
         if np.any(ok):
             v[ok] = self._value(x[ok], xbar[ok], z[ok])
         return v, ok
-
-    @property
-    def deriv_mode(self):
-        return "analytic" if getattr(self, "_ed_x", None) is not None else "finite_difference"
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -424,16 +413,6 @@ def _fd(gf, x, xbar, z, which):
 # ---------------------------------------------------------------------------
 # spec-level convenience wrappers
 # ---------------------------------------------------------------------------
-
-
-def eval_G(gf: GenFun, x, xbar, z) -> float:
-    """Evaluate u = G(x, xbar, z) at an admissible triple."""
-    return gf.value(x, xbar, z)
-
-
-def eval_H(gf: GenFun, x, xbar, u) -> float:
-    """Evaluate the scalar inverse z = H(x, xbar, u)."""
-    return gf.inverse(x, xbar, u)
 
 
 def finite_diff_derivatives(gf: GenFun, which: str, x, xbar, z):

@@ -264,26 +264,13 @@ class ScanChain:
         self.rows += 1
 
 
-def _as_rows(a, m, ndim):
-    # a single point/focus/height repeated to m rows; full inputs pass as is
-    if a.ndim == ndim and a.shape[0] == m:
-        return a
-    return np.broadcast_to(a, (m,) + a.shape[a.ndim - ndim + 1:]).copy()
-
-
 def evaluator_values(gf, xs, xbars, zs):
     """G(x, xbar, z) through the evaluator, row by row; -inf outside the domain.
 
     ``xs`` and ``xbars`` are point rows or single points, ``zs`` heights or
-    a single height; single ones are repeated to the common row count.
+    a single height; ``GenFun._batch`` repeats single ones to the row count.
     """
-    xs = np.asarray(xs, dtype=float)
-    xbars = np.asarray(xbars, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    m = max(a.shape[0] if a.ndim == k else 1
-            for a, k in ((xs, 2), (xbars, 2), (zs, 1)))
-    xs, xbars, zs = _as_rows(xs, m, 2), _as_rows(xbars, m, 2), _as_rows(zs, m, 1)
-    return gf._value_or(xs, xbars, zs, -np.inf)[0]
+    return gf._value_or(*gf._batch(xs, xbars, zs)[:3], -np.inf)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ class SemiDiscreteProblem:
     masses: np.ndarray           # (N,) prescribed masses, > 0
     anchor_x: np.ndarray = None  # normalization point x0
     anchor_u: float = None       # normalization value u0 (in the nice interval)
-    tol_mass: float = None       # relative mass tolerance (default from tols)
 
     def __post_init__(self):
         self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
@@ -74,8 +73,6 @@ class SemiDiscreteProblem:
             self.anchor_u = 0.5 * (sr.nice_lower + sr.nice_upper)
         if not self.gf.srange.nice_contains(self.anchor_u):
             raise ConfigError("anchor value must lie in the nice interval")
-        if self.tol_mass is None:
-            self.tol_mass = self.gf.tols.mass_rel
 
     @property
     def n_targets(self):
@@ -236,7 +233,7 @@ def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,
     gf = problem.gf
     tols = gf.tols
     lo_lim, hi_lim = gf.z_limits(problem.targets[oracle.i])
-    slack = problem.tol_mass * problem.total_mass / max(2, problem.n_targets)
+    slack = tols.mass_rel * problem.total_mass / max(2, problem.n_targets)
     m_now = oracle(z_now)
     if target_mass - slack <= m_now <= target_mass + slack:
         return z_now, m_now
@@ -328,7 +325,7 @@ def solve(problem: SemiDiscreteProblem):
     z = np.asarray(gf.inverse(x0s, problem.targets, np.full(n, lo_u)),
                    dtype=float).copy()
 
-    tol_abs = problem.tol_mass * problem.total_mass
+    tol_abs = gf.tols.mass_rel * problem.total_mass
     inner_tol = tol_abs / max(2, n)
     cell_quantum = float(np.max(problem.cell_weights)) + 1e-30
     history = []

@@ -36,6 +36,8 @@ _EPS4 = np.finfo(float).eps ** 0.25
 _CROSS_BASE, _CROSS_PAIRS, _CROSS_QQ = 32, 8, 24
 # points per axis of the quasiconvexity (s, s') grid
 _QQ_N_GRID = 11
+# points of the domain-convexity source segments
+_DOM_POINTS = 17
 
 
 @dataclass
@@ -234,8 +236,7 @@ def check_unif_lip(gf: GenFun, interval, n_samples=2000, seed=0) -> ConditionRep
         constants={"K0": k0, "admissible_fraction": float(np.mean(ok))})
 
 
-def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
-                  segment_points=17) -> ConditionReport:
+def check_domconv(gf: GenFun, interval, n_samples=60, seed=0) -> ConditionReport:
     """Segment containment in the source domain and convexity of the
     target-chart image.
 
@@ -248,7 +249,7 @@ def check_domconv(gf: GenFun, interval, n_samples=60, seed=0,
     samples = _domconv_samples(gf, interval, n_samples, seed)
     xs, xbs, _, zs = samples
     seg = g_segment_batch(gf, "source", xs[:, 0], xs[:, 1], (xbs[:, 0], zs[:, 0]),
-                          s_grid=np.linspace(0, 1, segment_points))
+                          s_grid=np.linspace(0, 1, _DOM_POINTS))
     return _domconv_report(gf, interval, n_samples, seed, samples, seg)
 
 
@@ -727,8 +728,8 @@ def check_conditions(gf: GenFun, interval, n_samples=400, seed=0):
     sweeps = [_sweep_inputs(gf, interval, max(16, n // 16), 8, seed, False),
               _sweep_inputs(gf, interval, _CROSS_BASE, _CROSS_PAIRS, seed, False)]
     qgrid = _qq_grid(_QQ_N_GRID)
-    # 17 points: check_domconv's default segment grid
-    dom_seg, qq_seg = _source_segments(gf, [(dom, np.linspace(0, 1, 17)), (qq, qgrid[0])])
+    dom_seg, qq_seg = _source_segments(gf, [(dom, np.linspace(0, 1, _DOM_POINTS)),
+                                            (qq, qgrid[0])])
     fits = _qq_fits(gf, qq, qq_seg, qgrid, False)
 
     def qq_report(n_seeds):

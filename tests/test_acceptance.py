@@ -253,7 +253,7 @@ def solved_full_demo():
 
 def test_criterion_6_solver(solved_full_demo):
     problem, env, state, dt = solved_full_demo
-    tol = problem.tol_mass * problem.total_mass
+    tol = problem.gf.tols.mass_rel * problem.total_mass
     res = float(np.max(np.abs(state.residual)))
     conserved = state.conservation_gap <= 1e-12 * problem.total_mass
     env2, state2 = solve(problem)
@@ -294,8 +294,7 @@ def test_criterion_8_classical_estimates(calibration_envelope):
                                 diam_cap=0.62)
         Ca.append(rec.implied_constant)
         rA = np.sqrt(2 * h) / 2.0 / 1.1
-        recg = sharp_growth_check(env, m, env.grid.ball_mask(np.zeros(2), rA),
-                                  K=2.0)
+        recg = sharp_growth_check(env, m, env.grid.ball_mask(np.zeros(2), rA))
         Cg.append(recg.implied_constant)
     Ca, Cg = np.array(Ca), np.array(Cg)
     spread_a = float((Ca.max() - Ca.min()) / Ca.mean())

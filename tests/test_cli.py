@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import gjekit
+from gjekit.builtins import make_builtin
 from gjekit.cli import _load_config, main
-from gjekit.config import Tolerances
+from gjekit.config import DEFAULT_TOLS, Tolerances
 from gjekit.demos import paraboloid_envelope
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
@@ -27,12 +28,19 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
-def test_malformed_config_exit_2(tmp_path):
+def test_malformed_config_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["check", "--config", str(bad)]) == 2
-    schema_bad = _write(tmp_path, {"resolution": 32})  # neither demo nor genfun
-    assert main(["check", "--config", schema_bad]) == 2
+    capsys.readouterr()
+    # the schema lets a config leave out both demo and genfun (raytrace and
+    # estimate read neither); check and a custom solve need the genfun block
+    no_genfun = _write(tmp_path, {"resolution": 32, "output_dir": str(tmp_path / "out")},
+                       "no_genfun.json")
+    for command in ("check", "solve"):
+        assert main([command, "--config", no_genfun]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: this command needs a 'genfun' block\n", err
     unknown = _write(tmp_path, {"genfun": {"kind": "quasilinear"}, "bogus": 1},
                      "unknown.json")
     assert main(["check", "--config", unknown]) == 2
@@ -43,7 +51,7 @@ def test_shipped_schema_and_its_error_messages(tmp_path):
     # command; a config error reads as jsonschema.validate's own message
     schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
     jsonschema.validators.validator_for(schema).check_schema(schema)
-    bad = [{"resolution": 32}, {"genfun": {"kind": "quasilinear"}, "bogus": 1},
+    bad = [{"genfun": {"kind": "quasilinear"}, "bogus": 1},
            {"genfun": {"kind": "quasilinear"}, "seed": "zero"},
            {"demo": "classical-MA", "counts": {"n_samples": -1}}]
     for k, cfg in enumerate(bad):
@@ -67,6 +75,16 @@ def test_check_quasilinear_passes(tmp_path):
     assert report["reports"]["qqconv"]["constants"]["fitted_M"] == pytest.approx(1.0)
     assert report["provenance"]["version"]
     assert report["provenance"]["config_hash"]
+
+
+@pytest.mark.parametrize("kind", ["far_field", "violator", "folded_twist"])
+def test_check_runs_on_the_config_interval(tmp_path, kind):
+    cfg = _write(tmp_path, {"genfun": {"kind": kind}, "interval": [-0.3, 0.3],
+                            "counts": {"n_samples": 16},
+                            "output_dir": str(tmp_path / "out")})
+    main(["check", "--config", cfg])
+    report = json.loads((tmp_path / "out" / "check_report.json").read_text())
+    assert report["interval"] == [-0.3, 0.3]
 
 
 def test_check_twist_violator_fails_with_witness(tmp_path):
@@ -209,20 +227,26 @@ def test_raytrace_without_envelope_exit_2(tmp_path):
     assert main(["raytrace", "--config", cfg]) == 2
 
 
-def test_unknown_tolerance_key_exit_2(tmp_path, capsys):
-    # focal_miss: a plausible tolerance name that no field carries
+def test_tolerances_block_exit_2(tmp_path, capsys):
+    # a run always uses the default tolerances, so a config cannot carry any
+    cfg = _write(tmp_path, {
+        "genfun": {"kind": "quasilinear"},
+        "resolution": 16,
+        "targets": [{"point": [0.4, 0.0], "mass": 2.0},
+                    {"point": [-0.4, 0.0], "mass": 2.0}],
+        "tolerances": {"mass_rel": 1e-3},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert main(["solve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config schema violation: "
+                          "Additional properties are not allowed ('tolerances'"), err
+    assert not (tmp_path / "out").exists()
+    # from Python, an override names a field; focal_miss is a plausible
+    # tolerance name that no field carries
     for key in ("no_such_tol", "focal_miss"):
-        cfg = _write(tmp_path, {
-            "genfun": {"kind": "quasilinear"},
-            "resolution": 16,
-            "targets": [{"point": [0.4, 0.0], "mass": 2.0},
-                        {"point": [-0.4, 0.0], "mass": 2.0}],
-            "tolerances": {"mass_rel": 1e-3, key: 1.0},
-            "output_dir": str(tmp_path / "out"),
-        })
-        assert main(["solve", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: unknown tolerance overrides: ['{key}']")
+        with pytest.raises(ConfigError, match=rf"unknown tolerance overrides: \['{key}'\]"):
+            DEFAULT_TOLS.with_overrides(mass_rel=1e-3, **{key: 1.0})
 
 
 def test_every_tolerance_field_is_read():
@@ -234,17 +258,37 @@ def test_every_tolerance_field_is_read():
     assert unread == []
 
 
+def test_every_config_key_is_read():
+    # a key no command reads would pass the schema and be ignored
+    schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
+    text = (pathlib.Path(gjekit.__file__).parent / "cli.py").read_text()
+    unread = [k for k in schema["properties"]
+              if not re.search(rf'cfg(\.get\(|\[)"{k}"', text)]
+    unread += [f"counts.{k}" for k in schema["properties"]["counts"]["properties"]
+               if not re.search(rf'\.get\("counts", \{{\}}\)\.get\("{k}"', text)]
+    assert unread == []
+
+
+_GOOD_GENFUN = make_builtin("quasilinear").descriptor()
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"format_version": 99}, "unsupported envelope format"),
     ({"format_version": 1, "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]},
      "lacks ['genfun']"),
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+      "pieces": [[[0.0, 0.0]]]}, "IndexError"),
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8],
+      "pieces": [[[0.0, 0.0], 0.0]]}, "ValueError('resolution rank"),
+    ({"format_version": 1, "genfun": {k: v for k, v in _GOOD_GENFUN.items() if k != "range"},
+      "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]}, "KeyError('range')"),
+    pytest.param('{"format_version": 1, "genfun":', "JSONDecodeError", id="truncated"),
 ])
 def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
     env = tmp_path / "envelope.json"
-    env.write_text(json.dumps(doc))
+    env.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     for command in ("raytrace", "estimate"):
-        cfg = _write(tmp_path, {"demo": "point-source-8", "envelope": str(env),
-                                "output_dir": str(tmp_path / "out")})
+        cfg = _write(tmp_path, {"envelope": str(env), "output_dir": str(tmp_path / "out")})
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err, err
@@ -272,8 +316,7 @@ def test_estimate_on_a_saved_dense_envelope(tmp_path):
     env.save(tmp_path / "envelope.json")
     ledgers = []
     for run in ("first", "again"):
-        cfg = _write(tmp_path, {"genfun": {"kind": "quasilinear"},
-                                "envelope": str(tmp_path / "envelope.json"), "seed": 0,
+        cfg = _write(tmp_path, {"envelope": str(tmp_path / "envelope.json"), "seed": 0,
                                 "counts": {"n_sections": 10},
                                 "output_dir": str(tmp_path / run)}, f"{run}.json")
         assert main(["estimate", "--config", cfg]) == 0
@@ -292,7 +335,6 @@ def test_custom_solve_config(tmp_path):
         "targets": [{"point": [0.4, 0.0], "mass": grid_total / 2},
                     {"point": [-0.4, 0.0], "mass": grid_total / 2}],
         "anchor": {"x": [0.0, 0.0], "u": 0.0},
-        "tolerances": {"mass_rel": 1e-3},
         "output_dir": str(tmp_path / "custom"),
     })
     assert main(["solve", "--config", cfg]) == 0

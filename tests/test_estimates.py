@@ -75,7 +75,7 @@ def test_sharp_growth_single_cell_slack(parab_env):
     mask = np.zeros(env.grid.n_cells, dtype=bool)
     k = int(np.argmin(np.sum(env.grid.coords ** 2, axis=1)))
     mask[k] = True
-    rec = sharp_growth_check(env, m, mask, K=2.0)
+    rec = sharp_growth_check(env, m, mask)
     # a single-cell set makes the inequality trivially slack
     assert rec.implied_constant > 10.0
 
@@ -86,7 +86,7 @@ def test_sharp_growth_hypothesis_error(parab_env):
     m = GAffine(gf, np.zeros(2), -0.01)
     sec = env.section(m)
     with pytest.raises(HypothesisError) as err:
-        sharp_growth_check(env, m, sec.mask, K=2.0)  # A = S: dilation fails
+        sharp_growth_check(env, m, sec.mask)  # A = S: dilation fails
     assert err.value.clause == "dilation_containment"
 
 

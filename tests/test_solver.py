@@ -6,6 +6,7 @@ import pytest
 from gjekit import kernels, solver
 from gjekit.builtins import make_builtin
 from gjekit.charts import BoxChart
+from gjekit.config import DEFAULT_TOLS
 from gjekit.demos import demo_problem, point_source_8_problem
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
@@ -14,22 +15,22 @@ from gjekit.estimates import _subdiff_volume
 from gjekit.solver import SemiDiscreteProblem, solve
 
 
-def _ql_problem(targets, masses=None, res=64, anchor_u=0.0, tol_mass=None):
+def _ql_problem(targets, masses=None, res=64, anchor_u=0.0):
+    tols = DEFAULT_TOLS
+    if len(targets) > 1:
+        # generic (non-manufactured) masses are only achievable at the
+        # grid-quantum scale: one cell of a res^2 grid
+        tols = DEFAULT_TOLS.with_overrides(mass_rel=2.0 / res ** 2)
     gf = make_builtin("quasilinear",
                       source_chart=BoxChart((-1, -1), (1, 1)),
-                      target_chart=BoxChart((-1, -1), (1, 1)))
+                      target_chart=BoxChart((-1, -1), (1, 1)), tols=tols)
     grid = DomainGrid(gf.source_chart, res)
     total = grid.weights.sum()
     if masses is None:
         masses = np.full(len(targets), total / len(targets))
-    if tol_mass is None and len(targets) > 1:
-        # generic (non-manufactured) masses are only achievable at the
-        # grid-quantum scale: one cell of a res^2 grid
-        tol_mass = 2.0 / res ** 2
     return SemiDiscreteProblem(gf, grid, np.asarray(targets, float),
                                np.asarray(masses, float),
-                               anchor_x=np.zeros(2), anchor_u=anchor_u,
-                               tol_mass=tol_mass)
+                               anchor_x=np.zeros(2), anchor_u=anchor_u)
 
 
 def test_problem_invariants():
@@ -60,7 +61,7 @@ def test_mass_residual_properties():
     prob = _ql_problem([[0.4, 0.0], [-0.3, 0.2], [0.0, -0.35]])
     env, state = solve(prob)
     r = env.cell_masses() - prob.masses
-    assert np.max(np.abs(r)) <= prob.tol_mass * prob.total_mass
+    assert np.max(np.abs(r)) <= prob.gf.tols.mass_rel * prob.total_mass
     # all-equal heights on asymmetric targets: residuals sum to zero exactly
     env_eq = Envelope(prob.gf, (prob.targets, np.zeros(3)), prob.grid)
     r_eq = env_eq.cell_masses() - prob.masses
@@ -74,7 +75,7 @@ def test_mass_residual_properties():
 
 def test_point_source_demo_solves(solved_point_source_small):
     problem, env, state, z_true = solved_point_source_small
-    tol = problem.tol_mass * problem.total_mass
+    tol = problem.gf.tols.mass_rel * problem.total_mass
     assert state.converged
     assert np.max(np.abs(state.residual)) <= tol
     assert abs(env.eval(problem.anchor_x)[0] - problem.anchor_u) <= 1e-9

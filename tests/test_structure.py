@@ -275,9 +275,9 @@ def test_qqconv_is_one_batched_solve_per_grid_point(newton_rows, dual):
 def test_domconv_is_one_batched_solve_per_segment_point(newton_rows):
     for n_samples in (2, 12):
         newton_rows.clear()
-        check_domconv(far_field_genfun(), IV, n_samples=n_samples, seed=1, segment_points=9)
-        # nine segment points, then the image midpoints
-        assert len(newton_rows) == 10
+        check_domconv(far_field_genfun(), IV, n_samples=n_samples, seed=1)
+        # seventeen segment points, then the image midpoints
+        assert len(newton_rows) == 18
 
 
 def test_domconv_reruns_no_row_whose_stencil_leaves(newton_rows):
