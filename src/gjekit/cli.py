@@ -79,18 +79,21 @@ def _genfun_from_config(cfg):
         raise ConfigError("this command needs a 'genfun' block")
     kind = spec["kind"]
     params = dict(spec.get("params", {}))
-    if kind == "far_field":
-        gf = far_field_genfun(**params)
-    elif kind == "violator":
-        gf = violator_genfun(**params)
-    elif kind == "folded_twist":
-        gf = folded_twist_genfun()
-    else:
-        for box_key in ("source_box", "target_box"):
-            if box_key in params:
-                lo, hi = params.pop(box_key)
-                params[box_key.replace("_box", "_chart")] = BoxChart(lo, hi)
-        gf = make_builtin(kind, **params)
+    try:
+        if kind == "far_field":
+            gf = far_field_genfun(**params)
+        elif kind == "violator":
+            gf = violator_genfun(**params)
+        elif kind == "folded_twist":
+            gf = folded_twist_genfun(**params)
+        else:
+            for box_key in ("source_box", "target_box"):
+                if box_key in params:
+                    lo, hi = params.pop(box_key)
+                    params[box_key.replace("_box", "_chart")] = BoxChart(lo, hi)
+            gf = make_builtin(kind, **params)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"malformed parameters for {kind!r}: {e}") from e
     return gf, tuple(cfg.get("interval", TEST_INTERVALS.get(kind, (-0.5, 0.5))))
 
 
@@ -235,18 +238,13 @@ def cmd_estimate(cfg, verbose=False):
 
 
 def cmd_demo(name, verbose=False, resolution=None, output_dir=None):
-    """End-to-end pipeline: solve, then raytrace (optics demos), then estimate."""
+    """End-to-end pipeline: solve, then raytrace (optics demos)."""
     cfg = {"demo": name, "seed": 0, "output_dir": output_dir or f"gjekit-demo-{name}"}
     if resolution:
         cfg["resolution"] = resolution
     rc = cmd_solve(cfg, verbose=verbose)
-    if rc != EXIT_OK:
-        return rc
-    if name in ("point-source-8", "parallel-beam-5"):
+    if rc == EXIT_OK and name in ("point-source-8", "parallel-beam-5"):
         rc = cmd_raytrace(cfg, verbose=verbose)
-        if rc != EXIT_OK:
-            return rc
-    rc = cmd_estimate({**cfg, "counts": {"n_sections": 10}}, verbose=verbose)
     return rc
 
 

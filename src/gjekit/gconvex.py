@@ -176,6 +176,8 @@ class Envelope:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ConfigError(f"envelope file {path} does not hold a JSON object")
             if doc.get("format_version") != ENVELOPE_FORMAT_VERSION:
                 raise ConfigError(f"unsupported envelope format in {path}: "
                                   f"{doc.get('format_version')}")

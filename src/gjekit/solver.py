@@ -18,10 +18,11 @@ the sweep/normalize cycle repeats until both criteria hold.
 The cell mass of a piece against the frozen others is the mass oracle
 (:class:`_MassOracle`).  The ascending sweep carries the chained best of
 the rows before each piece (:class:`kernels.ScanChain`) instead of
-rescanning them, and its last chain gives the next sweep's masses.  Each
-bisection step tells the oracle its bracket, and the oracle evaluates only
-the cells whose win can still change there; every mass, and so every
-iterate, is the same bit for bit as with full-grid evaluations.
+rescanning them, and its last chain gives the next sweep's masses.  A
+move's bisection tells the oracle its first bracket, which holds every
+later midpoint, and the oracle then evaluates only the cells whose win can
+still change there; every mass, and so every iterate, is the same bit for
+bit as with full-grid evaluations.
 """
 
 import time
@@ -126,13 +127,14 @@ class _MassOracle:
     ``frozen = (chained best, max after)`` from a caller that carries them.
 
     :meth:`narrow` tells the oracle a height bracket that the next calls
-    fall in.  It splits the cells by value bounds over the bracket
+    fall in.  It splits the full grid by value bounds over the bracket
     (:func:`kernels.win_split`) and keeps the cells the piece can win, in
     cell order, with a mask of the ones won throughout; a call inside the
-    bracket evaluates only the open cells, and a nested bracket re-splits
-    only those while more than one is open.  The mass is the same bit for
+    bracket evaluates only the open cells, and the mass is the same bit for
     bit as a full-grid call.  Calls outside the bracket, and every call
-    without bounds, evaluate the full grid.  ``tally`` counts the
+    without bounds, evaluate the full grid.  A bisection narrows once, to
+    its first bracket: re-splitting each nested bracket costs more time
+    than the cell evaluations it saves.  ``tally`` counts the
     constructions ("builds") and evaluations ("calls").
     """
 
@@ -154,34 +156,18 @@ class _MassOracle:
         """Let the next calls at heights between a and b evaluate only the
         cells whose win is still open there."""
         z1, z2 = min(a, b), max(a, b)
-        s = self.split
-        if s is not None and s.z1 <= z1 and z2 <= s.z2:
-            if s.pos.size <= 1:  # nothing left worth a split
-                return
-            # bounds exist inside a bracket that had them: its guards hold
-            won, open_ = self._win_split(z1, z2, s.basis, s.lo_tie, s.hi_best)
-            s.sel[s.pos] = won
-            take = np.flatnonzero(open_)
-            pos = s.pos[take]
-        else:
-            self.split = None
-            cut = self._win_split(z1, z2, self.basis, self.lo_tie, self.hi_best)
-            if cut is None:
-                return
-            won, open_ = cut
-            keep = np.flatnonzero(won | open_)
-            pos = np.flatnonzero(open_[keep])
-            take = keep[pos]
-            s = self.split = _Split(z1, z2, self.p.cell_weights[keep],
-                                    won[keep], pos, self.p.grid.points,
-                                    self.basis, self.lo_tie, self.hi_best)
-        s.z1, s.z2, s.pos = z1, z2, pos
-        s.xs, s.basis = s.xs[take], s.basis[take]
-        s.lo_tie, s.hi_best = s.lo_tie[take], s.hi_best[take]
-
-    def _win_split(self, z1, z2, basis, lo_tie, hi_best):
-        return kernels.win_split(self.p.gf, self.p.targets[self.i], z1, z2,
-                                 lo_tie, hi_best, self.tie, basis)
+        p = self.p
+        cut = kernels.win_split(p.gf, p.targets[self.i], z1, z2, self.lo_tie,
+                                self.hi_best, self.tie, self.basis)
+        if cut is None:
+            return
+        won, open_ = cut
+        keep = np.flatnonzero(won | open_)
+        pos = np.flatnonzero(open_[keep])
+        take = keep[pos]
+        self.split = _Split(z1, z2, p.cell_weights[keep], won[keep], pos,
+                            p.grid.points[take], self.basis[take],
+                            self.lo_tie[take], self.hi_best[take])
 
     def __call__(self, z):
         self.tally["calls"] += 1
@@ -201,9 +187,10 @@ class _Split:
     """An oracle's cells for heights in [z1, z2] (see :meth:`_MassOracle.narrow`).
 
     ``weights`` and ``sel`` cover the cells the piece can win there, in
-    cell order, ``sel`` marking the won ones; ``pos`` indexes the open
-    cells among them, and ``xs``, ``basis``, ``lo_tie``, ``hi_best`` hold
-    the open cells' entries.
+    cell order, ``sel`` marking the ones won throughout; ``pos`` indexes
+    the open cells among them, whose entries ``sel[pos]`` each call
+    overwrites with its wins, and ``xs``, ``basis``, ``lo_tie``,
+    ``hi_best`` hold the open cells' entries.
     """
     z1: float
     z2: float
@@ -273,12 +260,13 @@ def _move_piece_to_mass(problem, oracle, z_now, target_mass, raise_dir,
     if b is None:
         raise InfeasibleError(
             f"piece {oracle.i}: no bracket after {tols.bracket_max_doublings} doublings")
-    # bisect; a is on the starting side of the target, b past it
+    # bisect; a is on the starting side of the target, b past it, and every
+    # midpoint lies in the first bracket
+    oracle.narrow(a, b)
     for _ in range(100):
         if abs(b - a) <= 1e-13 * max(1.0, abs(a), abs(b)):
             break
         mid = 0.5 * (a + b)
-        oracle.narrow(a, b)
         m_mid = oracle(mid)
         if target_mass - slack <= m_mid <= target_mass + slack:
             return mid, m_mid
@@ -399,8 +387,8 @@ def solve(problem: SemiDiscreteProblem):
             # drain a piece that ended relatively overfilled during the level
             # walk.  Near the solution a bidirectional Gauss-Seidel pass over
             # the pieces converges quickly; each piece moves to its own
-            # target in whichever direction its residual demands.
-            V = _piece_rows(problem, bases, z)
+            # target in whichever direction its residual demands.  V holds
+            # every row at z: move rewrites the row of each piece it moves.
             repaired = False
             for _ in range(50):
                 masses = _masses_from(V, problem)

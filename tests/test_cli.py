@@ -87,6 +87,21 @@ def test_check_runs_on_the_config_interval(tmp_path, kind):
     assert report["interval"] == [-0.3, 0.3]
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("far_field", {"bogus": 1}),
+    ("violator", {"bogus": 1}),
+    ("folded_twist", {"eps": 1.0}),
+    ("quasilinear", {"source_box": [1.0]}),
+])
+def test_bad_genfun_params_exit_2(tmp_path, capsys, kind, params):
+    cfg = _write(tmp_path, {"genfun": {"kind": kind, "params": params},
+                            "output_dir": str(tmp_path / "out")})
+    assert main(["check", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: malformed parameters for {kind!r}: ")
+    assert err.count("\n") == 1, err
+
+
 def test_check_twist_violator_fails_with_witness(tmp_path):
     cfg = _write(tmp_path, {
         "genfun": {"kind": "folded_twist"},
@@ -283,6 +298,9 @@ _GOOD_GENFUN = make_builtin("quasilinear").descriptor()
     ({"format_version": 1, "genfun": {k: v for k, v in _GOOD_GENFUN.items() if k != "range"},
       "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]}, "KeyError('range')"),
     pytest.param('{"format_version": 1, "genfun":', "JSONDecodeError", id="truncated"),
+    ([], "does not hold a JSON object"),
+    (1, "does not hold a JSON object"),
+    (None, "does not hold a JSON object"),
 ])
 def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
     env = tmp_path / "envelope.json"
@@ -300,9 +318,12 @@ def test_demo_pipeline_point_source(tmp_path):
                "--output-dir", out])
     assert rc == 0
     for fname in ("envelope.json", "convergence.csv", "solve_report.json",
-                  "trace_report.json", "estimate_summary.json",
-                  "estimate_ledger.csv"):
+                  "trace_report.json"):
         assert os.path.exists(os.path.join(out, fname)), fname
+    # the demo runs no estimate stage: at the default demo resolutions every
+    # section it drew was too large for the Aleksandrov check
+    for fname in ("estimate_summary.json", "estimate_ledger.csv"):
+        assert not os.path.exists(os.path.join(out, fname)), fname
     trace = json.loads(open(os.path.join(out, "trace_report.json")).read())
     assert trace["escapes"] <= trace["n_rays"] * 1e-3
     assert trace["max_reflection_residual"] <= 1e-12

@@ -160,18 +160,20 @@ def test_demo_iterate_sequence_is_pinned(monkeypatch, name, resolution, sweeps,
     assert hashlib.sha256(env.grid_values().tobytes()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("name, resolution, calls, full_calls, cells", [
-    ("classical-MA", 96, 1206, 214, 2_018_428),
-    ("parallel-beam-5", 128, 741, 210, 3_468_865),
+@pytest.mark.parametrize("name, resolution, calls, full_calls, cells, splits", [
+    ("classical-MA", 96, 1206, 214, 2_025_804, 45),
+    ("parallel-beam-5", 128, 741, 210, 3_636_869, 40),
 ])
 def test_oracle_narrowing_is_pinned(monkeypatch, name, resolution, calls,
-                                    full_calls, cells):
-    # a bisection step evaluates only the cells whose win is still open in
-    # its bracket; without narrowing every call is a full-grid call and the
-    # cell count reads calls * n_cells (11.1 and 12.1 million here)
+                                    full_calls, cells, splits):
+    # a move splits the grid once, over its first bisection bracket, and its
+    # later bisection steps evaluate only the cells still open there; without
+    # narrowing every call is a full-grid call and the cell count reads
+    # calls * n_cells (11.1 and 12.1 million here)
     problem, _ = demo_problem(name, resolution)
-    seen = {"calls": 0, "full": 0, "cells": 0}
-    piece_mass = kernels.piece_mass
+    seen = {"calls": 0, "full": 0, "cells": 0, "splits": 0}
+    piece_mass, win_split, move = (kernels.piece_mass, kernels.win_split,
+                                   solver._move_piece_to_mass)
 
     def counting(*args, **kwargs):
         seen["calls"] += 1
@@ -179,9 +181,22 @@ def test_oracle_narrowing_is_pinned(monkeypatch, name, resolution, calls,
         seen["cells"] += np.size(args[3])
         return piece_mass(*args, **kwargs)
 
+    def splitting(*args):
+        seen["splits"] += 1
+        return win_split(*args)
+
+    def once(*args, **kwargs):
+        before = seen["splits"]
+        out = move(*args, **kwargs)
+        assert seen["splits"] - before <= 1
+        return out
+
     monkeypatch.setattr(kernels, "piece_mass", counting)
+    monkeypatch.setattr(kernels, "win_split", splitting)
+    monkeypatch.setattr(solver, "_move_piece_to_mass", once)
     solve(problem)
     assert (seen["calls"], seen["full"], seen["cells"]) == (calls, full_calls, cells)
+    assert seen["splits"] == splits
 
 
 @pytest.mark.parametrize("name, resolution", [("classical-MA", 96),
