@@ -279,7 +279,9 @@ class GridSurface:
         from scipy.interpolate import RectBivariateSpline
         values = np.asarray(values, dtype=float)
         if values.shape != (len(x_nodes), len(y_nodes)):
-            raise ConfigError("surface table shape must be (len(x_nodes), len(y_nodes))")
+            raise ValueError("surface table shape must be (len(x_nodes), len(y_nodes))")
+        if min(values.shape) < 4:
+            raise ValueError("a bicubic surface table needs at least 4 nodes per axis")
         self._spl = RectBivariateSpline(np.asarray(x_nodes, float),
                                         np.asarray(y_nodes, float), values, kx=3, ky=3)
 
@@ -696,6 +698,8 @@ def make_builtin(kind: str, **params) -> GenFun:
                 cost = _COSTS[cost](**extra)
             elif callable(cost) and not hasattr(cost, "value"):
                 cost = CallableCost(cost)
+            elif not hasattr(cost, "value"):
+                raise TypeError(f"cost must be a cost name, object or callable, not {cost!r}")
             sc = params.pop("source_chart", None) or BoxChart((-1.0, -1.0), (1.0, 1.0))
             tc = params.pop("target_chart", None) or BoxChart((-1.0, -1.0), (1.0, 1.0))
             return QuasilinearGF(cost, sc, tc, **params)
@@ -705,9 +709,11 @@ def make_builtin(kind: str, **params) -> GenFun:
             surface = params.pop("surface", None)
             if isinstance(surface, dict):
                 surface = GridSurface(**surface)
+            elif surface is not None and not hasattr(surface, "value"):
+                raise TypeError(f"surface must be a table or a surface object, not {surface!r}")
             return ParallelBeamGF(surface=surface, **params)
         if kind == "minkowski":
             return MinkowskiGF(**params)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"malformed parameters for builtin {kind!r}: {e}") from e
+        raise ConfigError(f"malformed parameters for {kind!r}: {e}") from e
     raise ConfigError(f"unknown builtin kind {kind!r}")

@@ -87,6 +87,10 @@ def _genfun_from_config(cfg):
         elif kind == "folded_twist":
             gf = folded_twist_genfun(**params)
         else:
+            # these take Python objects, which a config cannot hold
+            for key in ("srange", "tols", "source_chart", "target_chart"):
+                if key in params:
+                    raise ValueError(f"{key!r} cannot be set from a config")
             for box_key in ("source_box", "target_box"):
                 if box_key in params:
                     lo, hi = params.pop(box_key)
@@ -136,8 +140,8 @@ def _problem_from_config(cfg):
     if "targets" not in cfg:
         raise ConfigError("custom solve needs a 'targets' list")
     grid = DomainGrid(gf.source_chart, int(cfg.get("resolution", 96)))
-    pts = np.array([t["point"] for t in cfg["targets"]], dtype=float)
-    masses = np.array([t["mass"] for t in cfg["targets"]], dtype=float)
+    pts = [t["point"] for t in cfg["targets"]]
+    masses = [t["mass"] for t in cfg["targets"]]
     anchor = cfg.get("anchor", {})
     ax = np.asarray(anchor["x"], dtype=float) if "x" in anchor else None
     au = float(anchor["u"]) if "u" in anchor else None

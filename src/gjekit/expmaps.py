@@ -25,7 +25,10 @@ forms
 
 Everything is batched over a leading sample axis; Newton solves run all
 samples simultaneously with per-sample damping, and a row follows exactly
-the iterates it follows when solved alone.  ``g_segment_batch`` samples
+the iterates it follows when solved alone; a row that failed before the
+iteration (no start, no scalar inverse) never enters it.  The coordinate
+maps are single or batched as ``GenFun._batch`` decides, the exponential
+maps as their covector argument is.  ``g_segment_batch`` samples
 many segments at once, on a shared grid or on a grid per segment: the
 continuation along s stays sequential, and each step is one batched solve
 over every segment that has a point there.
@@ -56,8 +59,7 @@ def _e_from(Gxb, Gxz, Gb, Gz):
 
 def e_matrix(gf: GenFun, x, xbar, z):
     """Nondegeneracy matrix E at an admissible triple."""
-    single = np.asarray(x).ndim == 1
-    x, xbar, z, _ = gf._batch(x, xbar, z)
+    x, xbar, z, single = gf._batch(x, xbar, z)
     if not np.all(gf._in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: e_matrix at inadmissible triple")
     E = _e_from(gf.d_x_xbar(x, xbar, z), gf.d_x_z(x, xbar, z), gf.d_xbar(x, xbar, z),
@@ -68,8 +70,7 @@ def e_matrix(gf: GenFun, x, xbar, z):
 
 def p_map(gf: GenFun, xbar, z, x, check=True):
     """Source coordinate map p = -(dG/dxbar)/(dG/dz) at (x, xbar, z)."""
-    single = np.asarray(x).ndim == 1
-    x, xbar, z, _ = gf._batch(x, xbar, z)
+    x, xbar, z, single = gf._batch(x, xbar, z)
     if check and not np.all(gf._in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: p_map at inadmissible triple")
     p = -gf.d_xbar(x, xbar, z) / gf.g_z(x, xbar, z)[:, None]
@@ -88,11 +89,24 @@ def pbar_rows(gf: GenFun, x, u, xbar):
     """
     x, xbar, u, _ = gf._batch(x, xbar, u)
     z, status = gf.inverse_rows(x, xbar, u)
-    pb = np.full((x.shape[0], gf.dim), np.nan)
-    rows = status == 0
-    pb[rows] = gf.d_x(x[rows], xbar[rows], z[rows])
-    status[rows & np.isnan(pb).any(axis=1)] = RowStatus.DERIVATIVE_STENCIL
+    pb, status = _ok_rows(gf.d_x, status, x, xbar, z)
     return pb, z, status
+
+
+def _ok_rows(fn, status, x, xbar, z):
+    """fn(x, xbar, z) on the rows whose status is OK, nan on the others.
+
+    A finite-difference derivative is nan on the rows whose stencil leaves
+    the admissible set; those rows fail with DERIVATIVE_STENCIL.  Returns
+    (values, status), ``status`` updated in place.
+    """
+    rows = status == 0
+    part = fn(x[rows], xbar[rows], z[rows])
+    out = np.full(status.shape + part.shape[1:], np.nan)
+    out[rows] = part
+    status[rows & np.isnan(out).any(axis=tuple(range(1, out.ndim)))] = \
+        RowStatus.DERIVATIVE_STENCIL
+    return out, status
 
 
 # ---------------------------------------------------------------------------
@@ -100,21 +114,22 @@ def pbar_rows(gf: GenFun, x, u, xbar):
 # ---------------------------------------------------------------------------
 
 
-def _newton(residual_and_jac, y0, project, tols):
-    """Damped Newton on a batch of independent small systems, status per row.
+def _newton(residual_and_jac, y0, status, project, tols):
+    """Damped Newton on the rows of a batch whose starting ``status`` is OK.
 
     residual_and_jac(y, rows) -> (r, J) with r (k, d) and J (k, d, d) is
     evaluated for the batch rows ``rows`` only, at their iterates y (k, d);
     ``project`` clips iterates back into chart validity.
     Each row converges to ||r||_inf <= tols.exp_residual or leaves the
     iteration with a RowStatus (singular jacobian, non-finite step, damping
-    exhausted, iteration limit) and its last iterate.  A row follows exactly
-    the iterates it follows when solved alone.  Returns (y, status).
+    exhausted, iteration limit) and its last iterate; a row that starts with
+    another status keeps it and its start.  A row follows exactly the
+    iterates it follows when solved alone.  Returns (y, status).
     """
     y = y0.copy()
-    status = np.zeros(y.shape[0], dtype=np.int8)
-    rows = np.arange(y.shape[0])
-    r, J = _residual_safe(residual_and_jac, y, rows)
+    status = status.copy()
+    rows = np.flatnonzero(status == 0)
+    r, J = _residual_safe(residual_and_jac, y[rows], rows)
     best = np.max(np.abs(r), axis=1)
     for _ in range(tols.newton_max_iter):
         go = best > tols.exp_residual
@@ -218,35 +233,30 @@ def exp_source(gf: GenFun, xbar, z, p, x_guess=None, tols=None, return_status=Fa
     single = np.asarray(p).ndim == 1
     p = np.atleast_2d(np.asarray(p, dtype=float))
     m = p.shape[0]
-    xbar = np.broadcast_to(np.atleast_2d(np.asarray(xbar, dtype=float)),
-                           (m, gf.target_chart.embdim)).copy()
-    z = np.broadcast_to(np.atleast_1d(np.asarray(z, dtype=float)), (m,)).copy()
+    xbar = np.broadcast_to(np.asarray(xbar, float), (m, gf.target_chart.embdim)).copy()
+    z = np.broadcast_to(np.asarray(z, float), (m,)).copy()
     chart = gf.source_chart
     status = np.zeros(m, dtype=np.int8)
     if x_guess is None:
         c0, started = _feasible_source_start(gf, xbar, z, m)
         status[~started] = RowStatus.NO_START
     else:
-        c0 = np.atleast_2d(chart.coords(np.asarray(x_guess, dtype=float)))
-        c0 = np.broadcast_to(c0, (m, chart.dim)).copy()
-    live = np.flatnonzero(status == 0)
-    xbar_l, z_l, p_l = xbar[live], z[live], p[live]
+        c0 = np.broadcast_to(chart.coords(np.asarray(x_guess, float)), (m, chart.dim)).copy()
 
     def rj(c, rows):
-        x, xb, zr = chart.embed(c), xbar_l[rows], z_l[rows]
+        x, xb, zr = chart.embed(c), xbar[rows], z[rows]
         ok = gf._in_domain(x, xb, zr)
         r = np.full((c.shape[0], gf.dim), np.inf)
         J = np.broadcast_to(np.eye(gf.dim), (c.shape[0], gf.dim, gf.dim)).copy()
         if np.any(ok):
             xo, xbo, zo = x[ok], xb[ok], zr[ok]
             Gz, Gb = gf.g_z(xo, xbo, zo), gf.d_xbar(xo, xbo, zo)
-            r[ok] = -Gb / Gz[:, None] - p_l[rows][ok]
+            r[ok] = -Gb / Gz[:, None] - p[rows][ok]
             E = _e_from(gf.d_x_xbar(xo, xbo, zo), gf.d_x_z(xo, xbo, zo), Gb, Gz)
             J[ok] = -np.swapaxes(E, 1, 2) / Gz[:, None, None]
         return r, J
 
-    c = c0.copy()
-    c[live], status[live] = _newton(rj, c0[live], chart.clip, tols)
+    c, status = _newton(rj, c0, status, chart.clip, tols)
     x = chart.embed(c)
     status[(status == 0) & ~gf._in_domain(x, xbar, z)] = RowStatus.INADMISSIBLE
     if return_status:
@@ -270,24 +280,18 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None,
     single = np.asarray(pbar).ndim == 1
     pbar = np.atleast_2d(np.asarray(pbar, dtype=float))
     m = pbar.shape[0]
-    x = np.broadcast_to(np.atleast_2d(np.asarray(x, dtype=float)),
-                        (m, gf.source_chart.embdim)).copy()
-    u = np.broadcast_to(np.atleast_1d(np.asarray(u, dtype=float)), (m,)).copy()
+    x = np.broadcast_to(np.asarray(x, float), (m, gf.source_chart.embdim)).copy()
+    u = np.broadcast_to(np.asarray(u, float), (m,)).copy()
     chart = gf.target_chart
     n = gf.dim
-    if xbar_guess is None:
-        cb0 = np.broadcast_to(chart.center, (m, n)).copy()
-    else:
-        cb0 = np.atleast_2d(chart.coords(np.asarray(xbar_guess, dtype=float)))
-        cb0 = np.broadcast_to(cb0, (m, n)).copy()
+    cb0 = chart.center if xbar_guess is None else chart.coords(np.asarray(xbar_guess, float))
+    cb0 = np.broadcast_to(cb0, (m, n)).copy()
     if z_guess is None:
         z0, status = gf.inverse_rows(x, chart.embed(cb0), u)
     else:
-        z0 = np.broadcast_to(np.atleast_1d(np.asarray(z_guess, dtype=float)), (m,)).copy()
+        z0 = np.broadcast_to(np.asarray(z_guess, float), (m,)).copy()
         status = np.zeros(m, dtype=np.int8)
     y0 = np.concatenate([cb0, z0[:, None]], axis=1)
-    live = np.flatnonzero(status == 0)
-    x_l, u_l, pbar_l = x[live], u[live], pbar[live]
 
     def project(y):
         y = y.copy()
@@ -297,28 +301,22 @@ def exp_target(gf: GenFun, x, u, pbar, xbar_guess=None, z_guess=None, tols=None,
     def rj(y, rows):
         cb, z = y[:, :n], y[:, n]
         xb = chart.embed(cb)
-        xr = x_l[rows]
+        xr = x[rows]
         ok = gf._in_domain(xr, xb, z)
         r = np.full((y.shape[0], n + 1), np.inf)
         J = np.broadcast_to(np.eye(n + 1), (y.shape[0], n + 1, n + 1)).copy()
         if np.any(ok):
             xo, xbo, zo = xr[ok], xb[ok], z[ok]
-            r_ok = np.empty((xo.shape[0], n + 1))
-            r_ok[:, :n] = gf.d_x(xo, xbo, zo) - pbar_l[rows][ok]
-            r_ok[:, n] = gf.value(xo, xbo, zo, check=False) - u_l[rows][ok]
-            J_ok = np.empty((xo.shape[0], n + 1, n + 1))
+            r[ok, :n] = gf.d_x(xo, xbo, zo) - pbar[rows][ok]
+            r[ok, n] = gf.value(xo, xbo, zo, check=False) - u[rows][ok]
             # rows 0..n-1: d(dG/dx)/d(cbar, z); row n: d(G)/d(cbar, z)
-            M = gf._batch(xo, xbo, zo)[:3]
-            J_ok[:, :n, :n] = gf.d_x_xbar(*M)
-            J_ok[:, :n, n] = gf.d_x_z(*M)
-            J_ok[:, n, :n] = gf.d_xbar(*M)
-            J_ok[:, n, n] = gf.g_z(*M)
-            r[ok] = r_ok
-            J[ok] = J_ok
+            J[ok, :n, :n] = gf.d_x_xbar(xo, xbo, zo)
+            J[ok, :n, n] = gf.d_x_z(xo, xbo, zo)
+            J[ok, n, :n] = gf.d_xbar(xo, xbo, zo)
+            J[ok, n, n] = gf.g_z(xo, xbo, zo)
         return r, J
 
-    y = y0.copy()
-    y[live], status[live] = _newton(rj, y0[live], project, tols)
+    y, status = _newton(rj, y0, status, project, tols)
     xb = chart.embed(y[:, :n])
     z = y[:, n]
     status[(status == 0) & ~gf._in_domain(x, xb, z)] = RowStatus.INADMISSIBLE
@@ -377,40 +375,32 @@ def g_segment_batch(gf: GenFun, kind, a, b, anchor, s_grid=None) -> SegmentBatch
         s_grid = np.linspace(0.0, 1.0, 33)
     s_grid = np.asarray(s_grid, dtype=float)
     a, b = (np.atleast_2d(np.asarray(e, dtype=float)) for e in (a, b))
-    k, m, n = a.shape[0], s_grid.shape[-1], gf.dim
+    k, m = a.shape[0], s_grid.shape[-1]
     s_rows = np.broadcast_to(s_grid, (k, m))
     # the anchor: (xbar, z) or (x, u), one row per segment
     fixed, scalar = (np.atleast_1d(np.asarray(e, dtype=float)) for e in anchor)
     fixed = np.broadcast_to(np.atleast_2d(fixed), (k, fixed.shape[-1]))
     scalar = np.broadcast_to(scalar, (k,))
-    p0 = np.full((k, n), np.nan)
-    p1 = np.full((k, n), np.nan)
     ok = np.zeros((k, m), dtype=bool)
     # both endpoints of every row in one batch: rows i and k + i
     both = np.concatenate([a, b])
     fixed2, scalar2 = np.concatenate([fixed, fixed]), np.concatenate([scalar, scalar])
-
     if kind == "source":
         good = gf._in_domain(both, fixed2, scalar2)
-        status = np.where(good[:k] & good[k:], 0, RowStatus.INADMISSIBLE).astype(np.int8)
-        rows = np.flatnonzero(status == 0)
-        two = np.concatenate([rows, rows + k])
-        p = p_map(gf, fixed2[two], scalar2[two], both[two], check=False).reshape(2, rows.size, n)
-        left = np.isnan(p).any(axis=(0, 2))
-        status[rows[left]] = RowStatus.DERIVATIVE_STENCIL
-        p0[rows[~left]], p1[rows[~left]] = p[0, ~left], p[1, ~left]
+        st = np.where(good[:k] & good[k:], 0, RowStatus.INADMISSIBLE).astype(np.int8)
+        ends, st = _ok_rows(lambda x, xb, z: p_map(gf, xb, z, x, check=False),
+                            np.concatenate([st, st]), both, fixed2, scalar2)
         pts = np.full((k, m, gf.source_chart.embdim), np.nan)
         zs = None
     elif kind == "target":
-        pb, z_ends, st = pbar_rows(gf, fixed2, scalar2, both)
-        status = np.where(st[:k] != 0, st[:k], st[k:])
-        good = status == 0
-        p0[good], p1[good] = pb[:k][good], pb[k:][good]
+        ends, z_ends, st = pbar_rows(gf, fixed2, scalar2, both)
         pts = np.full((k, m, gf.target_chart.embdim), np.nan)
         zs = np.full((k, m), np.nan)
         prev_z = z_ends[:k].copy()
     else:
         raise ValueError("kind must be 'source' or 'target'")
+    status = np.where(st[:k] != 0, st[:k], st[k:])
+    p0, p1 = (np.where((status == 0)[:, None], e, np.nan) for e in (ends[:k], ends[k:]))
     batch = SegmentBatch(s_grid, p0, p1, pts, zs, status, ok)
     live = np.flatnonzero(status == 0)
     if live.size == 0:

@@ -186,11 +186,15 @@ class Envelope:
                 raise ConfigError(f"envelope file {path} lacks {missing}")
             gf = genfun_from_descriptor(doc["genfun"])
             grid = DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
-            xbars = np.array([p[0] for p in doc["pieces"]])
-            zs = np.array([p[1] for p in doc["pieces"]])
-        except (IndexError, KeyError, ValueError) as e:
+            env = Envelope(gf, ([p[0] for p in doc["pieces"]], [p[1] for p in doc["pieces"]]),
+                           grid)
+            # the grid scan does not check foci; Envelope.eval does
+            bad = np.flatnonzero(~gf._focus_ok(env.xbars, env.zs))
+            if bad.size:
+                raise ConfigError(f"envelope file {path}: piece {bad[0]} has its focus or "
+                                  f"height outside the domain of {gf.name}")
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"malformed envelope file {path}: {e!r}") from e
-        env = Envelope(gf, (xbars, zs), grid)
         env.focus_cell_volume = doc.get("focus_cell_volume")
         return env
 

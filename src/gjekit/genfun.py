@@ -153,9 +153,9 @@ class GenFun:
         Raises RangeError when some row has no admissible z and
         ConvergenceError when some residual exceeds ``tols.h_inverse``.
         """
+        x, xbar, u, single = self._batch(x, xbar, u)
         z, status = self.inverse_rows(x, xbar, u)
         raise_for_status(status, f"{self.name}: inverse")
-        single = np.ndim(x) == 1 and np.ndim(xbar) == 1 and np.ndim(u) == 0
         return float(z[0]) if single else z
 
     def inverse_rows(self, x, xbar, u):
@@ -425,8 +425,8 @@ def finite_diff_derivatives(gf: GenFun, which: str, x, xbar, z):
     """
     if which not in _FD_AXES:
         raise ValueError(f"unknown derivative id {which!r}; valid: {sorted(_FD_AXES)}")
-    if not np.all(gf.in_domain(x, xbar, z)):
+    x, xbar, z, single = gf._batch(x, xbar, z)
+    if not np.all(gf._in_domain(x, xbar, z)):
         raise DomainError(f"{gf.name}: point not admissible")
-    out = raise_for_nan(_fd(gf, *gf._batch(x, xbar, z)[:3], which), gf.name)
-    single = np.asarray(x).ndim == 1
+    out = raise_for_nan(_fd(gf, x, xbar, z, which), gf.name)
     return out[0] if single else out

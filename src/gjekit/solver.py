@@ -48,7 +48,12 @@ class SemiDiscreteProblem:
     anchor_u: float = None       # normalization value u0 (in the nice interval)
 
     def __post_init__(self):
-        self.targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
+        source, target = self.gf.source_chart, self.gf.target_chart
+        if len(self.targets) == 0 or any(np.shape(t) != (target.embdim,) for t in self.targets):
+            raise ConfigError(f"target points need {target.embdim} coordinates each")
+        self.targets = np.asarray(self.targets, dtype=float)
+        if not np.all(target.contains(self.targets)):
+            raise ConfigError("target points must lie in the target chart")
         self.masses = np.asarray(self.masses, dtype=float)
         if self.targets.shape[0] != self.masses.shape[0]:
             raise ConfigError("targets and masses must have equal length")
@@ -69,6 +74,10 @@ class SemiDiscreteProblem:
         if self.anchor_x is None:
             self.anchor_x = self.grid.points[len(self.grid.points) // 2]
         self.anchor_x = np.asarray(self.anchor_x, dtype=float)
+        if self.anchor_x.shape != (source.embdim,):
+            raise ConfigError(f"the anchor point needs {source.embdim} coordinates")
+        if not source.contains(self.anchor_x):
+            raise ConfigError("the anchor point must lie in the source chart")
         if self.anchor_u is None:
             sr = self.gf.srange
             self.anchor_u = 0.5 * (sr.nice_lower + sr.nice_upper)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import _row_dots, _row_norms
-from .errors import RowStatus
-from .expmaps import (SegmentBatch, e_matrix, exp_source, exp_target, g_segment_batch,
-                      p_map, pbar_rows)
+from .expmaps import (SegmentBatch, _ok_rows, e_matrix, exp_source, exp_target,
+                      g_segment_batch, p_map, pbar_rows)
 from .genfun import GenFun, raise_for_nan
 
 __all__ = [
@@ -366,20 +365,6 @@ def _tensor_rows(gf, base, V, eta, hessian_at, names):
     return vals, status
 
 
-def _hessian_rows(gf, fn, x, xbar, z, status):
-    """fn(x, xbar, z), a batch of n x n matrices, on the rows whose status is OK.
-
-    A finite-difference derivative is nan on the rows whose stencil leaves
-    the admissible set; those rows fail with DERIVATIVE_STENCIL.  Returns
-    (A, status), A nan on failed rows.
-    """
-    A = np.full((status.size, gf.dim, gf.dim), np.nan)
-    rows = status == 0
-    A[rows] = fn(x[rows], xbar[rows], z[rows])
-    status[rows & np.isnan(A).any(axis=(1, 2))] = RowStatus.DERIVATIVE_STENCIL
-    return A, status
-
-
 def g3w_batch(gf: GenFun, x, pbar, u, V, eta, xbar_guess=None):
     """Batched fourth-order form: per row, the second difference of
     s -> <A(x, pbar + s eta, u) V, V> at s = 0.
@@ -398,7 +383,7 @@ def g3w_batch(gf: GenFun, x, pbar, u, V, eta, xbar_guess=None):
     def hessian_at(cov, rows, tols):
         xb, z, status = exp_target(gf, x[rows], u[rows], cov, tols=tols, return_status=True,
                                    xbar_guess=None if guess is None else guess[rows])
-        return _hessian_rows(gf, gf.d2_x, x[rows], xb, z, status)
+        return _ok_rows(gf.d2_x, status, x[rows], xb, z)
 
     return _tensor_rows(gf, pbar, V, eta, hessian_at, "eta, V")
 
@@ -435,8 +420,7 @@ def g3w_dual_batch(gf: GenFun, p, xbar, z, Vbar, etabar, x_guess=None):
     def hessian_at(cov, rows, tols):
         x, status = exp_source(gf, xbar[rows], z[rows], cov, tols=tols, return_status=True,
                                x_guess=None if guess is None else guess[rows])
-        return _hessian_rows(gf, lambda *a: _h_xbar_xbar(gf, *a), x, xbar[rows],
-                             z[rows], status)
+        return _ok_rows(lambda *a: _h_xbar_xbar(gf, *a), status, x, xbar[rows], z[rows])
 
     return _tensor_rows(gf, p, Vbar, etabar, hessian_at, "etabar, Vbar")
 

@@ -87,19 +87,33 @@ def test_check_runs_on_the_config_interval(tmp_path, kind):
     assert report["interval"] == [-0.3, 0.3]
 
 
-@pytest.mark.parametrize("kind, params", [
-    ("far_field", {"bogus": 1}),
-    ("violator", {"bogus": 1}),
-    ("folded_twist", {"eps": 1.0}),
-    ("quasilinear", {"source_box": [1.0]}),
+_SMALL_TABLE = {"x_nodes": [0.0, 1.0], "y_nodes": [0.0, 1.0], "values": [[0.0, 0.0], [0.0, 0.0]]}
+
+
+@pytest.mark.parametrize("kind, params, named", [
+    pytest.param("far_field", {"bogus": 1}, "'bogus'", id="far_field-params0"),
+    pytest.param("violator", {"bogus": 1}, "'bogus'", id="violator-params1"),
+    pytest.param("folded_twist", {"eps": 1.0}, "'eps'", id="folded_twist-params2"),
+    pytest.param("quasilinear", {"source_box": [1.0]}, "not enough values to unpack",
+                 id="quasilinear-params3"),
+    pytest.param("point_source", {"tols": {"tie": 0.001}}, "'tols'", id="tols"),
+    pytest.param("quasilinear", {"srange": [-1.0, 1.0, -0.5, 0.5]}, "'srange'", id="srange"),
+    pytest.param("minkowski", {"source_chart": {"kind": "box"}}, "'source_chart'",
+                 id="source_chart"),
+    pytest.param("parallel_beam", {"target_chart": [[-1.0, -1.0], [1.0, 1.0]]},
+                 "'target_chart'", id="target_chart"),
+    pytest.param("parallel_beam", {"surface": _SMALL_TABLE},
+                 "surface table needs at least 4 nodes", id="surface_2x2"),
+    pytest.param("parallel_beam", {"surface": "zero"}, "surface must be", id="surface_name"),
+    pytest.param("quasilinear", {"cost": 3}, "cost must be", id="cost_number"),
 ])
-def test_bad_genfun_params_exit_2(tmp_path, capsys, kind, params):
+def test_bad_genfun_params_exit_2(tmp_path, capsys, kind, params, named):
     cfg = _write(tmp_path, {"genfun": {"kind": kind, "params": params},
                             "output_dir": str(tmp_path / "out")})
     assert main(["check", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: malformed parameters for {kind!r}: ")
-    assert err.count("\n") == 1, err
+    assert named in err and err.count("\n") == 1, err
 
 
 def test_check_twist_violator_fails_with_witness(tmp_path):
@@ -301,6 +315,20 @@ _GOOD_GENFUN = make_builtin("quasilinear").descriptor()
     ([], "does not hold a JSON object"),
     (1, "does not hold a JSON object"),
     (None, "does not hold a JSON object"),
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8], "pieces": 5},
+     "TypeError"),
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": 8,
+      "pieces": [[[0.0, 0.0], 0.0]]}, "TypeError"),
+    ({"format_version": 1, "genfun": [_GOOD_GENFUN], "grid_resolution": [8, 8],
+      "pieces": [[[0.0, 0.0], 0.0]]}, "AttributeError"),
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+      "pieces": [[[0.0, 0.0], "high"]]}, "ValueError(\"could not convert string to float"),
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+      "pieces": []}, "ValueError('envelope needs matching, nonempty piece arrays')"),
+    # the grid scan would give this piece cells that Envelope.eval never does
+    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+      "pieces": [[[0.0, 0.0], 0.0], [[5.0, 5.0], 0.0]]},
+     "piece 1 has its focus or height outside the domain"),
 ])
 def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
     env = tmp_path / "envelope.json"
@@ -310,6 +338,7 @@ def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err, err
+        assert str(env) in err and err.count("\n") == 1, err
 
 
 def test_demo_pipeline_point_source(tmp_path):
@@ -362,3 +391,23 @@ def test_custom_solve_config(tmp_path):
     rep = json.loads((tmp_path / "custom" / "solve_report.json").read_text())
     assert rep["converged"]
     assert abs(rep["heights"][0] - rep["heights"][1]) <= 1e-9
+
+
+_CUSTOM = {"genfun": {"kind": "quasilinear"}, "resolution": 16,
+           "targets": [{"point": [0.4, 0.0], "mass": 2.0}, {"point": [-0.4, 0.0], "mass": 2.0}],
+           "anchor": {"x": [0.0, 0.0], "u": 0.0}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"targets": [{"point": [0.4, 0.0, 0.0], "mass": 2.0},
+                  {"point": [-0.4, 0.0], "mass": 2.0}]}, "target points need 2 coordinates each"),
+    ({"anchor": {"x": [0.0], "u": 0.0}}, "the anchor point needs 2 coordinates"),
+    ({"targets": [{"point": [3.0, 0.0], "mass": 2.0},
+                  {"point": [-0.4, 0.0], "mass": 2.0}]},
+     "target points must lie in the target chart"),
+    ({"anchor": {"x": [3.0, 0.0], "u": 0.0}}, "the anchor point must lie in the source chart"),
+], ids=["point_length", "anchor_length", "target_outside", "anchor_outside"])
+def test_bad_custom_solve_exit_2(tmp_path, capsys, change, message):
+    cfg = _write(tmp_path, {**_CUSTOM, **change, "output_dir": str(tmp_path / "out")})
+    assert main(["solve", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

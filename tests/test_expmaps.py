@@ -8,6 +8,7 @@ from gjekit.builtins import make_builtin
 from gjekit.demos import TEST_INTERVALS, far_field_genfun, violator_genfun
 from gjekit.errors import ConvergenceError, DomainError, RangeError, RowStatus
 from gjekit.expmaps import e_matrix, exp_source, exp_target, g_segment_batch, p_map, pbar_rows
+from gjekit.genfun import finite_diff_derivatives
 
 BUILTIN_NAMES = ["quasilinear", "point_source", "parallel_beam", "minkowski"]
 
@@ -45,6 +46,24 @@ def test_p_maps_quasilinear_identities():
     xb = np.array([0.5, 0.1])
     assert np.allclose(p_map(gf, xb, 0.9, x), x)      # -DbarG/Gz = x
     assert np.allclose(pbar_rows(gf, x, 0.4, xb)[0][0], xb)  # DxG = xbar
+
+
+@pytest.mark.parametrize("name", ["quasilinear", "bent"])
+def test_one_point_against_k_foci_is_a_batch(name, builtins_all):
+    # one x with k foci and k heights is k rows, as in gf.value and gf.d_x
+    gf = make_builtin("quasilinear", cost=bent_cost) if name == "bent" \
+        else builtins_all[name]
+    x = np.array([0.2, -0.1])
+    xbs = np.array([[0.4, 0.1], [-0.3, 0.2], [0.1, -0.5]])
+    zs = np.array([0.3, -0.2, 0.1])
+    maps = {"p_map": lambda x, xb, z: p_map(gf, xb, z, x),
+            "e_matrix": lambda x, xb, z: e_matrix(gf, x, xb, z),
+            "fd d_x_xbar": lambda x, xb, z: finite_diff_derivatives(gf, "d_x_xbar", x, xb, z),
+            "fd g_z": lambda x, xb, z: finite_diff_derivatives(gf, "g_z", x, xb, z),
+            "value": lambda x, xb, z: gf.value(x, xb, z)}
+    for label, f in maps.items():
+        rows = np.array([f(x, xb, z) for xb, z in zip(xbs, zs)])
+        assert np.array_equal(f(x, xbs, zs), rows), label
 
 
 def test_p_map_parallel_beam_vs_finite_difference():

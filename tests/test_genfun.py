@@ -435,3 +435,18 @@ def test_grid_surface_parallel_beam():
     xb = np.array([0.4, -0.3])
     expect = 0.5 * (1 / 0.8 - 0.8 * np.sum((x - xb) ** 2)) + 0.1 * (0.4 ** 2 + 0.3 ** 2)
     assert np.isclose(pb.value(x, xb, 0.8), expect, atol=1e-6)
+
+
+def test_grid_surface_derivatives_match_finite_differences(intervals):
+    # GridSurface.grad and .hess enter the analytic d_xbar and d2_xbar; the
+    # finite differences see the spline through the value alone
+    xn = np.linspace(-1, 1, 25)
+    table = 0.1 * np.outer(np.sin(2 * xn), np.cos(xn))
+    pb = make_builtin("parallel_beam", surface={"x_nodes": xn, "y_nodes": xn,
+                                                "values": table})
+    xs, xbs, _, zs = sample_admissible(pb, intervals["parallel_beam"], 12, seed=5)
+    assert np.min(np.abs(pb.surface.hess(xbs)[:, 0, 0])) > 0.0
+    for which in ("d_xbar", "d2_xbar"):
+        ana = getattr(pb, which)(xs, xbs, zs)
+        fd = finite_diff_derivatives(pb, which, xs, xbs, zs)
+        assert np.max(np.abs(ana - fd)) <= 1e-5 * np.max(np.abs(fd)) + 1e-7, which
