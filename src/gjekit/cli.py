@@ -93,8 +93,10 @@ def _genfun_from_config(cfg):
                     raise ValueError(f"{key!r} cannot be set from a config")
             for box_key in ("source_box", "target_box"):
                 if box_key in params:
-                    lo, hi = params.pop(box_key)
-                    params[box_key.replace("_box", "_chart")] = BoxChart(lo, hi)
+                    box = params.pop(box_key)
+                    if not (isinstance(box, (list, tuple)) and len(box) == 2):
+                        raise ValueError(f"{box_key!r} must be a pair [lo, hi]")
+                    params[box_key.replace("_box", "_chart")] = BoxChart(*box)
             gf = make_builtin(kind, **params)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed parameters for {kind!r}: {e}") from e

@@ -94,8 +94,10 @@ _SMALL_TABLE = {"x_nodes": [0.0, 1.0], "y_nodes": [0.0, 1.0], "values": [[0.0, 0
     pytest.param("far_field", {"bogus": 1}, "'bogus'", id="far_field-params0"),
     pytest.param("violator", {"bogus": 1}, "'bogus'", id="violator-params1"),
     pytest.param("folded_twist", {"eps": 1.0}, "'eps'", id="folded_twist-params2"),
-    pytest.param("quasilinear", {"source_box": [1.0]}, "not enough values to unpack",
+    pytest.param("quasilinear", {"source_box": [1.0]}, "'source_box' must be a pair",
                  id="quasilinear-params3"),
+    pytest.param("quasilinear", {"target_box": [[0.0], [1.0], [2.0]]},
+                 "'target_box' must be a pair", id="target_box"),
     pytest.param("point_source", {"tols": {"tie": 0.001}}, "'tols'", id="tols"),
     pytest.param("quasilinear", {"srange": [-1.0, 1.0, -0.5, 0.5]}, "'srange'", id="srange"),
     pytest.param("minkowski", {"source_chart": {"kind": "box"}}, "'source_chart'",

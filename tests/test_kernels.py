@@ -447,7 +447,7 @@ def test_pb_zero_column_basis_is_the_row_sum(seed, d, m, scale):
     assert np.array_equal(got.view(np.int64), expect.view(np.int64))
 
 
-# -- the tiled bilinear scan --------------------------------------------------------
+# -- the tiled scan ----------------------------------------------------------------
 
 
 def _loop_scan(gf, xs, xbars, zs, tie):
@@ -477,18 +477,34 @@ def test_dense_bilinear_envelopes_scan_as_the_per_piece_loop(name, request):
         assert all(len(env.eval(x)[1]) == 4 for x in env.grid.points[inside][::97])
 
 
+@pytest.mark.parametrize("thinned", [False, True])
+def test_dense_cubic_envelopes_scan_as_the_per_piece_loop(violator_env, thinned):
+    # the full violator sends cells to the chain over all rows; the thinned
+    # copy keeps every other focus along each axis, as the benchmark does
+    env = violator_env
+    if thinned:
+        keep = np.all(np.rint(env.xbars * 75).astype(np.int64) % 2 == 0, axis=1)
+        env = Envelope(env.gf, (env.xbars[keep], env.zs[keep]), env.grid)
+    assert env.gf._kernel == ("ql_cubic", (12.0,))
+    assert env.n_pieces >= kernels._TILED_MIN_PIECES
+    xs, tie = env.grid.points, env.tols.tie
+    assert kernels._tiled_scan(env.gf._kernel, xs, env.xbars, env.zs, tie) is not None
+    want = _loop_scan(env.gf, xs, env.xbars, env.zs, tie)
+    _assert_same_scan((env.grid_values(), env.cell_indices()), want)
+
+
 _QL = make_builtin("quasilinear")
 
 
-def _tiled_case(rng, shape, lattice, n_dup, n_stair, lone_cell, tie):
+def _tiled_case(rng, shape, lattice, n_dup, n_stair, lone_cell, tie, gf=_QL):
     """Cells of an r0 x r1 grid at spacing h, the lone cell far out when
-    asked (a tile of its own), and at least _TILED_MIN_PIECES bilinear
-    pieces: random, or tangent to |x|^2 / 2 on a focus lattice of spacing
-    h / 3, which puts every grid cell inside the lattice's box midway
-    between four foci (an exact tie); then copies of random pieces, and
-    near-tie staircases on pieces that win a cell: heights z - 0.6 tie and
-    z - 1.2 tie after z, the chain (0, 0.6 tie, 1.2 tie) whose cell the
-    scan runs over all rows."""
+    asked (a tile of its own), and at least _TILED_MIN_PIECES pieces,
+    bilinear heights: random, or tangent to |x|^2 / 2 on a focus lattice of
+    spacing h / 3, which puts every grid cell inside the lattice's box
+    midway between four foci (an exact bilinear tie); then copies of
+    random pieces, and near-tie staircases on pieces that win a cell under
+    ``gf``'s closed form: heights z - 0.6 tie and z - 1.2 tie after z, the
+    chain (0, 0.6 tie, 1.2 tie) whose cell the scan runs over all rows."""
     h = 0.1
     a0 = (np.arange(shape[0]) - shape[0] // 2 + 0.5) * h
     a1 = (np.arange(shape[1]) - shape[1] // 2 + 0.5) * h
@@ -507,7 +523,9 @@ def _tiled_case(rng, shape, lattice, n_dup, n_stair, lone_cell, tie):
     order = rng.permutation(xbars.shape[0])
     xbars, zs = xbars[order], zs[order]
     dup = rng.integers(0, xbars.shape[0], size=n_dup)
-    win = np.argmax(xs @ xbars.T - zs, axis=1)[rng.integers(0, xs.shape[0], size=n_stair)]
+    tag, params = gf._kernel
+    values = kernels.np_basis_values(tag, params, xs @ xbars.T, None, zs)
+    win = np.argmax(values, axis=1)[rng.integers(0, xs.shape[0], size=n_stair)]
     stair_x = np.repeat(xbars[win], 2, axis=0)
     stair_z = np.repeat(zs[win], 2) - np.tile([0.6 * tie, 1.2 * tie], n_stair)
     return (xs, np.concatenate((xbars, xbars[dup], stair_x)),
@@ -532,49 +550,145 @@ def test_tiled_bilinear_scan_is_the_per_piece_scan(seed, shape, lattice, n_dup, 
     if lone_cell and xs.shape[0] > kernels._TILE:
         assert min(t.size for t in kernels._cell_tiles(xs)) == 1
     want = _loop_scan(_QL, xs, xbars, zs, tie)
-    got = kernels._tiled_bilinear_scan(xs, xbars, zs, tie)
+    got = kernels._tiled_scan(_QL._kernel, xs, xbars, zs, tie)
     assert got is not None
     _assert_same_scan(got, want)
     _assert_same_scan(kernels.envelope_scan(_QL, xs, xbars, zs, tie), want)
 
 
+@settings(max_examples=30, deadline=None)
+@example(seed=0, shape=(9, 9), lattice=True, n_dup=0, n_stair=0, lone_cell=True, eps=0.0,
+         tie=1e-9)
+@example(seed=1, shape=(12, 7), lattice=False, n_dup=40, n_stair=30, lone_cell=True,
+         eps=12.0, tie=1e-3)
+@example(seed=2, shape=(20, 20), lattice=False, n_dup=60, n_stair=30, lone_cell=True,
+         eps=12.0, tie=1e-9)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       shape=st.tuples(st.integers(1, 20), st.integers(1, 20)), lattice=st.booleans(),
+       n_dup=st.integers(0, 60), n_stair=st.integers(0, 30), lone_cell=st.booleans(),
+       eps=st.sampled_from([0.0, 2.0, 12.0]), tie=st.sampled_from([1e-9, 1e-3]))
+def test_tiled_cubic_scan_is_the_per_piece_scan(seed, shape, lattice, n_dup, n_stair,
+                                                lone_cell, eps, tie):
+    # the bilinear property's cases under f(b) = b + eps b^3; eps = 0 keeps
+    # the lattice's exact ties, and the far lone cell at eps = 12 puts E past
+    # tie / 4 for tie = 1e-9, where the tiled path declines
+    assume(shape[0] * shape[1] + lone_cell >= 2)
+    gf = violator_genfun(eps=eps)
+    rng = np.random.default_rng(seed)
+    xs, xbars, zs = _tiled_case(rng, shape, lattice, n_dup, n_stair, lone_cell, tie, gf)
+    want = _loop_scan(gf, xs, xbars, zs, tie)
+    got = kernels._tiled_scan(gf._kernel, xs, xbars, zs, tie)
+    if kernels._rounding_bound(gf._kernel, xs, xbars, zs) <= tie / 4:
+        _assert_same_scan(got, want)
+    else:
+        assert got is None
+    _assert_same_scan(kernels.envelope_scan(gf, xs, xbars, zs, tie), want)
+
+
+@pytest.mark.parametrize("eps", [0.0, 2.0, 12.0])
+def test_cubic_tile_gap_bounds_the_gap_over_the_box(eps):
+    # the bound is at least v_p - v_w at every point of the box; the first
+    # box is a segment on which x . (xbar_1 - xbar_0) is -0.4 throughout and
+    # the leader's basis runs over [-0.4, 0.6], so the gap peaks at the
+    # vertex b = 0.2, inside the range, not at its ends
+    kernel = ("ql_cubic", (eps,))
+    rng = np.random.default_rng(9)
+    cases = [(np.array([1.0, -1.0]), np.array([1.0, 1.0]),
+              np.array([[0.1, 0.5], [-0.3, 0.5]]), np.zeros(2))]
+    for _ in range(20):
+        ends = np.sort(rng.uniform(-1.0, 1.0, size=(2, 2)), axis=0)
+        cases.append((ends[0], ends[1], rng.uniform(-1.0, 1.0, size=(50, 2)),
+                      rng.uniform(-0.1, 0.1, size=50)))
+    for lo, hi, xbars, zs in cases:
+        t = np.linspace(0.0, 1.0, 41)
+        P, Q = np.meshgrid(lo[0] + t * (hi[0] - lo[0]), lo[1] + t * (hi[1] - lo[1]))
+        b = np.stack([P.ravel(), Q.ravel()], axis=1) @ xbars.T
+        v = b + eps * b ** 3 - zs
+        gap = kernels._tile_gap(kernel, lo, hi, np.ascontiguousarray(xbars.T), 0, zs,
+                                np.empty((5, zs.size)))
+        assert np.all(gap >= np.max(v - v[:, :1], axis=0) - 1e-12)
+
+
 def test_tiles_too_big_to_evaluate_run_the_full_chain(monkeypatch):
     # a survivors x cells block over the cap sends the tile's cells to the
     # chain over every row, evaluated a capped block of pieces at a time
-    rng = np.random.default_rng(5)
-    xs, xbars, zs = _tiled_case(rng, (16, 11), False, 20, 10, True, 1e-9)
-    want = _loop_scan(_QL, xs, xbars, zs, 1e-9)
-    for block in (1, 3000):
-        monkeypatch.setattr(kernels, "_BLOCK", block)
-        _assert_same_scan(kernels._tiled_bilinear_scan(xs, xbars, zs, 1e-9), want)
+    for gf in (_QL, violator_genfun(eps=2.0)):
+        rng = np.random.default_rng(5)
+        xs, xbars, zs = _tiled_case(rng, (16, 11), False, 20, 10, True, 1e-9, gf)
+        want = _loop_scan(gf, xs, xbars, zs, 1e-9)
+        for block in (1, 3000):
+            monkeypatch.setattr(kernels, "_BLOCK", block)
+            _assert_same_scan(kernels._tiled_scan(gf._kernel, xs, xbars, zs, 1e-9), want)
 
 
 def test_tiled_scan_needs_finite_inputs_and_a_fine_rounding_bound():
     # culling is sound only while the rounding bound E is at most tie / 4
-    rng = np.random.default_rng(6)
-    xs, xbars, zs = _tiled_case(rng, (10, 10), False, 0, 0, False, 1e-9)
-    assert kernels._tiled_bilinear_scan(xs, xbars, zs, 1e-9) is not None
-    far = zs + 1e8  # E about 4e-7
+    for gf in (_QL, violator_genfun(eps=2.0)):
+        rng = np.random.default_rng(6)
+        xs, xbars, zs = _tiled_case(rng, (10, 10), False, 0, 0, False, 1e-9, gf)
+        assert kernels._tiled_scan(gf._kernel, xs, xbars, zs, 1e-9) is not None
+        far = zs + 1e8  # E about 4e-7
+        inf = zs.copy()
+        inf[7] = np.inf
+        for heights in (far, inf):
+            assert kernels._tiled_scan(gf._kernel, xs, xbars, heights, 1e-9) is None
+            _assert_same_scan(kernels.envelope_scan(gf, xs, xbars, heights, 1e-9),
+                              _loop_scan(gf, xs, xbars, heights, 1e-9))
+
+
+@pytest.mark.parametrize("tie", [1e-9, 1e-3])
+def test_cubic_rounding_bound_at_its_threshold(tie):
+    # the cubic E = 4 (d + 3) eps (Y + eps Y^3 + Z), Y = 3 d X Xbar, from
+    # the largest |x_k|, |xbar_k| and |z|: heights whose largest |z| puts E
+    # just past tie / 4, or a focus far out, decline the tiled path; heights
+    # just under it scan as the loop, as does every declined case
+    eps, d = 12.0, 2
+    gf = violator_genfun(eps=eps)
+    rng = np.random.default_rng(8)
+    xs, xbars, zs = _tiled_case(rng, (14, 12), False, 30, 20, False, tie, gf)
+    y = 3 * d * np.max(np.abs(xs)) * np.max(np.abs(xbars))
+    z_max = tie / (16 * (d + 3) * np.finfo(float).eps) - (y + eps * y ** 3)
+    assert z_max > 10 * np.max(np.abs(zs))
+    out = xbars.copy()
+    out[3] = [1e4, 0.0]
     inf = zs.copy()
-    inf[7] = np.inf
-    for heights in (far, inf):
-        assert kernels._tiled_bilinear_scan(xs, xbars, heights, 1e-9) is None
-        _assert_same_scan(kernels.envelope_scan(_QL, xs, xbars, heights, 1e-9),
-                          _loop_scan(_QL, xs, xbars, heights, 1e-9))
+    inf[5] = np.inf
+    for foci, heights, tiles in [(xbars, zs + 0.999 * z_max, True),
+                                 (xbars, zs + 1.001 * z_max, False),
+                                 (out, zs, False), (xbars, inf, False)]:
+        want = _loop_scan(gf, xs, foci, heights, tie)
+        got = kernels._tiled_scan(gf._kernel, xs, foci, heights, tie)
+        if tiles:
+            _assert_same_scan(got, want)
+        else:
+            assert got is None
+        _assert_same_scan(kernels.envelope_scan(gf, xs, foci, heights, tie), want)
 
 
-def test_only_dense_bilinear_envelopes_take_the_tiled_path(monkeypatch):
+def test_bilinear_and_increasing_cubic_envelopes_take_the_tiled_path(monkeypatch):
+    # a cubic with eps < 0 decreases somewhere, so its gap bound fails; the
+    # other closed forms have no tile bound yet
     calls = []
-    tiled = kernels._tiled_bilinear_scan
-    monkeypatch.setattr(kernels, "_tiled_bilinear_scan",
-                        lambda *a: calls.append(a[1].shape[0]) or tiled(*a))
+    tiled = kernels._tiled_scan
+    monkeypatch.setattr(kernels, "_tiled_scan",
+                        lambda *a: calls.append(a[0][0]) or tiled(*a))
     rng = np.random.default_rng(7)
     xs, xbars, zs = _tiled_case(rng, (8, 8), False, 0, 0, False, 1e-9)
     n = kernels._TILED_MIN_PIECES
-    cubic = violator_genfun(eps=2.0, half=1.0)
+    untagged = make_builtin("quasilinear", cost=lambda x, xb: float(np.sum((x - xb) ** 2)))
+    assert untagged._kernel is None
     kernels.envelope_scan(_QL, xs, xbars[:n - 1], zs[:n - 1], 1e-9)
     kernels.envelope_scan(_QL, xs[:1], xbars, zs, 1e-9)
-    kernels.envelope_scan(cubic, xs, xbars, zs, 1e-9)
+    kernels.envelope_scan(violator_genfun(eps=12.0), xs[:1], xbars, zs, 1e-9)
+    kernels.envelope_scan(violator_genfun(eps=-2.0), xs, xbars, zs, 1e-9)
+    kernels.envelope_scan(untagged, xs, xbars, zs, 1e-9)
+    for gf in _CASES.values():
+        if gf._kernel[0] not in ("ql_bilinear", "ql_cubic"):
+            foci = gf.target_chart.sample(n, rng)
+            kernels.envelope_scan(gf, gf.source_chart.sample(64, rng), foci,
+                                  rng.uniform(0.6, 0.8, size=n), 1e-9)
     assert calls == []
     kernels.envelope_scan(_QL, xs, xbars, zs, 1e-9)
-    assert calls == [n]
+    kernels.envelope_scan(violator_genfun(eps=0.0), xs, xbars, zs, 1e-9)
+    kernels.envelope_scan(violator_genfun(eps=12.0), xs, xbars, zs, 1e-9)
+    assert calls == ["ql_bilinear", "ql_cubic", "ql_cubic"]
