@@ -15,6 +15,7 @@ computed by the pointwise estimates (``estimates._subdiff_volume``).
 """
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +196,14 @@ class Envelope:
                                   f"height outside the domain of {gf.name}")
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"malformed envelope file {path}: {e!r}") from e
-        env.focus_cell_volume = doc.get("focus_cell_volume")
+        vol = doc.get("focus_cell_volume")
+        # a JSON true is an int to isinstance, and an int past the largest
+        # float is below inf but not a float
+        if vol is not None and not (type(vol) in (int, float)
+                                    and 0.0 < vol <= sys.float_info.max):
+            raise ConfigError(f"envelope file {path}: focus_cell_volume must be a "
+                              f"finite number > 0, not {vol!r}")
+        env.focus_cell_volume = vol
         return env
 
 

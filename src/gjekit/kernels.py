@@ -36,8 +36,8 @@ That win rule is an up-set in the piece value, so value bounds over a
 height interval decide most cells for every height in it.
 :func:`np_value_bounds` gives per-cell bounds that enclose the closed form
 bit for bit: every correctly rounded operation is monotone in each
-argument, so the bounds apply the kernel's own operations, in its order, to
-interval endpoints.  :func:`win_split` turns them into the cells won and
+argument, so a closed form monotone in z is bounded by its own values at
+the interval's ends.  :func:`win_split` turns them into the cells won and
 the cells still open over the interval.  A narrowed :func:`piece_mass` call
 (``sel=``) evaluates the open cells only and sums the weights of every won
 cell in cell order: the same array as a full-grid call, so the same mass
@@ -45,33 +45,16 @@ bit for bit.
 
 A dense ``ql_bilinear`` envelope, or a ``ql_cubic`` one with eps >= 0, is
 scanned per tile of about 64 cells (:func:`_tiled_scan`), evaluating only
-the pieces that can take a cell of the tile.  Each tag supplies a bound on
-the gap of piece p to the tile's leader w (the argmax at its box centre),
-max over the tile's box of v_p - v_w (:func:`_tile_gap`), and a rounding
-bound E = 4 (d + 3) eps P per scan (:func:`_rounding_bound`).  With
-D = xbar_p - xbar_w and L = sum_k max(lo_k D_k, hi_k D_k), the exact box
-max of x . D: the bilinear gap is exactly L - (z_p - z_w), with P =
-d X Xbar + Z from the largest |x_k|, |xbar_k| and |z|; the cubic f(b) =
-b + eps b^3 increases, so its gap is at most the max of f(b + L) - f(b),
-a quadratic in b, over the box range [b_lo, b_hi] of x . xbar_w, which
-lies at b_lo, b_hi or the vertex -L / 2 clipped to the range, less
-(z_p - z_w); its P = Y + eps Y^3 + Z with Y = 3 d X Xbar.  A piece whose
-computed gap is below -3 tie is culled; the scan culls only when
-E <= tie / 4, which puts every culled value below M - 2.75 tie, M the
-cell's max.  With theta = fl(M - tie), a cell at which every survivor has
-v >= theta or fl(v + tie) < theta is decided by :func:`scan_rows` over the
-rows with v >= theta, in index order; any other cell runs the scan over
-all rows.  Every value is the kernel's own :func:`np_basis_values` on a
-basis from one batched matrix-vector product per piece, the full-grid
-row's rounding, so the result equals the per-piece loop bit for bit.  It
-evaluates about 1 % of the violator's piece-cells: the full violator
-envelope (22,201 pieces x 22,500 cells) scans in about 0.3 s instead of
+the pieces whose bound on the gap to the tile's leader (:func:`_tile_gap`)
+lets them take a cell of the tile; a scan whose rounding bound
+(:func:`_rounding_bound`) is too large for that runs the per-piece loop.
+The cells a tile cannot settle go through :func:`scan_point`, one cell
+over every piece.  The result equals the per-piece loop bit for bit, and
+the argument is set out in those three functions.  The full violator
+envelope (22,201 pieces x 22,500 cells) scans in about 0.2 s instead of
 1.4-1.7 s, its thinned copy (5,625 pieces) in about 0.08 s instead of
-0.4 s (one core of a 2-core x86-64 VM).
-``point_source`` (an affine value in the embedded point, with an
-effective focus and a 1/q in its E), ``pb_zero``, ``minkowski`` and
-``ql_neglog`` are the next cases of the same per-tag hook; they run the
-per-piece loop.
+0.4 s (one core of a 2-core x86-64 VM).  ``point_source``, ``pb_zero``,
+``minkowski`` and ``ql_neglog`` run the per-piece loop.
 """
 
 import numpy as np
@@ -177,10 +160,13 @@ def np_value_bounds(tag, params, b, t2, z1, z2):
     """Per-cell (lo, hi) enclosing :func:`np_basis_values` over z in [z1, z2].
 
     ``lo <= np_basis_values(tag, params, b, t2, z) <= hi`` holds bit for
-    bit for every z in [z1, z2], because each correctly rounded operation
-    is monotone in each argument: the bounds repeat the kernel's operations
-    in its order on interval endpoints.  Returns None where no enclosure is
-    known (a height at or past a guard).
+    bit for every z in [z1, z2] and every basis ``b`` that
+    :func:`np_piece_basis` gives (b >= +0 for ``pb_zero``), because each
+    correctly rounded operation is monotone in each argument.  Every tag
+    but ``point_source`` is monotone in z, so its bounds are its own values
+    at z1 and z2; ``point_source`` repeats the kernel's operations in its
+    order on interval endpoints.  Returns None where no enclosure is known
+    (a height at or past a guard).
     """
     if tag in ("ql_bilinear", "ql_neglog", "ql_cubic"):
         # fl(A(b) - z) falls with z
@@ -193,13 +179,10 @@ def np_value_bounds(tag, params, b, t2, z1, z2):
         return (np_basis_values(tag, params, b, None, z1),
                 np_basis_values(tag, params, b, None, z2))
     if tag == "pb_zero":
-        # 0.5 (1/z - z b), then -inf below the lower end (a monotone cut)
-        zb1, zb2 = z1 * b, z2 * b
-        lo = 0.5 * (1.0 / z2 - np.maximum(zb1, zb2))
-        hi = 0.5 * (1.0 / z1 - np.minimum(zb1, zb2))
-        lo[~(lo >= params[0])] = -np.inf
-        hi[~(hi >= params[0])] = -np.inf
-        return lo, hi
+        # 0.5 (1/z - z b) on b >= +0 falls with z; -inf below the lower end
+        # is a monotone cut
+        return (np_basis_values(tag, params, b, None, z2),
+                np_basis_values(tag, params, b, None, z1))
     if tag == "point_source":
         q1, q2 = 1.0 - 0.25 * z1 * z1 * t2, 1.0 - 0.25 * z2 * z2 * t2
         if not (q1 > 0.0 and q2 > 0.0):
@@ -409,18 +392,10 @@ def envelope_scan(gf, xs_emb, xbars, zs, tie):
 
     A ``ql_bilinear`` envelope, or a ``ql_cubic`` one with eps >= 0, with
     at least ``_TILED_MIN_PIECES`` pieces on two or more cells is scanned
-    tile by tile (:func:`_tiled_scan`): per tile of about ``_TILE`` cells,
-    a piece whose gap to the tile's leader w, a bound on max over the
-    tile's box of v_p - v_w (:func:`_tile_gap`), is below -3 tie is never
-    evaluated.  A cell whose surviving values each lie at or above
-    theta = fl(M - tie), M their max, or have fl(v + tie) < theta is
-    decided by ``scan_rows`` over the rows at or above theta; every other
-    cell runs the scan over all rows.  The tiled path runs only when the
-    scan's rounding bound E (:func:`_rounding_bound`) is at most tie / 4
-    and every input is finite, and it returns the per-piece loop's values
-    and indices bit for bit.  Every other tag, ``ql_neglog``, ``pb_zero``,
-    ``point_source`` and ``minkowski``, and a cubic with eps < 0 run the
-    per-piece loop.
+    tile by tile (:func:`_tiled_scan`), which evaluates per tile only the
+    pieces that can take one of its cells and returns the per-piece loop's
+    values and indices bit for bit.  Every other tag, a cubic with eps < 0
+    and a scan :func:`_tiled_scan` declines run the per-piece loop.
     """
     kernel = gf._kernel
     xs = np.ascontiguousarray(xs_emb, dtype=float)
@@ -598,9 +573,14 @@ def _tiled_scan(kernel, xs, xbars, zs, tie):
     If every row has v >= theta or fl(v + tie) < theta, ``scan_rows`` over
     all rows equals ``scan_rows`` over the rows with v >= theta in index
     order: the first of them takes the cell from any lower row, and no
-    lower row can take it back.  A cell with a survivor between the two
-    conditions, and every cell of a tile whose survivors would exceed
-    ``_BLOCK`` values, runs the chain over all rows.
+    lower row can take it back.  Any other cell, and every cell of a tile
+    whose survivors would exceed ``_BLOCK`` values, is left to
+    :func:`scan_point` on its column of values over all pieces, which is
+    ``scan_rows`` on that one cell; those columns are evaluated
+    ``_BLOCK // n`` cells at a time, at least one.  Every value is the
+    kernel's own :func:`np_basis_values` on a basis from
+    :func:`_block_values`, the full-grid row's rounding, so the result
+    equals the per-piece loop bit for bit.
     Returns None when E > tie / 4 or an input is not finite.
     """
     if not (np.isfinite(tie) and _rounding_bound(kernel, xs, xbars, zs) <= tie / 4):
@@ -619,27 +599,23 @@ def _tiled_scan(kernel, xs, xbars, zs, tie):
                                           None, zs)))
         keep = np.flatnonzero(_tile_gap(kernel, lo, hi, xt, w, zs, work) >= -3.0 * tie)
         if keep.size * cells.size > _BLOCK:
-            rest.append(cells)
+            rest.extend(cells)
             continue
         v = _block_values(kernel, x, xbars[keep], zs[keep])
         theta = v.max(axis=0) - tie
         top = v >= theta
         open_ = np.any(~top & (v + tie >= theta), axis=0)
         if open_.any():
-            rest.append(cells[open_])
+            rest.extend(cells[open_])
             cells, v, top = cells[~open_], v[:, ~open_], top[:, ~open_]
         rows = np.flatnonzero(top.any(axis=1))
         b, i = scan_rows(np.where(top[rows], v[rows], -np.inf), cells.size, tie)
         best[cells], idx[cells] = b, keep[rows[i]]
-    if rest:
-        cells = np.concatenate(rest)
-        x = xs[cells]
-        chain = ScanChain(cells.size, tie)
-        step = max(1, _BLOCK // cells.size)
-        for s in range(0, n, step):
-            for v in _block_values(kernel, x, xbars[s:s + step], zs[s:s + step]):
-                chain.push(v)
-        best[cells], idx[cells] = chain.best, chain.idx
+    step = max(1, _BLOCK // n)
+    for s in range(0, len(rest), step):
+        cells = rest[s:s + step]
+        for c, v in zip(cells, _block_values(kernel, xs[cells], xbars, zs).T):
+            best[c], idx[c] = scan_point(v, tie)
     return best, idx
 
 

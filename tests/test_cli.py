@@ -331,6 +331,10 @@ _GOOD_GENFUN = make_builtin("quasilinear").descriptor()
     ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
       "pieces": [[[0.0, 0.0], 0.0], [[5.0, 5.0], 0.0]]},
      "piece 1 has its focus or height outside the domain"),
+    # the estimate multiplies the focus count by this volume
+    *[({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+        "pieces": [[[0.0, 0.0], 0.0]], "focus_cell_volume": vol},
+       "focus_cell_volume must be a finite number > 0") for vol in ("big", [0.1], -1.0)],
 ])
 def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
     env = tmp_path / "envelope.json"

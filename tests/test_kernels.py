@@ -273,15 +273,16 @@ _TAGS = {gf._kernel[0]: gf for gf in _cases()}
 
 def _basis_sample(rng, tag, m):
     """A basis of both signs with planted +-0.0 and cells next to the
-    ``ql_neglog`` edge b = 1 - 1e-12; ``minkowski`` and ``pb_zero`` get -inf
-    cells from the signs."""
+    ``ql_neglog`` edge b = 1 - 1e-12; ``minkowski`` gets -inf cells from the
+    signs.  ``pb_zero`` gets the squares, b >= +0, the only basis
+    ``np_piece_basis`` gives that tag."""
     b = rng.normal(scale=0.8, size=m)
     b[rng.random(m) < 0.1] = 0.0
     b[rng.random(m) < 0.1] = -0.0
     edge = rng.random(m) < 0.1
     b[edge] = 1.0 - 1e-12 * rng.choice([0.5, 1.0, 2.0], size=int(edge.sum()))
-    if tag == "pb_zero":  # mostly squared distances, like the tag's basis
-        b[rng.random(m) < 0.5] **= 2
+    if tag == "pb_zero":  # squared distances, like the tag's basis
+        b **= 2
     return b
 
 
@@ -479,7 +480,7 @@ def test_dense_bilinear_envelopes_scan_as_the_per_piece_loop(name, request):
 
 @pytest.mark.parametrize("thinned", [False, True])
 def test_dense_cubic_envelopes_scan_as_the_per_piece_loop(violator_env, thinned):
-    # the full violator sends cells to the chain over all rows; the thinned
+    # the full violator sends cells to scan_point over all rows; the thinned
     # copy keeps every other focus along each axis, as the benchmark does
     env = violator_env
     if thinned:
@@ -610,8 +611,8 @@ def test_cubic_tile_gap_bounds_the_gap_over_the_box(eps):
 
 
 def test_tiles_too_big_to_evaluate_run_the_full_chain(monkeypatch):
-    # a survivors x cells block over the cap sends the tile's cells to the
-    # chain over every row, evaluated a capped block of pieces at a time
+    # a survivors x cells block over the cap sends each of the tile's cells
+    # to scan_point over every row, the chain over all rows on that cell
     for gf in (_QL, violator_genfun(eps=2.0)):
         rng = np.random.default_rng(5)
         xs, xbars, zs = _tiled_case(rng, (16, 11), False, 20, 10, True, 1e-9, gf)
