@@ -654,28 +654,22 @@ _COSTS = {
 
 
 def genfun_from_descriptor(d) -> GenFun:
-    """Reconstruct a built-in generating function from its descriptor."""
+    """Rebuild a built-in generating function from a descriptor that passed
+    ``envelope.schema.json``, which admits only the kinds, costs and surface
+    that rebuild; ValueError or ConfigError if its charts or range are not
+    in order."""
     from .charts import chart_from_descriptor
-    kind = d.get("kind")
     sc = chart_from_descriptor(d["source_chart"])
     tc = chart_from_descriptor(d["target_chart"])
     r = d["range"]
     srange = ScalarRange(r["lower"], r["upper"], r["nice_lower"], r["nice_upper"])
+    kind = d["kind"]
     if kind == "quasilinear":
-        cname = d.get("cost")
-        if cname not in _COSTS:
-            raise ConfigError(f"cannot rebuild quasilinear cost {cname!r} from descriptor")
-        extra = {"eps": d["eps"]} if cname == "cubic_perturbed" else {}
-        return QuasilinearGF(_COSTS[cname](**extra), sc, tc, srange)
-    if kind == "point_source":
-        return PointSourceGF(sc, tc, srange=srange)
+        extra = {"eps": d["eps"]} if d["cost"] == "cubic_perturbed" else {}
+        return QuasilinearGF(_COSTS[d["cost"]](**extra), sc, tc, srange)
     if kind == "parallel_beam":
-        if d.get("surface") != "zero":
-            raise ConfigError("only the flat surface rebuilds from a descriptor")
         return ParallelBeamGF(ZeroSurface(), sc, tc, srange)
-    if kind == "minkowski":
-        return MinkowskiGF(sc, tc, srange)
-    raise ConfigError(f"cannot rebuild generating function of kind {kind!r}")
+    return {"point_source": PointSourceGF, "minkowski": MinkowskiGF}[kind](sc, tc, srange)
 
 
 def make_builtin(kind: str, **params) -> GenFun:

@@ -188,9 +188,10 @@ class SphereChart:
         if not 0.0 < cap_deg <= _MAX_POLAR_DEG:
             raise ConfigError(f"cap_deg must lie in (0, {_MAX_POLAR_DEG}]")
         self.pole = pole / n
+        # np.radians of a bool is a float16, so convert first
         self.cap_deg = float(cap_deg)
-        self.cos_cap = float(np.cos(np.radians(cap_deg)))
-        self.chart_radius = float(np.sin(np.radians(cap_deg)))
+        self.cos_cap = float(np.cos(np.radians(self.cap_deg)))
+        self.chart_radius = float(np.sin(np.radians(self.cap_deg)))
         self.e1, self.e2 = _orthonormal_frame(self.pole)
         self.dim = 2
         self.embdim = 3
@@ -289,10 +290,10 @@ class SphereChart:
 
 
 def chart_from_descriptor(d) -> object:
-    kinds = {"box": lambda: BoxChart(d["lo"], d["hi"]),
-             "plane": lambda: PlaneChart(d["lo"], d["hi"], d["height"]),
-             "sphere": lambda: SphereChart(d.get("pole", (0, 0, 1)), d.get("cap_deg", 60.0))}
-    try:
-        return kinds[d["kind"]]()
-    except KeyError as e:
-        raise ConfigError(f"unknown chart descriptor: {d!r}") from e
+    """Rebuild a chart from its descriptor, one that passed the envelope
+    schema; ConfigError if its bounds or pole are not in order."""
+    if d["kind"] == "box":
+        return BoxChart(d["lo"], d["hi"])
+    if d["kind"] == "plane":
+        return PlaneChart(d["lo"], d["hi"], d["height"])
+    return SphereChart(d["pole"], d["cap_deg"])

@@ -1,7 +1,11 @@
 """Command-line front end.
 
-One JSON config file per run (schema shipped as ``gjekit/schema.json``);
-flags only select the command, config path and verbosity.
+One JSON config file per run, read by ``config.read_json`` against the
+shipped ``gjekit/schema.json`` (the same reader checks a saved envelope
+against ``gjekit/envelope.schema.json``); what a schema cannot state, such
+as an ``interval`` inside the generating function's nice interval or target
+masses that add up to the source mass, is checked where the run is built.
+Flags only select the command, config path and verbosity.
 Commands write JSON reports and CSV ledgers into the config's output
 directory and exit 0 on success, 1 on a failed check, 2 on config errors.
 Reports carry the config hash, the seed, and the toolkit version; outputs
@@ -11,18 +15,17 @@ the wall-time column of the solver convergence log.
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
 import os
 import sys
-from importlib import resources
 
 import numpy as np
 
 from . import __version__
 from .builtins import make_builtin
 from .charts import BoxChart
+from .config import read_json
 from .demos import (TEST_INTERVALS, demo_problem, far_field_genfun,
                     folded_twist_genfun, violator_genfun)
 from .errors import ConfigError, GjekitError
@@ -39,26 +42,9 @@ EXIT_CONFIG = 2
 ENGULFING_HEIGHTS = (0.01, 0.005, 0.0025)
 
 
-@functools.cache
-def _config_validator():
-    """Validator of the shipped config schema, built once per process; the
-    schema itself is checked against its metaschema by the tests."""
-    from jsonschema.validators import validator_for
-    schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
-    return validator_for(schema)(schema)
-
-
 def _load_config(path):
-    from jsonschema.exceptions import best_match
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    error = best_match(_config_validator().iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
-    return cfg
+    """The run config at ``path``, checked against ``schema.json``."""
+    return read_json(path, "config")
 
 
 def _config_hash(cfg):
@@ -100,12 +86,20 @@ def _genfun_from_config(cfg):
             gf = make_builtin(kind, **params)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed parameters for {kind!r}: {e}") from e
-    return gf, tuple(cfg.get("interval", TEST_INTERVALS.get(kind, (-0.5, 0.5))))
+    interval = tuple(cfg.get("interval", TEST_INTERVALS.get(kind, (-0.5, 0.5))))
+    sr = gf.srange
+    if not sr.nice_lower < interval[0] < interval[1] < sr.nice_upper:
+        raise ConfigError(f"interval must be [low, high] with low < high inside the nice "
+                          f"interval ({sr.nice_lower:g}, {sr.nice_upper:g}) of {gf.name}")
+    return gf, interval
 
 
 def _out_dir(cfg):
     out = cfg.get("output_dir", "gjekit-out")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {out!r}: {e}") from e
     return out
 
 

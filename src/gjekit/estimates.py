@@ -296,7 +296,9 @@ def engulfing_check(env: Envelope, h_grid, n_pairs=24, seed=0):
     sampled x1 are biased toward ridge cells of the section (where pieces
     change), since that is where a degenerate geometry shows; sampling is
     deterministic for a fixed seed.  Reports the max fitted factor per
-    height and a stability verdict across the grid.
+    height and a stability verdict across the grid.  Every x0 lies two cell
+    widths inside the chart on every axis; HypothesisError
+    ("no_interior_cells") before any draw when no cell does.
     """
     gf = env.gf
     rng = np.random.default_rng(seed)
@@ -306,6 +308,9 @@ def engulfing_check(env: Envelope, h_grid, n_pairs=24, seed=0):
     hi = np.asarray(env.grid.chart.hi) - margin
     inner = np.all((interior >= lo) & (interior <= hi), axis=1)
     idx_inner = np.flatnonzero(inner)
+    if idx_inner.size == 0:
+        raise HypothesisError("no_interior_cells",
+                              f"no grid cell lies {margin:g} inside the source chart")
     ridge = _ridge_cells(env)
     per_h = {}
     for h in np.asarray(h_grid, dtype=float):

@@ -12,14 +12,19 @@ The G-subdifferential at x is the set of foci of the pieces active there
 (``Envelope.eval``).  The generalized Monge-Ampere measure of a set A, the
 target-chart volume of the foci supporting the envelope somewhere in A, is
 computed by the pointwise estimates (``estimates._subdiff_volume``).
+
+``Envelope.save`` writes the JSON file that the shipped
+``envelope.schema.json`` describes; ``Envelope.load`` reads it through
+``config.read_json``, the one reader of every file the CLI reads, and adds
+only the checks a schema cannot state.
 """
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_json
 from .errors import ConfigError, EmptyEnvelopeError, NicenessError
 from .expmaps import p_map
 from .grids import DomainGrid
@@ -173,37 +178,27 @@ class Envelope:
 
     @staticmethod
     def load(path):
+        """The envelope saved at ``path``.  The file's structure is the
+        shipped ``envelope.schema.json``'s to check; what a schema cannot
+        state (chart bounds in order, a resolution of the chart's rank, a
+        scalar range in order, foci and heights in the generating function's
+        domain) is checked here, and any failure is a ConfigError naming the
+        file."""
         from .builtins import genfun_from_descriptor
+        doc = read_json(path, "envelope")
+        xbars, zs = zip(*doc["pieces"])
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ConfigError(f"envelope file {path} does not hold a JSON object")
-            if doc.get("format_version") != ENVELOPE_FORMAT_VERSION:
-                raise ConfigError(f"unsupported envelope format in {path}: "
-                                  f"{doc.get('format_version')}")
-            missing = sorted({"genfun", "grid_resolution", "pieces"} - set(doc))
-            if missing:
-                raise ConfigError(f"envelope file {path} lacks {missing}")
             gf = genfun_from_descriptor(doc["genfun"])
-            grid = DomainGrid(gf.source_chart, tuple(doc["grid_resolution"]))
-            env = Envelope(gf, ([p[0] for p in doc["pieces"]], [p[1] for p in doc["pieces"]]),
-                           grid)
+            grid = DomainGrid(gf.source_chart, doc["grid_resolution"])
+            env = Envelope(gf, (xbars, zs), grid)
             # the grid scan does not check foci; Envelope.eval does
             bad = np.flatnonzero(~gf._focus_ok(env.xbars, env.zs))
-            if bad.size:
-                raise ConfigError(f"envelope file {path}: piece {bad[0]} has its focus or "
-                                  f"height outside the domain of {gf.name}")
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"malformed envelope file {path}: {e!r}") from e
-        vol = doc.get("focus_cell_volume")
-        # a JSON true is an int to isinstance, and an int past the largest
-        # float is below inf but not a float
-        if vol is not None and not (type(vol) in (int, float)
-                                    and 0.0 < vol <= sys.float_info.max):
-            raise ConfigError(f"envelope file {path}: focus_cell_volume must be a "
-                              f"finite number > 0, not {vol!r}")
-        env.focus_cell_volume = vol
+        except (ConfigError, ValueError) as e:
+            raise ConfigError(f"envelope file {path}: {e}") from e
+        if bad.size:
+            raise ConfigError(f"envelope file {path}: piece {bad[0]} has its focus or "
+                              f"height outside the domain of {gf.name}")
+        env.focus_cell_volume = doc.get("focus_cell_volume")
         return env
 
 

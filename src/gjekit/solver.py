@@ -57,6 +57,8 @@ class SemiDiscreteProblem:
         self.masses = np.asarray(self.masses, dtype=float)
         if self.targets.shape[0] != self.masses.shape[0]:
             raise ConfigError("targets and masses must have equal length")
+        if not np.all(np.isfinite(self.masses)):
+            raise ConfigError("target masses must be finite")
         if np.any(self.masses <= 0):
             raise ConfigError("all target masses must be positive")
         d = self.targets[:, None, :] - self.targets[None, :, :]

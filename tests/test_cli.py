@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -6,6 +7,9 @@ import json
 import os
 import pathlib
 import re
+import subprocess
+import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -16,9 +20,10 @@ import gjekit
 from gjekit.builtins import make_builtin
 from gjekit.cli import _load_config, main
 from gjekit.config import DEFAULT_TOLS, Tolerances
-from gjekit.demos import paraboloid_envelope
+from gjekit.demos import classical_ma_problem, paraboloid_envelope
 from gjekit.errors import ConfigError
 from gjekit.gconvex import Envelope
+from gjekit.grids import DomainGrid
 from gjekit.optics import ReflectorSurface, trace_ensemble
 
 
@@ -60,6 +65,24 @@ def test_shipped_schema_and_its_error_messages(tmp_path):
         with pytest.raises(ConfigError) as got:
             _load_config(_write(tmp_path, cfg, f"bad{k}.json"))
         assert str(got.value) == f"config schema violation: {expected.value.message}"
+
+
+def test_envelope_schema_is_a_draft_07_schema():
+    schema = json.loads(resources.files("gjekit").joinpath("envelope.schema.json").read_text())
+    validator = jsonschema.validators.validator_for(schema)
+    validator.check_schema(schema)
+    assert validator is jsonschema.Draft7Validator
+
+
+def test_importing_the_commands_leaves_jsonschema_unimported():
+    # jsonschema is imported when a file is first read; importing it with
+    # the package would add to every command's start-up
+    code = ("import sys, gjekit.cli, gjekit.estimates, gjekit.optics; "
+            "print('jsonschema' in sys.modules)")
+    src = str(pathlib.Path(gjekit.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "False\n"
 
 
 def test_check_quasilinear_passes(tmp_path):
@@ -289,6 +312,28 @@ def test_every_tolerance_field_is_read():
     assert unread == []
 
 
+def _schema_properties(node):
+    """Every key that some ``properties`` block of a schema names."""
+    if isinstance(node, list):
+        return set().union(*map(_schema_properties, node))
+    if not isinstance(node, dict):
+        return set()
+    return set(node.get("properties", {})).union(*map(_schema_properties, node.values()))
+
+
+def test_every_envelope_schema_key_is_read():
+    # a key nothing rebuilds from would pass the schema and be ignored;
+    # the schema alone reads format_version and surface, each of which has
+    # one admitted value (1 and "zero"), and the genfun's name is a label
+    # for readers of the file
+    schema = json.loads(resources.files("gjekit").joinpath("envelope.schema.json").read_text())
+    pkg = pathlib.Path(gjekit.__file__).parent
+    text = "".join((pkg / f).read_text() for f in ("gconvex.py", "builtins.py", "charts.py"))
+    unread = sorted(k for k in _schema_properties(schema)
+                    if not re.search(rf'(\[|\.get\()"{k}"', text))
+    assert unread == ["format_version", "name", "surface"]
+
+
 def test_every_config_key_is_read():
     # a key no command reads would pass the schema and be ignored
     schema = json.loads(resources.files("gjekit").joinpath("schema.json").read_text())
@@ -303,38 +348,87 @@ def test_every_config_key_is_read():
 _GOOD_GENFUN = make_builtin("quasilinear").descriptor()
 
 
+# each case keeps the id it has had since the hand-written checks, which
+# named the exception a malformed file raised; the message is now the
+# envelope schema's, or a domain check's where no schema can state the rule
 @pytest.mark.parametrize("doc, message", [
-    ({"format_version": 99}, "unsupported envelope format"),
-    ({"format_version": 1, "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]},
-     "lacks ['genfun']"),
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
-      "pieces": [[[0.0, 0.0]]]}, "IndexError"),
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8],
-      "pieces": [[[0.0, 0.0], 0.0]]}, "ValueError('resolution rank"),
-    ({"format_version": 1, "genfun": {k: v for k, v in _GOOD_GENFUN.items() if k != "range"},
-      "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]}, "KeyError('range')"),
-    pytest.param('{"format_version": 1, "genfun":', "JSONDecodeError", id="truncated"),
-    ([], "does not hold a JSON object"),
-    (1, "does not hold a JSON object"),
-    (None, "does not hold a JSON object"),
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8], "pieces": 5},
-     "TypeError"),
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": 8,
-      "pieces": [[[0.0, 0.0], 0.0]]}, "TypeError"),
-    ({"format_version": 1, "genfun": [_GOOD_GENFUN], "grid_resolution": [8, 8],
-      "pieces": [[[0.0, 0.0], 0.0]]}, "AttributeError"),
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
-      "pieces": [[[0.0, 0.0], "high"]]}, "ValueError(\"could not convert string to float"),
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
-      "pieces": []}, "ValueError('envelope needs matching, nonempty piece arrays')"),
+    pytest.param({"format_version": 99},
+                 "at the top level: 'genfun' is a required property",
+                 id="doc0-unsupported envelope format"),
+    pytest.param({"format_version": 2, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], 0.0]]},
+                 "at format_version: 1 was expected", id="format_version_2"),
+    pytest.param({"format_version": 1, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], 0.0]]},
+                 "at the top level: 'genfun' is a required property", id="doc1-lacks ['genfun']"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0]]]},
+                 "at pieces/0: [[0.0, 0.0]] is too short", id="doc2-IndexError"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8],
+                  "pieces": [[[0.0, 0.0], 0.0]]},
+                 ": resolution rank must match chart dimension",
+                 id="doc3-ValueError('resolution rank"),
+    pytest.param({"format_version": 1,
+                  "genfun": {k: v for k, v in _GOOD_GENFUN.items() if k != "range"},
+                  "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]},
+                 "at genfun: 'range' is a required property", id="doc4-KeyError('range')"),
+    pytest.param('{"format_version": 1, "genfun":',
+                 ": Expecting value: line 1 column 32 (char 31)", id="truncated"),
+    pytest.param([], "at the top level: [] is not of type 'object'",
+                 id="doc6-does not hold a JSON object"),
+    pytest.param(1, "at the top level: 1 is not of type 'object'",
+                 id="1-does not hold a JSON object"),
+    pytest.param(None, "at the top level: None is not of type 'object'",
+                 id="None-does not hold a JSON object"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": 5},
+                 "at pieces: 5 is not of type 'array'", id="doc9-TypeError"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": 8,
+                  "pieces": [[[0.0, 0.0], 0.0]]},
+                 "at grid_resolution: 8 is not of type 'array'", id="doc10-TypeError"),
+    pytest.param({"format_version": 1, "genfun": [_GOOD_GENFUN], "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], 0.0]]},
+                 "is not of type 'object'", id="doc11-AttributeError"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], "high"]]},
+                 "at pieces/0/1: 'high' is not of type 'number'",
+                 id='doc12-ValueError("could not convert string to float'),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": []},
+                 "at pieces: [] should be non-empty",
+                 id="doc13-ValueError('envelope needs matching, nonempty piece arrays')"),
     # the grid scan would give this piece cells that Envelope.eval never does
-    ({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
-      "pieces": [[[0.0, 0.0], 0.0], [[5.0, 5.0], 0.0]]},
-     "piece 1 has its focus or height outside the domain"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], 0.0], [[5.0, 5.0], 0.0]]},
+                 "piece 1 has its focus or height outside the domain",
+                 id="doc14-piece 1 has its focus or height outside the domain"),
+    # NaN nowhere, infinity only at the ends of the scalar range
+    pytest.param({"format_version": 1,
+                  "genfun": {**_GOOD_GENFUN, "range": {**_GOOD_GENFUN["range"],
+                                                       "nice_lower": -np.inf}},
+                  "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]},
+                 "at genfun/range/nice_lower: -inf is less than the minimum",
+                 id="infinite_nice_lower"),
+    pytest.param({"format_version": 1,
+                  "genfun": {**_GOOD_GENFUN, "range": {**_GOOD_GENFUN["range"],
+                                                       "lower": np.nan}},
+                  "grid_resolution": [8, 8], "pieces": [[[0.0, 0.0], 0.0]]},
+                 ": NaN is not a number a file may hold", id="nan_range_lower"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], np.inf]]},
+                 "at pieces/0/1: inf is greater than the maximum", id="infinite_height"),
+    pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                  "pieces": [[[0.0, 0.0], 0.0]], "extra": 1},
+                 "at the top level: Additional properties are not allowed ('extra' was "
+                 "unexpected)", id="extra_key"),
     # the estimate multiplies the focus count by this volume
-    *[({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
-        "pieces": [[[0.0, 0.0], 0.0]], "focus_cell_volume": vol},
-       "focus_cell_volume must be a finite number > 0") for vol in ("big", [0.1], -1.0)],
+    *[pytest.param({"format_version": 1, "genfun": _GOOD_GENFUN, "grid_resolution": [8, 8],
+                    "pieces": [[[0.0, 0.0], 0.0]], "focus_cell_volume": vol},
+                   f"at focus_cell_volume: {message}",
+                   id=f"doc{k}-focus_cell_volume must be a finite number > 0")
+      for k, vol, message in [(15, "big", "'big' is not of type 'number', 'null'"),
+                              (16, [0.1], "[0.1] is not of type 'number', 'null'"),
+                              (17, -1.0, "-1.0 is less than or equal to the minimum of 0")]],
 ])
 def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
     env = tmp_path / "envelope.json"
@@ -345,6 +439,112 @@ def test_bad_envelope_file_exit_2(tmp_path, capsys, doc, message):
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err, err
         assert str(env) in err and err.count("\n") == 1, err
+
+
+def _run(argv):
+    """Exit code, stderr and wall time of one in-process command."""
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue(), time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def classical_ma_file(tmp_path_factory):
+    """The classical-MA demo envelope at its manufactured heights, saved."""
+    problem, z_true = classical_ma_problem(96)
+    path = tmp_path_factory.mktemp("classical") / "envelope.json"
+    Envelope(problem.gf, (problem.targets, z_true), problem.grid).save(path)
+    return path
+
+
+def _estimate_on(tmp_path, doc, counts=None):
+    env = tmp_path / "envelope.json"
+    env.write_text(json.dumps(doc))
+    cfg = _write(tmp_path, {"envelope": str(env), "counts": counts or {"n_sections": 4},
+                            "output_dir": str(tmp_path / "out")})
+    return env, _run(["estimate", "--config", cfg])
+
+
+@pytest.mark.parametrize("resolution", [[0, 96], [-3, 96], [np.inf, 96], [1e6, 1e6],
+                                        [96.5, 96]])
+def test_bad_grid_resolution_exit_2_at_once(tmp_path, classical_ma_file, resolution):
+    doc = json.loads(classical_ma_file.read_text())
+    env, (rc, err, wall) = _estimate_on(tmp_path, {**doc, "grid_resolution": resolution})
+    assert rc == 2 and wall < 1.0, (err, wall)
+    assert f"envelope file {env} breaks its schema at grid_resolution/" in err, err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("resolution, source_hi", [([2, 2], [1.0, 1.0]),
+                                                   ([1, 96], [1.0, 1.0]),
+                                                   ([96, 96], [100.0, 1.0])])
+def test_estimate_without_interior_cells_exit_1(tmp_path, classical_ma_file, resolution,
+                                                source_hi):
+    doc = json.loads(classical_ma_file.read_text())
+    doc["grid_resolution"] = resolution
+    doc["genfun"]["source_chart"]["hi"] = source_hi
+    _, (rc, err, _) = _estimate_on(tmp_path, doc)
+    assert (rc, err) == (1, "error: hypothesis violated: no_interior_cells "
+                            f"({err.split('(', 1)[1]}"), err
+    assert err.count("\n") == 1, err
+
+
+def test_unbounded_count_exit_2_at_once(tmp_path, classical_ma_file):
+    doc = json.loads(classical_ma_file.read_text())
+    _, (rc, err, wall) = _estimate_on(tmp_path, doc, counts={"n_sections": 1e308})
+    assert rc == 2 and wall < 1.0, (err, wall)
+    assert err == ("config error: config schema violation: "
+                   "1e+308 is greater than the maximum of 10000\n"), err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"targets": [{"point": [0.4, 0.0], "mass": float("nan")},
+                  {"point": [-0.4, 0.0], "mass": 2.0}]},
+     "NaN is not a number a file may hold"),
+    ({"interval": [1e308, -1e308]}, "interval must be [low, high] with low < high"),
+    ({"interval": [float("nan"), 0.5]}, "NaN is not a number a file may hold"),
+    ({"interval": [-0.5, float("inf")]}, "inf is greater than the maximum"),
+    ({"interval": [-2e6, 0.5]}, "inside the nice interval (-1e+06, 1e+06)"),
+    ({"interval": [0.5, -0.5]}, "interval must be [low, high] with low < high"),
+    ({"genfun": {"kind": "quasilinear",
+                 "params": {"source_box": [[-1.0, -1.0], [1.0, float("inf")]]}}},
+     "inf is greater than the maximum"),
+], ids=["nan_mass", "interval_1e308", "interval_nan", "interval_inf", "interval_wide",
+        "interval_reversed", "infinite_param"])
+def test_non_finite_or_outside_values_exit_2_at_once(tmp_path, change, message):
+    cfg = _write(tmp_path, {**_CUSTOM, **change, "output_dir": str(tmp_path / "out")})
+    for command in ("check", "solve"):
+        rc, err, wall = _run([command, "--config", cfg])
+        assert rc == 2 and wall < 1.0, (err, wall)
+        assert err.startswith("config error: ") and message in err, err
+        assert err.count("\n") == 1, err
+
+
+def test_envelope_range_ends_may_be_infinite(tmp_path, classical_ma_file):
+    # the quasilinear range is all of R; -1e400 parses to -inf
+    text = classical_ma_file.read_text()
+    assert '"lower": -Infinity' in text
+    path = tmp_path / "envelope.json"
+    path.write_text(text.replace('"lower": -Infinity', '"lower": -1e400'))
+    assert Envelope.load(path).gf.srange.lower == -np.inf
+
+
+def test_envelopes_that_cannot_rebuild_are_refused_by_name(tmp_path):
+    nodes = [-1.0, -0.5, 0.5, 1.0]
+    for gf, name in [
+            (make_builtin("quasilinear", cost=lambda x, xb: -float(x @ xb)), "callable"),
+            (make_builtin("parallel_beam", surface={"x_nodes": nodes, "y_nodes": nodes,
+                                                    "values": np.zeros((4, 4)).tolist()}),
+             "grid")]:
+        env = tmp_path / f"{name}.json"
+        Envelope(gf, ([[0.0, 0.0]], [1.0]), DomainGrid(gf.source_chart, 8)).save(env)
+        for command in ("raytrace", "estimate"):
+            cfg = _write(tmp_path, {"envelope": str(env), "output_dir": str(tmp_path / "out")})
+            rc, err, _ = _run([command, "--config", cfg])
+            assert rc == 2 and f"'{name}' is not one of" in err, err
+            assert str(env) in err and err.count("\n") == 1, err
 
 
 def test_demo_pipeline_point_source(tmp_path):

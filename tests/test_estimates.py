@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gjekit.demos import classical_ma_problem
 from gjekit.errors import HypothesisError
-from gjekit.gconvex import GAffine
+from gjekit.gconvex import Envelope, GAffine
+from gjekit.grids import DomainGrid
 from gjekit.estimates import (aleksandrov_check, engulfing_check, max_segment_length,
                               section_at_height, sharp_growth_check,
                               supporting_plane_distance)
@@ -93,6 +95,16 @@ def test_sharp_growth_hypothesis_error(parab_env):
 def test_engulfing_reflexive_floor(engulfing_env):
     rep = engulfing_check(engulfing_env, [0.01], n_pairs=4, seed=0)
     assert rep["lambda_values"][0] >= 1.0
+
+
+@pytest.mark.parametrize("resolution", [(2, 2), (1, 96)])
+def test_engulfing_needs_an_interior_cell(resolution):
+    # x0 is drawn among the cells two widths inside the chart on every axis
+    problem, z_true = classical_ma_problem(8)
+    env = Envelope(problem.gf, (problem.targets, z_true),
+                   DomainGrid(problem.gf.source_chart, resolution))
+    with pytest.raises(HypothesisError, match="no_interior_cells"):
+        engulfing_check(env, [0.01], n_pairs=4, seed=0)
 
 
 def test_engulfing_stability_contrast(engulfing_env, violator_env):

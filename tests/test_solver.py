@@ -42,6 +42,13 @@ def test_problem_invariants():
         _ql_problem([[0.1, 0.1], [0.2, 0.2]], masses=[-2.0, 6.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_refuses_non_finite_masses(bad):
+    # a NaN mass passes "positive" and "sums to the source mass" alike
+    with pytest.raises(ConfigError, match="target masses must be finite"):
+        _ql_problem([[0.1, 0.1], [0.2, 0.2]], masses=[bad, 2.0])
+
+
 def test_single_target_normalization_only():
     prob = _ql_problem([[0.2, 0.1]], anchor_u=0.5)
     env, state = solve(prob)
